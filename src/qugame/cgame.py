@@ -317,7 +317,7 @@ def ess_test(g: Bimatrix, incumbent: int, mutant: int, eta: float) -> ESSResult:
         fit_j = (1.0 - share) * A[j, i] + share * A[j, j]
         return fit_i - fit_j
 
-    stable = fitness_gap(eta) > 0.0
+    stable = bool(fitness_gap(eta) > 0.0)
     eps = 1e-9
     if fitness_gap(eps) <= 0.0:
         barrier = 0.0

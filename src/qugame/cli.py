@@ -58,6 +58,19 @@ def _parse_state(text: str, dim_hint: int | None = None) -> StateVector:
     return StateVector(dims, np.asarray(amps) / norm)
 
 
+# argparse `type=` converters: a malformed list is a usage error (exit 64)
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _float_rows(text: str) -> np.ndarray:
+    return np.array([_floats(row) for row in text.split(";")])
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
@@ -159,14 +172,9 @@ def _run_rsa(args, rng):
     return payload, lines
 
 
-def _gate(label: str) -> qstate.UnitaryMatrix:
-    return qgames.move_set([label]).gates[0]
-
-
 def _run_spinflip(args, rng):
-    report = qgames.spin_flip_play(
-        _gate(args.bob1), _gate(args.alice), _gate(args.bob2), rng=rng
-    )
+    gate = qstate.standard_gate
+    report = qgames.spin_flip_play(gate(args.bob1), gate(args.alice), gate(args.bob2), rng=rng)
     return report.to_json_dict(), _report_lines(report)
 
 
@@ -265,7 +273,7 @@ def _run_card(args, rng):
 
 
 def _run_telepathy(args, rng):
-    bits = [int(b) for b in args.inputs.split(",")]
+    bits = args.inputs
     y, win = qgames.pseudo_telepathy_round(bits, rng=rng)
     payload = {"inputs": bits, "outputs": list(y), "win": win}
     lines = [f"inputs {bits} -> outputs {list(y)}; win = {win}"]
@@ -307,13 +315,10 @@ def _run_estimate(args, rng):
 
 
 def _run_discriminate(args, rng):
-    priors = [float(x) for x in args.priors.split(",")]
+    priors = args.priors
     n = len(priors)
-    channel = np.array(
-        [[float(x) for x in row.split(",")] for row in args.channel.split(";")]
-    )
     costs = args.cost * (np.ones((n, n)) - np.eye(n))
-    problem = density.DiscriminationProblem(priors, costs, channel)
+    problem = density.DiscriminationProblem(priors, costs, args.channel)
     c_b, p_e = density.discrimination_cost(problem)
     payload = {"priors": priors, "cost_constant": args.cost, "bayes_cost": c_b,
                "error_probability": p_e}
@@ -421,7 +426,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--draw", type=int, choices=(0, 1, 2), default=None)
 
     p = cmd("telepathy", _run_telepathy, help="pseudo-telepathy parity game")
-    p.add_argument("--inputs", required=True, help="comma-separated bits, even sum")
+    p.add_argument("--inputs", type=_ints, required=True, help="comma-separated bits, even sum")
 
     p = cmd("teleport", _run_teleport, help="teleport a qubit through |b3>")
     p.add_argument("--state", default="0.6,0.8")
@@ -438,8 +443,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-down", type=int, required=True)
 
     p = cmd("discriminate", _run_discriminate, help="Bayesian discrimination cost")
-    p.add_argument("--priors", default="0.5,0.5")
-    p.add_argument("--channel", default="0.9,0.2;0.1,0.8",
+    p.add_argument("--priors", type=_floats, default="0.5,0.5")
+    p.add_argument("--channel", type=_float_rows, default="0.9,0.2;0.1,0.8",
                    help="rows separated by ';', h[m][k] columns by ','")
     p.add_argument("--cost", type=float, default=1.0)
 
@@ -472,7 +477,15 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"qugame: cannot read manifest: {exc}", file=sys.stderr)
             return USAGE_EXIT
-        argv2 = [str(manifest["subcommand"])]
+        if not (
+            isinstance(manifest, dict)
+            and isinstance(manifest.get("subcommand"), str)
+            and isinstance(manifest.get("parameters", {}), dict)
+        ):
+            print('qugame: a manifest is an object with a string "subcommand" and an '
+                  'object "parameters"', file=sys.stderr)
+            return USAGE_EXIT
+        argv2 = [manifest["subcommand"]]
         for key, value in manifest.get("parameters", {}).items():
             if isinstance(value, bool):
                 if value:

@@ -90,6 +90,8 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     flip 1 - 2|a><a| on the search register, the (|0> - |1>) qubit never
     changes and carries no information.
     """
+    if n < 1:
+        raise DomainError(f"need at least one qubit, got n={n}")
     N = 1 << n
     if N > qstate.MAX_STATE_DIM:
         raise ResourceError(f"state dimension {N} exceeds cap {qstate.MAX_STATE_DIM}")
@@ -138,7 +140,11 @@ def bernstein_vazirani(n: int, a: int, oracle=None) -> int:
     deterministically.  A custom ``oracle`` (amps -> amps) may be injected;
     it is invoked exactly once.
     """
+    if n < 1:
+        raise DomainError(f"need at least one qubit, got n={n}")
     N = 1 << n
+    if N > qstate.MAX_STATE_DIM:
+        raise ResourceError(f"state dimension {N} exceeds cap {qstate.MAX_STATE_DIM}")
     if not 0 <= a < N:
         raise DomainError(f"hidden string {a} out of range for {n} qubits")
     if oracle is None:

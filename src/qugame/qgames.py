@@ -70,27 +70,12 @@ class MoveSet:
         return iter(zip(self.labels, self.gates))
 
 
-_MOVE_GATES = {
-    "I": qstate.identity,
-    "1": qstate.identity,
-    "X": qstate.pauli_x,
-    "Y": qstate.pauli_y,
-    "Z": qstate.pauli_z,
-    "H": qstate.hadamard,
-}
-
-
 def move_set(labels: Sequence[str] | str) -> MoveSet:
-    """Build a MoveSet from labels like ["I", "X", "H", "Z"] or "I,X,H,Z"."""
+    """Build a MoveSet from gate names like ["I", "X", "H", "Z"] or "I,X,H,Z"."""
     if isinstance(labels, str):
         labels = [part.strip() for part in labels.split(",") if part.strip()]
-    gates = []
-    for label in labels:
-        builder = _MOVE_GATES.get(label.upper())
-        if builder is None:
-            raise DomainError(f"unknown move {label!r}")
-        gates.append(builder())
-    return MoveSet(tuple(str(l).upper() for l in labels), tuple(gates))
+    gates = tuple(qstate.standard_gate(label) for label in labels)
+    return MoveSet(tuple(str(l).upper() for l in labels), gates)
 
 
 def prisoners_dilemma_payoffs() -> Bimatrix:

@@ -68,7 +68,7 @@ class StateVector:
 
     __slots__ = ("dims", "amps")
 
-    def __init__(self, dims: Sequence[int], amps, *, normalized: bool = True):
+    def __init__(self, dims: Sequence[int], amps):
         dims = tuple(int(d) for d in dims)
         if not dims or any(d < 2 for d in dims):
             raise DomainError(f"every subsystem dimension must be >= 2, got {dims}")
@@ -78,12 +78,11 @@ class StateVector:
         arr = _as_complex_vector(amps)
         if arr.size != total:
             raise DomainError(f"expected {total} amplitudes for dims {dims}, got {arr.size}")
-        if normalized:
-            norm = np.linalg.norm(arr)
-            if abs(norm - 1.0) > 1e-6:
-                raise DomainError(f"state is not normalized (norm {norm})")
-            if abs(norm - 1.0) > NORM_TOL:
-                arr = arr / norm
+        norm = np.linalg.norm(arr)
+        if abs(norm - 1.0) > 1e-6:
+            raise DomainError(f"state is not normalized (norm {norm})")
+        if abs(norm - 1.0) > NORM_TOL:
+            arr = arr / norm
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -250,39 +249,29 @@ def controlled_add(dim: int = 3) -> UnitaryMatrix:
     return UnitaryMatrix(m, check=False)
 
 
-_GATE_BUILDERS = {
-    "identity": identity,
-    "pauli_x": pauli_x,
-    "pauli_y": pauli_y,
-    "pauli_z": pauli_z,
-    "hadamard": hadamard,
+# lower-case gate names; the short ones are the move labels of the games and the CLI
+_GATES = {
+    "identity": identity, "i": identity, "1": identity,
+    "pauli_x": pauli_x, "x": pauli_x,
+    "pauli_y": pauli_y, "y": pauli_y,
+    "pauli_z": pauli_z, "z": pauli_z,
+    "hadamard": hadamard, "h": hadamard,
     "cnot": cnot,
     "phase": phase_gate,
     "quarter_phase": quarter_phase,
 }
 
-# short aliases accepted by the CLI and move-set parsers
-_GATE_ALIASES = {
-    "i": "identity",
-    "1": "identity",
-    "x": "pauli_x",
-    "y": "pauli_y",
-    "z": "pauli_z",
-    "h": "hadamard",
-}
-
 
 def standard_gate(name: str, param: float | int | None = None) -> UnitaryMatrix:
-    """Named gate lookup: identity(d), pauli_x/y/z, hadamard, cnot, phase(r), quarter_phase."""
-    key = name.strip().lower()
-    key = _GATE_ALIASES.get(key, key)
-    builder = _GATE_BUILDERS.get(key)
+    """Case-insensitive named gate lookup: identity(d) (short I or 1), pauli_x/y/z
+    (X, Y, Z), hadamard (H), cnot, phase(r), quarter_phase."""
+    builder = _GATES.get(name.strip().lower())
     if builder is None:
         raise DomainError(f"unknown gate {name!r}")
-    if key in ("identity", "phase"):
-        if param is None:
-            param = 2 if key == "identity" else 0.0
-        return builder(param)
+    if builder is phase_gate:
+        return phase_gate(0.0 if param is None else param)
+    if builder is identity:
+        return identity(2 if param is None else param)
     if param is not None:
         raise DomainError(f"gate {name!r} takes no parameter")
     return builder()
@@ -335,24 +324,36 @@ def _resolve_targets(state: StateVector, targets: Sequence[int] | None) -> tuple
     return targets
 
 
+def _split(state: StateVector, targets: Sequence[int] | None):
+    """Amplitudes as one row per target basis index, one column per rest index.
+
+    Returns (targets, rest, matrix); rest lists the other subsystems in
+    register order.  Only this helper and `_join` decide the target layout.
+    """
+    targets = _resolve_targets(state, targets)
+    rest = tuple(i for i in range(len(state.dims)) if i not in targets)
+    target_dim = math.prod(state.dims[t] for t in targets)
+    matrix = np.transpose(state.amps.reshape(state.dims), targets + rest)
+    return targets, rest, matrix.reshape(target_dim, -1)
+
+
+def _join(matrix: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `_split`: flat amplitudes in register order from rows laid out by `order`."""
+    shuffled = matrix.reshape([dims[i] for i in order])
+    return np.transpose(shuffled, np.argsort(order)).reshape(-1)
+
+
 def apply(state: StateVector, u: UnitaryMatrix, targets: Sequence[int] | None = None) -> StateVector:
     """Apply u on the addressed subsystems, identity elsewhere. Norm-preserving."""
-    targets = _resolve_targets(state, targets)
-    target_dim = math.prod(state.dims[t] for t in targets)
-    if u.dim != target_dim:
+    targets, rest, psi = _split(state, targets)
+    if u.dim != psi.shape[0]:
         raise DomainError(
-            f"operator dimension {u.dim} does not match target dimensions {target_dim}"
+            f"operator dimension {u.dim} does not match target dimensions {psi.shape[0]}"
         )
-    n = len(state.dims)
-    psi = state.amps.reshape(state.dims)
-    rest = [i for i in range(n) if i not in targets]
-    perm = list(targets) + rest
-    psi = np.transpose(psi, perm).reshape(target_dim, -1)
+    # rebind at each step so every intermediate is freed before the next large
+    # allocation; an extra live buffer costs fresh page faults on big registers
     psi = u.entries @ psi
-    shuffled_dims = [state.dims[i] for i in perm]
-    psi = psi.reshape(shuffled_dims)
-    inv = np.argsort(perm)
-    psi = np.transpose(psi, inv).reshape(-1)
+    psi = _join(psi, state.dims, targets + rest)
     return StateVector(state.dims, psi)
 
 
@@ -396,14 +397,8 @@ def measure(
     probability; pass ``force`` to select a branch deterministically (the
     recorded probability is still the true branch weight).
     """
-    targets = _resolve_targets(state, targets)
+    targets, rest, mat = _split(state, targets)
     target_dims = tuple(state.dims[t] for t in targets)
-    target_dim = math.prod(target_dims)
-
-    n = len(state.dims)
-    rest = [i for i in range(n) if i not in targets]
-    perm = list(targets) + rest
-    mat = np.transpose(state.amps.reshape(state.dims), perm).reshape(target_dim, -1)
 
     if basis is None:
         residuals = mat  # rows are already <k|psi>
@@ -438,7 +433,7 @@ def measure(
     probability = float(probs[outcome])
 
     if basis is None:
-        outcome_vec = np.zeros(target_dim, dtype=complex)
+        outcome_vec = np.zeros(mat.shape[0], dtype=complex)
         outcome_vec[outcome] = 1.0
         label = "|" + "".join(
             str(d) for d in index_to_digits(target_dims, outcome)
@@ -453,10 +448,7 @@ def measure(
     else:
         residual = residuals[outcome] / math.sqrt(probability)
         joint = np.outer(outcome_vec, residual)
-        shuffled_dims = [state.dims[i] for i in perm]
-        joint = joint.reshape(shuffled_dims)
-        inv = np.argsort(perm)
-        post = StateVector(state.dims, np.transpose(joint, inv).reshape(-1))
+        post = StateVector(state.dims, _join(joint, state.dims, targets + rest))
 
     return MeasurementRecord(
         outcome_index=outcome,
@@ -474,18 +466,14 @@ def branch_residual(
     Returns (probability, residual-state-of-the-remaining-subsystems); the
     residual is None when the branch has zero weight.
     """
-    targets = _resolve_targets(state, targets)
+    targets, rest, mat = _split(state, targets)
     target_dims = tuple(state.dims[t] for t in targets)
     if basis_vector.dims != target_dims:
         raise DomainError(
             f"basis vector dims {basis_vector.dims} do not match measured subsystems {target_dims}"
         )
-    n = len(state.dims)
-    rest = [i for i in range(n) if i not in targets]
     if not rest:
         raise DomainError("branch_residual requires at least one unmeasured subsystem")
-    perm = list(targets) + rest
-    mat = np.transpose(state.amps.reshape(state.dims), perm).reshape(basis_vector.dim, -1)
     residual = basis_vector.amps.conj() @ mat
     probability = float(np.sum(np.abs(residual) ** 2))
     if probability <= 1e-30:

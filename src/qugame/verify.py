@@ -26,6 +26,12 @@ class CheckResult:
     detail: str = ""
 
 
+def _require(condition, message="check failed"):
+    # explicit raise, not `assert`: the checks must still fail under `python -O`
+    if not condition:
+        raise AssertionError(message)
+
+
 def _close(actual, expected, tol=1e-9):
     actual = np.asarray(actual)
     expected = np.asarray(expected)
@@ -50,9 +56,9 @@ PD_GRID_FOUR_MOVES = {
 
 def _check_register_index():
     sv = qstate.basis_state([2] * 5, "10011")
-    assert int(np.argmax(np.abs(sv.amps))) == 19, "|10011> must sit in slot 19"
+    _require(int(np.argmax(np.abs(sv.amps))) == 19, "|10011> must sit in slot 19")
     _close(sv.amps[19], 1.0)
-    assert qstate.basis_state([3, 3], [2, 1]).amps[7] == 1.0
+    _require(qstate.basis_state([3, 3], [2, 1]).amps[7] == 1.0)
 
 
 def _check_tensor_product():
@@ -100,7 +106,7 @@ def _check_spin_flip_tables():
     }
     for (b1, a, b2), pay in expected.items():
         report = qgames.spin_flip_play(gates[b1], gates[a], gates[b2], rng=RandomSource(0))
-        assert report.payoffs["Alice"] == pay, f"({b1},{a},{b2}) -> {report.payoffs}"
+        _require(report.payoffs["Alice"] == pay, f"({b1},{a},{b2}) -> {report.payoffs}")
 
 
 def _check_hadamard_always_wins():
@@ -126,43 +132,43 @@ def _check_grover_operators():
 
 def _check_grover_amplitudes():
     run = qalgo.grover_search(3, 5)
-    assert run.k == 2, f"k = {run.k}"
+    _require(run.k == 2, f"k = {run.k}")
     one = np.full(8, 1.0)
     one[5] = 5.0
     _close(run.trajectory[1].amps, one / (4 * SQ2), 1e-9)
     two = np.full(8, -1.0)
     two[5] = 11.0
     _close(run.trajectory[2].amps, two / (8 * SQ2), 1e-9)
-    assert abs(run.success_probability - 0.9453) < 5e-5
+    _require(abs(run.success_probability - 0.9453) < 5e-5)
 
 
 def _check_grover_large_k():
-    assert qalgo.grover_iterations(2**30) == 25_735
+    _require(qalgo.grover_iterations(2**30) == 25_735)
 
 
 def _check_bernstein_vazirani():
-    assert qalgo.bernstein_vazirani(3, 6) == 6
-    assert qalgo.bernstein_vazirani(3, 0) == 0
+    _require(qalgo.bernstein_vazirani(3, 6) == 6)
+    _require(qalgo.bernstein_vazirani(3, 0) == 0)
     report = qgames.guess_number_game("II", 4, 11)
-    assert report.params["oracle_calls"] == 1
-    assert report.probabilities["win"] == 1.0
+    _require(report.params["oracle_calls"] == 1)
+    _require(report.probabilities["win"] == 1.0)
 
 
 def _check_euler_halving():
-    assert pow(2, 60, 77) == 1 and pow(2, 30, 77) == 1 and pow(2, 15, 77) == 43
-    assert gcd(77, 44) == 11 and gcd(77, 42) == 7
+    _require(pow(2, 60, 77) == 1 and pow(2, 30, 77) == 1 and pow(2, 15, 77) == 43)
+    _require(gcd(77, 44) == 11 and gcd(77, 42) == 7)
     outcome = qalgo.factor_from_order(77, 2, 60)
-    assert outcome.factors == (7, 11), outcome
+    _require(outcome.factors == (7, 11), outcome)
 
 
 def _check_rsa_game():
     result = qalgo.rsa_demo(77, 11, 67, RandomSource(1))
-    assert (result.p, result.q) == (7, 11)
-    assert result.phi == 60 and result.d == 11 and result.plaintext == 23
-    assert result.rounds <= 25
+    _require((result.p, result.q) == (7, 11))
+    _require(result.phi == 60 and result.d == 11 and result.plaintext == 23)
+    _require(result.rounds <= 25)
     outcome = qalgo.factor_from_order(77, 39, 30)
-    assert outcome.factors == (7, 11)
-    assert pow(39, 15, 77) - 1 == 42 and pow(39, 15, 77) + 1 == 44
+    _require(outcome.factors == (7, 11))
+    _require(pow(39, 15, 77) - 1 == 42 and pow(39, 15, 77) + 1 == 44)
 
 
 def _check_qft():
@@ -208,24 +214,24 @@ def _check_pd_four_move_grid(pd: Bimatrix):
     table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), pd)
     _close(table.payoff_row, PD_GRID_FOUR_MOVES["row"])
     _close(table.payoff_col, PD_GRID_FOUR_MOVES["col"])
-    assert cgame.pure_nash(table) == [(3, 3)], "unique Nash at (Z, Z)"
+    _require(cgame.pure_nash(table) == [(3, 3)], "unique Nash at (Z, Z)")
     flags = cgame.pareto_analysis(table)
-    assert flags.cell(3, 3) == (False, True), "Z,Z must be Pareto optimal"
+    _require(flags.cell(3, 3) == (False, True), "Z,Z must be Pareto optimal")
 
 
 def _check_classical_pd(pd: Bimatrix):
-    assert cgame.pure_nash(pd) == [(1, 1)]
+    _require(cgame.pure_nash(pd) == [(1, 1)])
     rows, cols = cgame.dominant_moves(pd)
-    assert rows == [1] and cols == [1]
+    _require(rows == [1] and cols == [1])
     flags = cgame.pareto_analysis(pd)
-    assert flags.cell(1, 1)[0] is True, "(1,1) jointly dominated by (3,3)"
-    assert flags.cell(0, 0) == (False, True), "(3,3) is Pareto optimal"
+    _require(flags.cell(1, 1)[0] is True, "(1,1) jointly dominated by (3,3)")
+    _require(flags.cell(0, 0) == (False, True), "(3,3) is Pareto optimal")
 
 
 def _check_bos_mixed():
     alpha, beta, gamma = 3.0, 2.0, 1.0
     game = qgames.battle_of_sexes_payoffs(alpha, beta, gamma)
-    assert len(cgame.pure_nash(game)) == 2
+    _require(len(cgame.pure_nash(game)) == 2)
     result = cgame.mixed_nash_2x2(game)
     denom = alpha + beta - 2 * gamma
     _close(result.p, (alpha - gamma) / denom, 1e-12)
@@ -237,7 +243,7 @@ def _check_bos_four_move_grid():
     alpha, beta, gamma = 3.0, 2.0, 1.0
     bos = qgames.battle_of_sexes_payoffs(alpha, beta, gamma)
     table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), bos)
-    assert cgame.pure_nash(table) == [(1, 1)], "unique Nash at (X, X)"
+    _require(cgame.pure_nash(table) == [(1, 1)], "unique Nash at (X, X)")
     _close(table.cell(1, 1), (beta, alpha))
     # mixed play over the {1, sigma_z} corners equalizes the payoffs
     corner = Bimatrix(
@@ -263,14 +269,12 @@ def _check_newcomb():
 
 
 def _check_ess_invasion(pd: Bimatrix):
-    assert cgame.ess_test(pd, incumbent=1, mutant=0, eta=0.1).stable, "D is ESS vs C"
+    _require(cgame.ess_test(pd, incumbent=1, mutant=0, eta=0.1).stable, "D is ESS vs C")
     table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), pd)
-    assert not cgame.ess_test(table, incumbent=1, mutant=2, eta=0.01).stable, (
-        "sigma_x must fall to H"
-    )
-    assert not cgame.ess_test(table, incumbent=2, mutant=3, eta=0.01).stable, (
-        "H must fall to sigma_z"
-    )
+    _require(not cgame.ess_test(table, incumbent=1, mutant=2, eta=0.01).stable,
+             "sigma_x must fall to H")
+    _require(not cgame.ess_test(table, incumbent=2, mutant=3, eta=0.01).stable,
+             "H must fall to sigma_z")
 
 
 def _check_card_query():
@@ -281,7 +285,7 @@ def _check_card_query():
             state = qstate.apply(state, gate)
         _close(np.abs(state.amps) ** 2, [1 - bit, bit], 1e-12)
     report = qgames.card_game_round((0, 1, 1), draw=0, rng=RandomSource(0))
-    assert any("(0, 1, 1)" in e.get("operation", "") for e in report.transcript)
+    _require(any("(0, 1, 1)" in e.get("operation", "") for e in report.transcript))
 
 
 def _check_card_fairness():
@@ -297,14 +301,14 @@ def _check_card_fairness():
 
 def _check_pseudo_telepathy():
     y, win = qgames.pseudo_telepathy_round((1, 1, 0), rng=RandomSource(3))
-    assert win and sum(y) % 2 == 1, "sum x = 2 mod 4 forces odd output parity"
+    _require(win and sum(y) % 2 == 1, "sum x = 2 mod 4 forces odd output parity")
     for n in (2, 3, 4):
         for bits in range(1 << n):
             x = [(bits >> i) & 1 for i in range(n)]
             if sum(x) % 2:
                 continue
             _, win = qgames.pseudo_telepathy_round(x, rng=RandomSource(bits))
-            assert win
+            _require(win)
 
 
 def _check_pseudo_telepathy_core():
@@ -313,9 +317,9 @@ def _check_pseudo_telepathy_core():
     for _ in range(25):
         raw = np.array([rng.uniform() for _ in range(4)])
         allocation = raw / raw.sum()
-        assert cgame.core_check(game, cgame.Imputation(allocation))
+        _require(cgame.core_check(game, cgame.Imputation(allocation)))
     short = cgame.Imputation([0.3, 0.3, 0.2, 0.1])  # sums to 0.9
-    assert not cgame.core_check(game, short)
+    _require(not cgame.core_check(game, short))
 
 
 def _check_teleport():
@@ -335,8 +339,8 @@ def _check_secret_sharing_qubit():
         for bob_s in range(2):
             report = qgames.secret_share_qubit(psi, force=(bell_k, bob_s))
             _close(report.params["recovery_fidelity"], 1.0)
-            assert report.params["gerald_offdiag_given_alice_only"] < 1e-9
-            assert report.params["gerald_deviation_from_mixed_given_bob_only"] < 1e-9
+            _require(report.params["gerald_offdiag_given_alice_only"] < 1e-9)
+            _require(report.params["gerald_deviation_from_mixed_given_bob_only"] < 1e-9)
 
 
 def _check_secret_sharing_qutrit():
@@ -355,7 +359,7 @@ def _check_secret_sharing_qutrit():
     for pair in ("alice,bob", "bob,gerald", "alice,gerald"):
         report = qgames.secret_share_qutrit(secret, pair)
         _close(report.params["recovery_fidelity"], 1.0)
-        assert max(report.params["share_mixedness_deviation"]) < 1e-9
+        _require(max(report.params["share_mixedness_deviation"]) < 1e-9)
 
 
 def _check_density_ensemble():
@@ -366,8 +370,8 @@ def _check_density_ensemble():
     _close(rho.entries, expected, 1e-10)
     phi1 = StateVector([2], [0.6, 0.8])
     phi2 = StateVector([2], [0.8, -0.6])
-    assert abs(density.measure_prob(rho, phi1) - 0.826) < 5e-4
-    assert abs(density.measure_prob(rho, phi2) - 0.174) < 5e-4
+    _require(abs(density.measure_prob(rho, phi1) - 0.826) < 5e-4)
+    _require(abs(density.measure_prob(rho, phi2) - 0.174) < 5e-4)
     _close(density.expectation(rho, qstate.pauli_x().entries), 0.72, 1e-10)
 
 

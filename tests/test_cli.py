@@ -15,6 +15,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# malformed input from outside the program: exit 2/3/64, never a traceback
+BAD_INPUTS = [
+    (("telepathy", "--inputs", "a,b"), 64),
+    (("discriminate", "--priors", "x"), 64),
+    (("discriminate", "--channel", "x"), 64),
+    (("discriminate", "--channel", "0.9,0.2;0.1"), 64),
+    (("grover", "--n", "-1", "--target", "0"), 2),
+    (("bv", "--n", "-1", "--secret", "0"), 2),
+    (("bv", "--n", "64", "--secret", "1"), 3),
+    (("guess", "--variant", "I", "--n", "-1", "--secret", "0"), 2),
+    (("guess", "--variant", "II", "--n", "-1", "--secret", "0"), 2),
+    (("spinflip", "--bob1", "cnot"), 2),
+    (("pd", "--moves", "I,cnot"), 2),
+    (("--manifest", "{}"), 64),
+    (("--manifest", "[1]"), 64),
+    (("--manifest", '{"subcommand": "grover", "parameters": [1]}'), 64),
+]
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "grover", "--n", "3", "--target", "5")
@@ -41,6 +60,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "grover", "--n", "21", "--target", "0")
         assert code == 3
         assert "resource error" in err
+
+    @pytest.mark.parametrize(
+        "argv, expected", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
+    )
+    def test_bad_input_exits_without_traceback(self, capsys, tmp_path, argv, expected):
+        if argv[0] == "--manifest":
+            path = tmp_path / "manifest.json"
+            path.write_text(argv[1])
+            argv = ("--manifest", str(path))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestGoldenOutputs:
@@ -96,6 +130,21 @@ class TestGoldenOutputs:
                                "--format", "json")
         payload = json.loads(out)
         assert abs(payload["p_hat"] - 1 / 3) < 1e-12
+
+    def test_ess_json(self, capsys):
+        code, out, _ = run_cli(capsys, "ess", "--incumbent", "X", "--mutant", "H",
+                               "--eta", "0.01", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stable"] is False
+        assert payload["invasion_barrier"] == 0.0
+
+    def test_move_labels_are_gate_names(self, capsys):
+        _, short, _ = run_cli(capsys, "spinflip", "--bob1", "H", "--alice", "X",
+                              "--bob2", "H", "--format", "json")
+        _, long, _ = run_cli(capsys, "spinflip", "--bob1", "hadamard", "--alice", "pauli_x",
+                             "--bob2", "Hadamard", "--format", "json")
+        assert long == short
 
     def test_newcomb_table_flag(self, capsys):
         code, out, _ = run_cli(capsys, "newcomb", "--sb", "1", "--w", "0.25",
@@ -173,6 +222,26 @@ class TestVerify:
             "pd-ewl-play", "pd-three-move-grid", "pd-four-move-grid", "pd-classical",
             "ess-invasion",
         }
+
+    def test_checks_fail_under_optimize_flag(self):
+        # the D/D payoff at -1 breaks "D is ESS vs C"; `python -O` strips asserts
+        script = (
+            "import json, numpy as np\n"
+            "from qugame import qgames, verify\n"
+            "from qugame.cgame import Bimatrix\n"
+            "pd = qgames.prisoners_dilemma_payoffs()\n"
+            "row, col = np.array(pd.payoff_row), np.array(pd.payoff_col)\n"
+            "row[1, 1] = col[1, 1] = -1.0\n"
+            "bad = Bimatrix(pd.row_moves, pd.col_moves, row, col)\n"
+            "print(json.dumps([[r.name for r in verify.run_golden_checks(p) if not r.ok]\n"
+            "                  for p in (None, bad)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        clean, perturbed = json.loads(proc.stdout)
+        assert clean == []
+        assert {"pd-classical", "ess-invasion"} <= set(perturbed)
 
     def test_console_script_entry(self):
         proc = subprocess.run(

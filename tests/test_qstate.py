@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_state
 from qugame import qstate
@@ -130,6 +132,13 @@ class TestStandardGates:
     def test_unknown_gate(self):
         with pytest.raises(DomainError):
             qstate.standard_gate("toffoli")
+
+    def test_short_names_case_insensitive(self):
+        for short, long in (("i", "identity"), ("1", "identity"), ("X", "pauli_x"),
+                            ("y", "pauli_y"), ("Z", "pauli_z"), ("h", "hadamard")):
+            assert np.array_equal(
+                qstate.standard_gate(short).entries, qstate.standard_gate(long.upper()).entries
+            )
 
     def test_cnot_truth_table(self):
         cx = qstate.cnot()
@@ -388,3 +397,103 @@ class TestInvariantsAndPlumbing:
             state = random_state((2, 2), gen)
             u = haar_unitary(4, gen)
             assert abs(qstate.apply(state, u).norm() - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# apply / measure / branch_residual against a dense reference: the operator is
+# kron(U, I) in the targets-then-rest layout, conjugated by an explicit
+# permutation matrix built from mixed-radix digits.
+
+
+@st.composite
+def registers(draw):
+    """(dims, targets, seed): 1-4 subsystems of dims 2-4, distinct targets in any order."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    k = draw(st.integers(1, len(dims)))
+    return dims, tuple(order[:k]), draw(st.integers(0, 2**32 - 1))
+
+
+def dense_layout(dims, targets):
+    """Permutation P with P @ amps laid out as targets first, then the rest in order."""
+    rest = [i for i in range(len(dims)) if i not in targets]
+    order = list(targets) + rest
+    size = math.prod(dims)
+    digits = np.array(np.unravel_index(np.arange(size), dims))
+    moved = np.ravel_multi_index(digits[order], [dims[i] for i in order])
+    perm = np.zeros((size, size))
+    perm[moved, np.arange(size)] = 1.0
+    return perm, math.prod(dims[i] for i in rest)
+
+
+def target_basis(dims, targets, gen):
+    target_dims = [dims[t] for t in targets]
+    u = haar_unitary(math.prod(target_dims), gen).entries
+    return [StateVector(target_dims, u[:, k]) for k in range(u.shape[0])]
+
+
+DENSE = settings(max_examples=60, deadline=None, database=None)
+REVERSED = ((2, 3, 4), (2, 1, 0), 7)
+
+
+class TestDenseReference:
+    @DENSE
+    @given(registers())
+    @example(REVERSED)
+    def test_apply(self, case):
+        dims, targets, seed = case
+        gen = np.random.default_rng(seed)
+        state = random_state(dims, gen)
+        perm, rest_dim = dense_layout(dims, targets)
+        u = haar_unitary(perm.shape[0] // rest_dim, gen)
+        full = perm.T @ np.kron(u.entries, np.eye(rest_dim)) @ perm
+        out = qstate.apply(state, u, targets)
+        assert out.dims == dims
+        assert np.abs(out.amps - full @ state.amps).max() <= 1e-10
+
+    @DENSE
+    @given(registers(), st.booleans())
+    @example(REVERSED, True)
+    def test_measure(self, case, computational):
+        dims, targets, seed = case
+        gen = np.random.default_rng(seed)
+        state = random_state(dims, gen)
+        perm, rest_dim = dense_layout(dims, targets)
+        basis = None if computational else target_basis(dims, targets, gen)
+        target_dim = perm.shape[0] // rest_dim
+        k = int(gen.integers(target_dim))
+        bk = np.eye(target_dim)[k] if basis is None else basis[k].amps
+        projector = perm.T @ np.kron(np.outer(bk, bk.conj()), np.eye(rest_dim)) @ perm
+        projected = projector @ state.amps
+        weight = float(np.vdot(projected, projected).real)
+        record = qstate.measure(state, basis=basis, targets=targets, force=k)
+        assert abs(record.probability - weight) <= 1e-10
+        expected = projected / math.sqrt(weight)
+        if rest_dim > 1:
+            assert record.post_state.dims == dims
+            assert np.abs(record.post_state.amps - expected).max() <= 1e-10
+        else:  # full register: the post state is the basis vector, in target order
+            assert record.post_state.dims == tuple(dims[t] for t in targets)
+            assert abs(abs(np.vdot(perm @ expected, record.post_state.amps)) - 1.0) <= 1e-10
+
+    @DENSE
+    @given(registers())
+    @example(((2, 3, 4), (2, 1), 7))
+    def test_branch_residual(self, case):
+        dims, targets, seed = case
+        if len(targets) == len(dims):
+            targets = targets[:-1] or targets
+        gen = np.random.default_rng(seed)
+        state = random_state(dims, gen)
+        perm, rest_dim = dense_layout(dims, targets)
+        bv = target_basis(dims, targets, gen)[0]
+        if rest_dim == 1:
+            with pytest.raises(DomainError):
+                qstate.branch_residual(state, bv, targets)
+            return
+        residual = np.kron(bv.amps.conj(), np.eye(rest_dim)) @ (perm @ state.amps)
+        weight = float(np.vdot(residual, residual).real)
+        prob, rest_state = qstate.branch_residual(state, bv, targets)
+        assert abs(prob - weight) <= 1e-10
+        assert rest_state.dims == tuple(d for i, d in enumerate(dims) if i not in targets)
+        assert np.abs(rest_state.amps - residual / math.sqrt(weight)).max() <= 1e-10
