@@ -29,6 +29,8 @@ class Bimatrix:
         col_moves = tuple(str(s) for s in col_moves)
         a = np.asarray(payoff_row, dtype=float)
         b = np.asarray(payoff_col, dtype=float)
+        if not row_moves or not col_moves:
+            raise DomainError("each player needs at least one move")
         expected = (len(row_moves), len(col_moves))
         if a.shape != expected or b.shape != expected:
             raise DomainError(
@@ -139,36 +141,23 @@ def expected_payoff(g: Bimatrix, pA, pB) -> tuple[float, float]:
     return a, b
 
 
+def _best_responses(g: Bimatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cells where the row (column) player's move is a weak best response."""
+    rows = g.payoff_row >= g.payoff_row.max(axis=0) - tol
+    cols = g.payoff_col >= g.payoff_col.max(axis=1, keepdims=True) - tol
+    return rows, cols
+
+
 def pure_nash(g: Bimatrix, tol: float = PAYOFF_TOL) -> list[tuple[int, int]]:
     """All cells where neither player gains by a unilateral deviation (weak)."""
-    m, n = g.shape
-    row_best = g.payoff_row.max(axis=0)  # best response value per column
-    col_best = g.payoff_col.max(axis=1)  # best response value per row
-    cells = []
-    for i in range(m):
-        for j in range(n):
-            if (
-                g.payoff_row[i, j] >= row_best[j] - tol
-                and g.payoff_col[i, j] >= col_best[i] - tol
-            ):
-                cells.append((i, j))
-    return cells
+    rows, cols = _best_responses(g, tol)
+    return [tuple(cell) for cell in np.argwhere(rows & cols).tolist()]
 
 
 def dominant_moves(g: Bimatrix, tol: float = PAYOFF_TOL) -> tuple[list[int], list[int]]:
     """Weakly dominant moves for the row and the column player (may be empty)."""
-    m, n = g.shape
-    rows = [
-        i
-        for i in range(m)
-        if np.all(g.payoff_row[i, :] >= g.payoff_row.max(axis=0) - tol)
-    ]
-    cols = [
-        j
-        for j in range(n)
-        if np.all(g.payoff_col[:, j] >= g.payoff_col.max(axis=1) - tol)
-    ]
-    return rows, cols
+    rows, cols = _best_responses(g, tol)
+    return np.flatnonzero(rows.all(axis=1)).tolist(), np.flatnonzero(cols.all(axis=0)).tolist()
 
 
 @dataclass(frozen=True)
@@ -190,19 +179,17 @@ def pareto_analysis(g: Bimatrix, tol: float = PAYOFF_TOL) -> ParetoFlags:
     jointly dominated and no other cell raises one player's payoff without
     lowering the other's.
     """
-    m, n = g.shape
     A, B = g.payoff_row, g.payoff_col
-    dominated = np.zeros((m, n), dtype=bool)
-    optimal = np.ones((m, n), dtype=bool)
-    points = [(A[i, j], B[i, j]) for i in range(m) for j in range(n)]
-    for i in range(m):
-        for j in range(n):
-            a, b = A[i, j], B[i, j]
-            for a2, b2 in points:
-                if a2 >= a - tol and b2 >= b - tol and (a2 > a + tol or b2 > b + tol):
-                    dominated[i, j] = True
-                if (a2 > a + tol and b2 >= b - tol) or (b2 > b + tol and a2 >= a - tol):
-                    optimal[i, j] = False
+    others_a, others_b = A.reshape(-1), B.reshape(-1)
+    dominated = np.empty(A.shape, dtype=bool)
+    optimal = np.empty(A.shape, dtype=bool)
+    # one table row of cells against every cell: (n, m*n) temporaries per row
+    for i in range(A.shape[0]):
+        a, b = A[i, :, None], B[i, :, None]
+        ge_a, ge_b = others_a >= a - tol, others_b >= b - tol
+        gt_a, gt_b = others_a > a + tol, others_b > b + tol
+        dominated[i] = (ge_a & ge_b & (gt_a | gt_b)).any(axis=1)
+        optimal[i] = ~((gt_a & ge_b) | (gt_b & ge_a)).any(axis=1)
     return ParetoFlags(jointly_dominated=dominated, pareto_optimal=optimal)
 
 

@@ -44,6 +44,8 @@ def _parse_state(text: str, dim_hint: int | None = None) -> StateVector:
         amps = [complex(part.strip().replace(" ", "")) for part in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"cannot parse state {text!r}: {exc}")
+    if not np.isfinite(amps).all():
+        raise DomainError(f"state amplitudes must be finite, got {text!r}")
     if dim_hint is not None and len(amps) != dim_hint:
         raise DomainError(f"expected {dim_hint} amplitudes, got {len(amps)}")
     norm = float(np.linalg.norm(amps))
@@ -63,8 +65,15 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    return [_finite_float(x) for x in text.split(",")]
 
 
 def _float_rows(text: str) -> np.ndarray:
@@ -446,7 +455,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--priors", type=_floats, default="0.5,0.5")
     p.add_argument("--channel", type=_float_rows, default="0.9,0.2;0.1,0.8",
                    help="rows separated by ';', h[m][k] columns by ','")
-    p.add_argument("--cost", type=float, default=1.0)
+    p.add_argument("--cost", type=_finite_float, default=1.0)
 
     p = cmd("clone", _run_clone, help="universal 1->2 cloning machine")
     p.add_argument("--state", default="1,0")

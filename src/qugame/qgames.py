@@ -62,6 +62,8 @@ class MoveSet:
     def __post_init__(self):
         if len(self.labels) != len(self.gates):
             raise DomainError("one label per gate required")
+        if not self.labels:
+            raise DomainError("a move set needs at least one move")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -85,8 +87,8 @@ def prisoners_dilemma_payoffs() -> Bimatrix:
 
 def battle_of_sexes_payoffs(alpha: float = 3.0, beta: float = 2.0, gamma: float = 1.0) -> Bimatrix:
     """Opera/TV coordination table; requires alpha > beta > gamma."""
-    if not alpha > beta > gamma:
-        raise DomainError(f"need alpha > beta > gamma, got ({alpha}, {beta}, {gamma})")
+    if not (alpha > beta > gamma and math.isfinite(alpha) and math.isfinite(gamma)):
+        raise DomainError(f"need finite alpha > beta > gamma, got ({alpha}, {beta}, {gamma})")
     return Bimatrix(
         ["O", "T"],
         ["O", "T"],
@@ -206,6 +208,25 @@ def ewl_entangler(n: int = 2) -> UnitaryMatrix:
     return UnitaryMatrix(u, check=False)
 
 
+# J|00> as a 2x2 amplitude array, and J^dag with its input index split per qubit
+_EWL_START = ewl_entangler(2).entries[:, 0].reshape(2, 2)
+_EWL_UNDO = ewl_entangler(2).dagger().entries.reshape(4, 2, 2)
+
+
+def _ewl_kernel(ua: np.ndarray, ub: np.ndarray, payoffs: Bimatrix):
+    """Final states and expected payoffs for every pair of stacked 2x2 moves.
+
+    Returns the (len(ua), len(ub), 4) amplitudes of J+ (uA x uB) J |00> and
+    the two payoff tables, which weight the basis probabilities with the
+    classical 2x2 table.
+    """
+    if payoffs.shape != (2, 2):
+        raise DomainError("EWL games pay off a 2x2 table")
+    amps = np.einsum("pik,aij,bkl,jl->abp", _EWL_UNDO, ua, ub, _EWL_START)
+    probs = np.abs(amps) ** 2
+    return amps, probs @ payoffs.payoff_row.reshape(4), probs @ payoffs.payoff_col.reshape(4)
+
+
 def ewl_play(
     uA: UnitaryMatrix, uB: UnitaryMatrix, payoffs: Bimatrix
 ) -> tuple[float, float, StateVector]:
@@ -216,28 +237,17 @@ def ewl_play(
     """
     _require_qubit_gate(uA, "Alice")
     _require_qubit_gate(uB, "Bob")
-    if payoffs.shape != (2, 2):
-        raise DomainError("EWL games pay off a 2x2 table")
-    entangler = ewl_entangler(2)
-    state = qstate.basis_state([2, 2], [0, 0])
-    state = qstate.apply(state, entangler)
-    state = qstate.apply(state, uA, [0])
-    state = qstate.apply(state, uB, [1])
-    state = qstate.apply(state, entangler.dagger())
-    probs = state.probabilities()
-    pay_a = float(sum(probs[2 * i + j] * payoffs.payoff_row[i, j] for i in range(2) for j in range(2)))
-    pay_b = float(sum(probs[2 * i + j] * payoffs.payoff_col[i, j] for i in range(2) for j in range(2)))
-    return pay_a, pay_b, state
+    amps, pay_a, pay_b = _ewl_kernel(uA.entries[None], uB.entries[None], payoffs)
+    return float(pay_a[0, 0]), float(pay_b[0, 0]), StateVector([2, 2], amps[0, 0])
 
 
 def ewl_table(moves: MoveSet, payoffs: Bimatrix) -> Bimatrix:
     """Classical payoff table induced by playing EWL over a move grid."""
-    size = len(moves)
-    pay_a = np.zeros((size, size))
-    pay_b = np.zeros((size, size))
-    for i, (_, ua) in enumerate(moves):
-        for j, (_, ub) in enumerate(moves):
-            pay_a[i, j], pay_b[i, j], _ = ewl_play(ua, ub, payoffs)
+    for label, u in moves:
+        if u.dim != 2:
+            raise DomainError(f"EWL move {label} is not a 2x2 unitary")
+    stack = np.array([u.entries for u in moves.gates])
+    _, pay_a, pay_b = _ewl_kernel(stack, stack, payoffs)
     return Bimatrix(moves.labels, moves.labels, pay_a, pay_b)
 
 

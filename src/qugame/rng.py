@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 DEFAULT_SEED = 0
 
 
@@ -21,6 +23,8 @@ class RandomSource:
 
     def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def __repr__(self) -> str:
@@ -31,7 +35,10 @@ class RandomSource:
         p = np.asarray(probs, dtype=float)
         # guard against tiny negative / drifting sums from float arithmetic
         p = np.clip(p, 0.0, None)
-        p = p / p.sum()
+        total = p.sum()
+        if not 0.0 < total < np.inf:  # all zero, or a NaN or infinite weight
+            raise DomainError(f"cannot sample from weights summing to {total}")
+        p = p / total
         return int(self._gen.choice(len(p), p=p))
 
     def integer(self, low: int, high: int) -> int:

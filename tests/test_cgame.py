@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,44 @@ def brute_force_nash(g: Bimatrix, tol=1e-9):
     return cells
 
 
+def brute_force_dominance(g: Bimatrix, tol=1e-9):
+    """Oracle: a move is weakly dominant when it is a best response to every reply."""
+    m, n = g.shape
+    A, B = g.payoff_row, g.payoff_col
+    rows = [i for i in range(m)
+            if all(A[i, j] >= A[i2, j] - tol for j in range(n) for i2 in range(m))]
+    cols = [j for j in range(n)
+            if all(B[i, j] >= B[i, j2] - tol for i in range(m) for j2 in range(n))]
+    return rows, cols
+
+
+def brute_force_pareto(g: Bimatrix, tol=1e-9):
+    """Oracle: compare every cell with every cell, one pair at a time."""
+    m, n = g.shape
+    A, B = g.payoff_row, g.payoff_col
+    dominated = np.zeros((m, n), dtype=bool)
+    optimal = np.ones((m, n), dtype=bool)
+    points = [(A[i, j], B[i, j]) for i in range(m) for j in range(n)]
+    for i in range(m):
+        for j in range(n):
+            a, b = A[i, j], B[i, j]
+            for a2, b2 in points:
+                if a2 >= a - tol and b2 >= b - tol and (a2 > a + tol or b2 > b + tol):
+                    dominated[i, j] = True
+                if (a2 > a + tol and b2 >= b - tol) or (b2 > b + tol and a2 >= a - tol):
+                    optimal[i, j] = False
+    return dominated, optimal
+
+
+def random_integer_games(gen, count=200):
+    """Small payoff range, so most games have ties."""
+    for _ in range(count):
+        m, n = gen.integers(1, 6, size=2)
+        a = gen.integers(-3, 6, size=(m, n)).astype(float)
+        b = gen.integers(-3, 6, size=(m, n)).astype(float)
+        yield Bimatrix([str(i) for i in range(m)], [str(j) for j in range(n)], a, b)
+
+
 class TestPureNash:
     def test_prisoners_dilemma(self):
         assert cgame.pure_nash(qgames.prisoners_dilemma_payoffs()) == [(1, 1)]
@@ -97,6 +136,17 @@ class TestPureNash:
             g = Bimatrix([str(i) for i in range(m)], [str(j) for j in range(n)], a, b)
             assert cgame.pure_nash(g) == brute_force_nash(g)
 
+    def test_cells_are_python_int_tuples(self):
+        cells = cgame.pure_nash(qgames.battle_of_sexes_payoffs())
+        assert all(type(c) is tuple and all(type(k) is int for k in c) for c in cells)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_table_without_moves_rejected(self, shape):
+        m, n = shape
+        with pytest.raises(DomainError):
+            Bimatrix([str(i) for i in range(m)], [str(j) for j in range(n)],
+                     np.zeros(shape), np.zeros(shape))
+
 
 class TestDominance:
     def test_prisoners_dilemma(self):
@@ -115,6 +165,12 @@ class TestDominance:
         rows, cols = cgame.dominant_moves(qgames.battle_of_sexes_payoffs())
         assert rows == [] and cols == []
 
+    def test_matches_brute_force_oracle(self, gen):
+        for g in random_integer_games(gen):
+            rows, cols = cgame.dominant_moves(g)
+            assert (rows, cols) == brute_force_dominance(g)
+            assert all(type(k) is int for k in rows + cols)
+
 
 class TestPareto:
     def test_prisoners_dilemma_cells(self):
@@ -129,6 +185,24 @@ class TestPareto:
     def test_quantum_pd_four_move_corner(self):
         table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.prisoners_dilemma_payoffs())
         assert cgame.pareto_analysis(table).cell(3, 3) == (False, True)
+
+    def test_matches_brute_force_oracle(self, gen):
+        for g in random_integer_games(gen):
+            flags = cgame.pareto_analysis(g)
+            dominated, optimal = brute_force_pareto(g)
+            assert np.array_equal(flags.jointly_dominated, dominated)
+            assert np.array_equal(flags.pareto_optimal, optimal)
+
+    def test_large_table_memory_stays_small(self, gen):
+        a = gen.integers(0, 5, size=(64, 64)).astype(float)
+        g = Bimatrix([str(i) for i in range(64)], [str(j) for j in range(64)], a, a.T)
+        tracemalloc.start()
+        try:
+            cgame.pareto_analysis(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestMixedNash2x2:

@@ -28,6 +28,15 @@ BAD_INPUTS = [
     (("guess", "--variant", "II", "--n", "-1", "--secret", "0"), 2),
     (("spinflip", "--bob1", "cnot"), 2),
     (("pd", "--moves", "I,cnot"), 2),
+    (("pd", "--moves", ","), 2),
+    (("pd", "--moves", ""), 2),
+    (("card", "--seed", "-1"), 2),
+    (("--manifest", '{"subcommand": "card", "seed": -1}'), 2),
+    (("teleport", "--state", "nan,1"), 2),
+    (("clone", "--state", "inf,0"), 2),
+    (("bos", "--alpha", "inf"), 2),
+    (("discriminate", "--priors", "nan,0.5"), 64),
+    (("discriminate", "--cost", "nan"), 64),
     (("--manifest", "{}"), 64),
     (("--manifest", "[1]"), 64),
     (("--manifest", '{"subcommand": "grover", "parameters": [1]}'), 64),
@@ -171,6 +180,12 @@ class TestDeterminism:
         monkeypatch.setenv("QUGAME_SEED", "17")
         _, out, _ = run_cli(capsys, "card", "--format", "json")
         assert json.loads(out)["seed"] == 17
+
+    def test_negative_env_seed_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUGAME_SEED", "-1")
+        code, _, err = run_cli(capsys, "card", "--format", "json")
+        assert code == 2
+        assert "domain error" in err
 
     def test_manifest_reproducibility(self, capsys, tmp_path):
         out_a = tmp_path / "a.json"

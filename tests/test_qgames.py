@@ -87,6 +87,20 @@ class TestGuessANumber:
             qgames.guess_number_game("III", 2, 1)
 
 
+def ewl_replay(ua, ub, payoffs):
+    """Oracle: the EWL protocol gate by gate, entangler to disentangler."""
+    entangler = qgames.ewl_entangler(2)
+    state = qstate.basis_state([2, 2], [0, 0])
+    state = qstate.apply(state, entangler)
+    state = qstate.apply(state, ua, [0])
+    state = qstate.apply(state, ub, [1])
+    state = qstate.apply(state, entangler.dagger())
+    probs = state.probabilities()
+    pay_a = sum(probs[2 * i + j] * payoffs.payoff_row[i, j] for i in range(2) for j in range(2))
+    pay_b = sum(probs[2 * i + j] * payoffs.payoff_col[i, j] for i in range(2) for j in range(2))
+    return pay_a, pay_b, state
+
+
 class TestEWL:
     def test_entangler_on_00(self):
         u = qgames.ewl_entangler(2)
@@ -170,6 +184,43 @@ class TestEWL:
     def test_unknown_move_label(self):
         with pytest.raises(DomainError):
             qgames.move_set("I,Q")
+
+    @pytest.mark.parametrize("labels", ["", ",", " , ", []])
+    def test_empty_move_set(self, labels):
+        with pytest.raises(DomainError):
+            qgames.move_set(labels)
+        with pytest.raises(DomainError):
+            qgames.MoveSet((), ())
+
+    def test_table_rejects_two_qubit_move(self):
+        with pytest.raises(DomainError):
+            qgames.ewl_table(qgames.move_set("I,CNOT"), qgames.prisoners_dilemma_payoffs())
+
+    @pytest.mark.parametrize("bad", [(math.inf, 2, 1), (3, 2, -math.inf), (math.nan, 2, 1)])
+    def test_bos_parameters_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            qgames.battle_of_sexes_payoffs(*bad)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    @pytest.mark.parametrize("game", ["pd", "bos"])
+    def test_batched_table_and_play_match_replay(self, size, game):
+        from conftest import haar_unitary
+
+        gen = np.random.default_rng(1000 * size + len(game))
+        payoffs = (qgames.prisoners_dilemma_payoffs() if game == "pd"
+                   else qgames.battle_of_sexes_payoffs(5.0, 2.0, 0.5))
+        gates = tuple(haar_unitary(2, gen) for _ in range(size))
+        moves = qgames.MoveSet(tuple(f"U{k}" for k in range(size)), gates)
+        table = qgames.ewl_table(moves, payoffs)
+        for i, ua in enumerate(gates):
+            for j, ub in enumerate(gates):
+                pay_a, pay_b, state = ewl_replay(ua, ub, payoffs)
+                assert abs(table.payoff_row[i, j] - pay_a) < 1e-12
+                assert abs(table.payoff_col[i, j] - pay_b) < 1e-12
+                play_a, play_b, play_state = qgames.ewl_play(ua, ub, payoffs)
+                assert abs(play_a - pay_a) < 1e-12 and abs(play_b - pay_b) < 1e-12
+                assert play_state.dims == (2, 2)
+                assert np.abs(play_state.amps - state.amps).max() < 1e-12
 
 
 class TestNewcomb:

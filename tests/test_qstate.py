@@ -250,6 +250,26 @@ class TestInner:
             qstate.inner(qstate.basis_state([2], [0]), qstate.basis_state([3], [0]))
 
 
+class TestRandomSource:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            RandomSource(-1)
+
+    @pytest.mark.parametrize(
+        "weights", [[0.0, 0.0], [-1.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], []]
+    )
+    def test_choice_rejects_weights_without_a_distribution(self, weights):
+        with pytest.raises(DomainError):
+            RandomSource(0).choice(weights)
+
+    def test_choice_stream_is_numpy_pcg64(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        rng = RandomSource(7)
+        ref = np.random.Generator(np.random.PCG64(7))
+        draws = [rng.choice(probs) for _ in range(50)]
+        assert draws == [int(ref.choice(4, p=probs)) for _ in range(50)]
+
+
 class TestMeasure:
     def test_equal_superposition_probabilities(self):
         psi = StateVector([2], [1 / SQ2, 1 / SQ2])
