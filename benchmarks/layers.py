@@ -1,0 +1,187 @@
+"""Layer timings of qstate for two versions of the package, taken interleaved.
+
+Each round starts one worker process per side (the base revision's `src/`,
+extracted with `git archive`, and this checkout's `src/`), alternating which
+side goes first, and every worker times the same rows:
+
+* `apply` of a Haar gate at n = 2, 10, 16, 20 qubits on the leading qubit,
+  the middle pair, the trailing qubit and a reversed non-adjacent pair;
+* `measure` (computational basis, forced outcome 0) at n = 20 on the same
+  layouts and on a single middle qubit;
+* the public `StateVector` constructor at n = 2 and n = 20;
+* `grover_search` at n = 14.
+
+A row's time is the median per-call wall time over repeated batches inside a
+worker, and its reported figure the median over rounds. `peak_kib` is the
+tracemalloc peak of one call, taken after the timing. Workers run with one
+BLAS thread.
+
+    python benchmarks/layers.py --base HEAD~1 --rounds 5 --out BENCH.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+BATCH_SECONDS = 0.05
+BATCHES = 7
+
+
+def layouts(n: int) -> dict[str, tuple[int, ...]]:
+    mid = n // 2 - 1
+    reversed_pair = (n - 1, 0) if n < 5 else (n - 3, 2)
+    return {"leading": (0,), "middle-pair": (mid, mid + 1),
+            "trailing": (n - 1,), "reversed": reversed_pair}
+
+
+def rows():
+    for n in (2, 10, 16, 20):
+        for name, targets in layouts(n).items():
+            yield {"layer": "apply", "n": n, "layout": name, "targets": list(targets)}
+    measured = dict(layouts(20))
+    measured["middle"] = (10,)
+    for name, targets in measured.items():
+        yield {"layer": "measure", "n": 20, "layout": name, "targets": list(targets)}
+    for n in (2, 20):
+        yield {"layer": "StateVector", "n": n}
+    yield {"layer": "grover_search", "n": 14}
+
+
+def call_for(row):
+    """A zero-argument callable doing one call of the row's layer."""
+    from qugame import qalgo, qstate  # the side's own src/, from PYTHONPATH
+
+    n = row["n"]
+    gen = np.random.default_rng(n)
+    amps = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
+    amps /= np.linalg.norm(amps)
+    dims = (2,) * n
+    if row["layer"] == "StateVector":
+        return lambda: qstate.StateVector(dims, amps)
+    if row["layer"] == "grover_search":
+        return lambda: qalgo.grover_search(n, 3)
+    state = qstate.StateVector(dims, amps)
+    targets = tuple(row["targets"])
+    if row["layer"] == "measure":
+        return lambda: qstate.measure(state, targets=targets, force=0)
+    z = gen.standard_normal((2, 2 ** len(targets), 2 ** len(targets)))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    u = qstate.UnitaryMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
+    return lambda: qstate.apply(state, u, targets)
+
+
+def time_row(fn) -> float:
+    """Median seconds per call over BATCHES batches of about BATCH_SECONDS each."""
+    fn()
+    start = time.perf_counter()
+    fn()
+    per_call = max(time.perf_counter() - start, 1e-7)
+    number = max(1, int(BATCH_SECONDS / per_call))
+    samples = []
+    for _ in range(BATCHES):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        samples.append((time.perf_counter() - start) / number)
+    return statistics.median(samples)
+
+
+def peak_kib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def worker() -> None:
+    out = []
+    for row in rows():
+        fn = call_for(row)
+        out.append({"ms": time_row(fn) * 1e3, "peak_kib": peak_kib(fn)})
+    json.dump(out, sys.stdout)
+
+
+def run_side(src: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, __file__, "--worker"], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD~1", help="git revision of the parent side")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--out", help="JSON file to write (required)")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        worker()
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src"],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
+        runs = {"parent": [], "change": []}
+        for k in range(args.rounds):
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                runs[side].append(run_side(sides[side]))
+    table = []
+    for i, row in enumerate(rows()):
+        for side in ("parent", "change"):
+            row[f"{side}_ms"] = round(statistics.median(r[i]["ms"] for r in runs[side]), 5)
+            row[f"{side}_peak_kib"] = round(max(r[i]["peak_kib"] for r in runs[side]), 1)
+        row["speedup"] = round(row["parent_ms"] / row["change_ms"], 2)
+        table.append(row)
+        where = row.get("layout", "")
+        print(f"{row['layer']:>13} n={row['n']:<2} {where:<11} "
+              f"{row['parent_ms']:10.4f} -> {row['change_ms']:10.4f} ms  x{row['speedup']:<5} "
+              f"peak {row['parent_peak_kib']:.0f} -> {row['change_peak_kib']:.0f} KiB")
+    base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
+                          capture_output=True, text=True).stdout.strip()
+    report = {
+        "what": "qstate layer timings, parent vs change, interleaved worker processes",
+        "parent": f"src/ of {base}",
+        "change": "src/ of the checkout's working tree",
+        "rounds": args.rounds,
+        "unit": "ms per call, median over rounds of each worker's median batch",
+        "host": {"cpu": cpu_model(), "machine": platform.machine(), "python": platform.python_version(),
+                 "cpus": os.cpu_count(), "blas_threads": 1},
+        "rows": table,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -102,12 +102,12 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     theta = math.asin(1.0 / math.sqrt(N))
     dims = (2,) * n
     amps = np.full(N, 1.0 / math.sqrt(N), dtype=complex)
-    trajectory = [StateVector(dims, amps)]
+    trajectory = [StateVector._owned(dims, amps)]  # each step's array is fresh
     for _ in range(k):
         amps = amps.copy()
         amps[a] = -amps[a]                     # reflection about a-perp
         amps = 2.0 * amps.mean() - amps        # inversion about the mean
-        trajectory.append(StateVector(dims, amps))
+        trajectory.append(StateVector._owned(dims, amps))
     success = float(abs(amps[a]) ** 2)
     return GroverRun(
         n=n,

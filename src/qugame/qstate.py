@@ -9,6 +9,11 @@ Conventions used throughout the package:
 * Gates are dense complex matrices certified unitary on construction.
 * All values are immutable after construction; the only stateful object is
   the RandomSource consumed by ``measure``.
+* ``apply``, ``measure`` and ``branch_residual`` see the register as an
+  (L, T, R) block with the addressed subsystems on the middle axis: a
+  zero-copy view for contiguous ascending targets, one transposed copy with
+  the targets in front otherwise.  ``_split`` and ``_join`` are the only code
+  that picks this layout; ``_contract`` runs one kernel on the block.
 """
 
 from __future__ import annotations
@@ -34,10 +39,18 @@ ORTHO_TOL = 1e-8
 PHASE_TOL = 1e-8
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1:
-        raise DomainError(f"amplitudes must be one-dimensional, got shape {arr.shape}")
+def _unit(arr: np.ndarray) -> np.ndarray:
+    """arr if its norm is within NORM_TOL of 1, else arr divided by its norm.
+
+    A norm further than 1e-6 from 1, NaN or infinite is a DomainError.  arr
+    must be a contiguous complex vector.
+    """
+    flat = arr.view(np.float64)
+    norm = math.sqrt(flat @ flat)
+    if not abs(norm - 1.0) <= 1e-6:
+        raise DomainError(f"state is not normalized (norm {norm})")
+    if abs(norm - 1.0) > NORM_TOL:
+        arr = arr / norm
     return arr
 
 
@@ -75,15 +88,27 @@ class StateVector:
         total = math.prod(dims)
         if total > MAX_STATE_DIM:
             raise ResourceError(f"state dimension {total} exceeds cap {MAX_STATE_DIM}")
-        arr = _as_complex_vector(amps)
+        arr = np.array(amps, dtype=complex)  # the defensive copy
+        if arr.ndim != 1:
+            raise DomainError(f"amplitudes must be one-dimensional, got shape {arr.shape}")
         if arr.size != total:
             raise DomainError(f"expected {total} amplitudes for dims {dims}, got {arr.size}")
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-6:
-            raise DomainError(f"state is not normalized (norm {norm})")
-        if abs(norm - 1.0) > NORM_TOL:
-            arr = arr / norm
-        arr = arr.copy()
+        self._fill(dims, arr)
+
+    @classmethod
+    def _owned(cls, dims: tuple[int, ...], arr: np.ndarray) -> "StateVector":
+        """Trusted constructor for a fresh array the package made itself.
+
+        dims must be a valid tuple and arr a contiguous complex vector of
+        matching size that no one else holds; it is neither re-validated nor
+        copied.  The norm check and the renorm on drift still run.
+        """
+        state = object.__new__(cls)
+        state._fill(dims, arr)
+        return state
+
+    def _fill(self, dims: tuple[int, ...], arr: np.ndarray) -> None:
+        arr = _unit(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", arr)
@@ -133,7 +158,7 @@ class UnitaryMatrix:
             raise DomainError(f"matrix must be square, got shape {arr.shape}")
         if check:
             deviation = np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max()
-            if deviation > UNITARY_TOL:
+            if not deviation <= UNITARY_TOL:  # NaN fails too
                 raise DomainError(f"matrix is not unitary (max deviation {deviation:.3e})")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -324,37 +349,79 @@ def _resolve_targets(state: StateVector, targets: Sequence[int] | None) -> tuple
     return targets
 
 
-def _split(state: StateVector, targets: Sequence[int] | None):
-    """Amplitudes as one row per target basis index, one column per rest index.
+# Up to this width the operator is folded over the trailing axis, kron(m, I_R),
+# and the block contracted as one GEMM over (L, T*R) rows: a batched matmul
+# there makes L tiny GEMM calls (2^18 for the next-to-last of 20 qubits).
+_FOLD_WIDTH = 32
 
-    Returns (targets, rest, matrix); rest lists the other subsystems in
-    register order.  Only this helper and `_join` decide the target layout.
+
+def _split(state: StateVector, targets: Sequence[int] | None):
+    """Amplitudes as an (L, T, R) block, the target basis index on the middle axis.
+
+    Contiguous ascending targets give a zero-copy view: L and R are the
+    dimensions of the subsystems before and after them.  Any other target
+    list gives one transposed copy with the targets in front, in the given
+    order, and the rest behind them in register order (L = 1).  Either way
+    the (L, R) pair indexes the other subsystems in register order.  Returns
+    (targets, block, order); order is None for the view and the axis order
+    of the copy otherwise.  Only this helper and `_join` decide the layout.
     """
     targets = _resolve_targets(state, targets)
-    rest = tuple(i for i in range(len(state.dims)) if i not in targets)
-    target_dim = math.prod(state.dims[t] for t in targets)
-    matrix = np.transpose(state.amps.reshape(state.dims), targets + rest)
-    return targets, rest, matrix.reshape(target_dim, -1)
+    dims = state.dims
+    target_dim = math.prod(dims[t] for t in targets)
+    first = min(targets, default=0)
+    if targets == tuple(range(first, first + len(targets))):
+        return targets, state.amps.reshape(math.prod(dims[:first]), target_dim, -1), None
+    order = targets + tuple(i for i in range(len(dims)) if i not in targets)
+    block = np.transpose(state.amps.reshape(dims), order).reshape(1, target_dim, -1)
+    return targets, block, order
 
 
-def _join(matrix: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Inverse of `_split`: flat amplitudes in register order from rows laid out by `order`."""
-    shuffled = matrix.reshape([dims[i] for i in order])
-    return np.transpose(shuffled, np.argsort(order)).reshape(-1)
+def _join(block: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...] | None) -> np.ndarray:
+    """Inverse of `_split`: flat amplitudes in register order from a block laid out by `order`."""
+    if order is None:
+        return block.reshape(-1)
+    shuffled = block.reshape([dims[i] for i in order])
+    return np.transpose(shuffled, sorted(range(len(order)), key=order.__getitem__)).reshape(-1)
+
+
+def _contract(m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The (L, K, R) block of m (K x T) acting on the middle axis of an (L, T, R) block.
+
+    One GEMM when L = 1; one GEMM with m folded to kron(m, I_R) when that is
+    at most _FOLD_WIDTH wide (R = 1 folds nothing: psi.reshape(L, T) @ m.T);
+    a batched matmul over L otherwise.
+    """
+    lead, width, tail = block.shape
+    if lead == 1 or width * tail > _FOLD_WIDTH:
+        return np.matmul(m, block)
+    if tail > 1:
+        m = (m[:, None, :, None] * np.eye(tail)[:, None, :]).reshape(m.shape[0] * tail, -1)
+    return (block.reshape(lead, -1) @ m.T).reshape(lead, -1, tail)
+
+
+def _weights(block: np.ndarray) -> np.ndarray:
+    """Squared norm of each middle-axis slice of an (L, T, R) block: one reduction
+    over axes 0 and 2 of its real and imaginary parts, with no |.|^2 temporary."""
+    lead, width, tail = block.shape
+    parts = block.view(np.float64)
+    if width * tail > _FOLD_WIDTH:
+        return np.einsum("ltr,ltr->t", parts, parts)
+    rows = parts.reshape(lead, -1)  # few columns: reduce down them, then per slice
+    return np.einsum("lj,lj->j", rows, rows).reshape(width, -1).sum(axis=1)
 
 
 def apply(state: StateVector, u: UnitaryMatrix, targets: Sequence[int] | None = None) -> StateVector:
     """Apply u on the addressed subsystems, identity elsewhere. Norm-preserving."""
-    targets, rest, psi = _split(state, targets)
-    if u.dim != psi.shape[0]:
+    targets, block, order = _split(state, targets)
+    if u.dim != block.shape[1]:
         raise DomainError(
-            f"operator dimension {u.dim} does not match target dimensions {psi.shape[0]}"
+            f"operator dimension {u.dim} does not match target dimensions {block.shape[1]}"
         )
     # rebind at each step so every intermediate is freed before the next large
     # allocation; an extra live buffer costs fresh page faults on big registers
-    psi = u.entries @ psi
-    psi = _join(psi, state.dims, targets + rest)
-    return StateVector(state.dims, psi)
+    block = _contract(u.entries, block)
+    return StateVector._owned(state.dims, _join(block, state.dims, order))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -375,7 +442,7 @@ def _check_orthonormal(basis: Sequence[StateVector], dims: tuple[int, ...]) -> N
     k = len(basis)
     vectors = np.array([bv.amps for bv in basis])
     gram = vectors.conj() @ vectors.T
-    if np.abs(gram - np.eye(k)).max() > ORTHO_TOL:
+    if not np.abs(gram - np.eye(k)).max() <= ORTHO_TOL:
         raise DomainError("measurement basis is not orthonormal")
     if k != vectors.shape[1]:
         raise DomainError(
@@ -397,12 +464,11 @@ def measure(
     probability; pass ``force`` to select a branch deterministically (the
     recorded probability is still the true branch weight).
     """
-    targets, rest, mat = _split(state, targets)
+    targets, block, order = _split(state, targets)
     target_dims = tuple(state.dims[t] for t in targets)
 
     if basis is None:
-        residuals = mat  # rows are already <k|psi>
-        labels = None
+        residuals = block  # middle index k is already <k|psi>
     else:
         for bv in basis:
             if bv.dims != target_dims:
@@ -410,13 +476,11 @@ def measure(
                     f"basis vector dims {bv.dims} do not match measured subsystems {target_dims}"
                 )
         _check_orthonormal(basis, target_dims)
-        bmat = np.array([bv.amps for bv in basis])
-        residuals = bmat.conj() @ mat
-        labels = [f"basis[{k}]" for k in range(len(basis))]
+        residuals = _contract(np.array([bv.amps for bv in basis]).conj(), block)
 
-    probs = np.sum(np.abs(residuals) ** 2, axis=1)
+    probs = _weights(residuals)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # NaN fails too
         raise DomainError(f"measurement probabilities sum to {total}, state not normalized")
 
     if force is not None:
@@ -431,24 +495,26 @@ def measure(
         outcome = rng.choice(probs)
 
     probability = float(probs[outcome])
-
     if basis is None:
-        outcome_vec = np.zeros(mat.shape[0], dtype=complex)
-        outcome_vec[outcome] = 1.0
-        label = "|" + "".join(
-            str(d) for d in index_to_digits(target_dims, outcome)
-        ) + ">"
+        label = "|" + "".join(str(d) for d in index_to_digits(target_dims, outcome)) + ">"
     else:
-        outcome_vec = basis[outcome].amps
-        label = labels[outcome]
+        label = f"basis[{outcome}]"
 
-    if not rest:
-        # full-register measurement collapses exactly onto the basis vector
-        post = StateVector(target_dims, outcome_vec)
+    # full-register measurement collapses exactly onto the basis vector
+    if len(targets) == len(state.dims) and basis is not None:
+        post = basis[outcome]
+    elif len(targets) == len(state.dims):
+        amps = np.zeros(len(probs), dtype=complex)
+        amps[outcome] = 1.0
+        post = StateVector._owned(target_dims, amps)
     else:
-        residual = residuals[outcome] / math.sqrt(probability)
-        joint = np.outer(outcome_vec, residual)
-        post = StateVector(state.dims, _join(joint, state.dims, targets + rest))
+        if basis is None:
+            amps = np.zeros_like(block)
+            np.divide(block[:, outcome, :], math.sqrt(probability), out=amps[:, outcome, :])
+        else:
+            residual = residuals[:, outcome, :] / math.sqrt(probability)
+            amps = basis[outcome].amps[:, None] * residual[:, None, :]
+        post = StateVector._owned(state.dims, _join(amps, state.dims, order))
 
     return MeasurementRecord(
         outcome_index=outcome,
@@ -466,20 +532,20 @@ def branch_residual(
     Returns (probability, residual-state-of-the-remaining-subsystems); the
     residual is None when the branch has zero weight.
     """
-    targets, rest, mat = _split(state, targets)
+    targets, block, _ = _split(state, targets)
     target_dims = tuple(state.dims[t] for t in targets)
     if basis_vector.dims != target_dims:
         raise DomainError(
             f"basis vector dims {basis_vector.dims} do not match measured subsystems {target_dims}"
         )
-    if not rest:
+    if len(targets) == len(state.dims):
         raise DomainError("branch_residual requires at least one unmeasured subsystem")
-    residual = basis_vector.amps.conj() @ mat
-    probability = float(np.sum(np.abs(residual) ** 2))
+    residual = _contract(basis_vector.amps.conj()[None, :], block)
+    probability = float(_weights(residual)[0])
     if probability <= 1e-30:
         return 0.0, None
-    rest_dims = tuple(state.dims[i] for i in rest)
-    return probability, StateVector(rest_dims, residual / math.sqrt(probability))
+    rest_dims = tuple(d for i, d in enumerate(state.dims) if i not in targets)
+    return probability, StateVector._owned(rest_dims, residual.reshape(-1) / math.sqrt(probability))
 
 
 def bell_basis(n: int) -> list[StateVector]:

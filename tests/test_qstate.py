@@ -418,6 +418,56 @@ class TestInvariantsAndPlumbing:
             u = haar_unitary(4, gen)
             assert abs(qstate.apply(state, u).norm() - 1.0) <= 1e-10
 
+    def test_long_circuit_keeps_unit_norm(self):
+        gen = np.random.default_rng(20261018)
+        state = random_state((2,) * 10, gen)
+        for _ in range(2000):
+            targets = tuple(int(t) for t in gen.choice(10, size=int(gen.integers(1, 3)), replace=False))
+            state = qstate.apply(state, haar_unitary(2 ** len(targets), gen), targets)
+            assert abs(float(np.linalg.norm(state.amps)) - 1.0) <= 1e-10
+
+    def test_outputs_are_fresh_and_read_only(self, gen):
+        for dims, targets in KERNEL_LAYOUTS:
+            state = random_state(dims, gen)
+            u = haar_unitary(math.prod(dims[t] for t in targets), gen)
+            basis = target_basis(dims, targets, gen)
+            outputs = [qstate.apply(state, u, targets).amps]
+            for b in (None, basis):
+                outputs.append(qstate.measure(state, basis=b, targets=targets, force=0).post_state.amps)
+            if len(targets) < len(dims):
+                outputs.append(qstate.branch_residual(state, basis[0], targets)[1].amps)
+            for amps in outputs:
+                assert not amps.flags.writeable
+                assert not np.shares_memory(amps, state.amps)
+
+
+def forged_state(dims, amps) -> StateVector:
+    """A StateVector that skipped every check, as a library bug could leave one."""
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "dims", tuple(dims))
+    object.__setattr__(state, "amps", np.asarray(amps, dtype=complex))
+    return state
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("amps", [[math.nan, 1], [math.inf, 0], [1, complex(0, math.nan)]])
+    def test_state_rejected(self, amps):
+        with pytest.raises(DomainError):
+            StateVector([2], amps)
+
+    def test_unitary_rejected(self):
+        with pytest.raises(DomainError):
+            UnitaryMatrix([[math.nan, 0], [0, 1]])
+
+    def test_apply_of_unchecked_nan_operator_rejected(self):
+        bad = UnitaryMatrix([[math.nan, 0], [0, 1]], check=False)
+        with pytest.raises(DomainError):
+            qstate.apply(qstate.basis_state([2, 2], [0, 0]), bad, [0])
+
+    def test_measure_of_nan_state_rejected(self):
+        with pytest.raises(DomainError):
+            qstate.measure(forged_state([2], [math.nan, 1]), force=0)
+
 
 # ---------------------------------------------------------------------------
 # apply / measure / branch_residual against a dense reference: the operator is
@@ -455,11 +505,55 @@ def target_basis(dims, targets, gen):
 DENSE = settings(max_examples=60, deadline=None, database=None)
 REVERSED = ((2, 3, 4), (2, 1, 0), 7)
 
+# One (dims, targets) per layout of `qstate._split` and branch of
+# `qstate._contract`, on qubit, qutrit and mixed registers: an (L, T, R) view
+# with L = 1, with R = 1, with L, R > 1 and T*R <= 32 (kron-folded GEMM) or
+# T*R > 32 (batched matmul), the full register, and a transposed copy for
+# non-contiguous ascending and for reversed targets.
+KERNEL_LAYOUTS = [
+    ((2, 2, 2, 2), (0,)), ((2, 2, 2, 2), (3,)), ((2, 2, 2, 2), (1, 2)),
+    ((2, 2, 2, 2, 2, 2, 2), (1,)), ((2, 2, 2, 2), (0, 1, 2, 3)),
+    ((2, 2, 2, 2), (0, 2)), ((2, 2, 2, 2), (3, 1)),
+    ((3, 3, 3), (0,)), ((3, 3, 3), (2,)), ((3, 3, 3), (1,)), ((3, 3, 3, 3, 3), (1,)),
+    ((3, 3, 3), (0, 1, 2)), ((3, 3, 3), (0, 2)), ((3, 3, 3), (2, 1)),
+    ((2, 3, 4), (0,)), ((2, 3, 4), (2,)), ((2, 3, 4, 2), (1,)), ((2, 4, 4, 4), (1,)),
+    ((2, 3, 4), (0, 1, 2)), ((2, 3, 4), (0, 2)), ((2, 3, 4), (2, 1, 0)),
+]
+
+
+def with_layouts(*flags):
+    """Add every KERNEL_LAYOUTS case (seeded 7) as an explicit example, once per flag."""
+    def decorate(test):
+        for dims, targets in KERNEL_LAYOUTS:
+            for flag in flags:
+                test = example((dims, targets, 7), *flag)(test)
+        return test
+    return decorate
+
+
+def test_kernel_layouts_cover_every_branch(gen):
+    seen = set()
+    for dims, targets in KERNEL_LAYOUTS:
+        state = random_state(dims, gen)
+        _, block, order = qstate._split(state, targets)
+        lead, width, tail = block.shape
+        assert width == math.prod(dims[t] for t in targets)
+        assert lead * width * tail == state.dim
+        if order is None:  # contiguous ascending: a view
+            assert np.shares_memory(block, state.amps)
+            assert lead == math.prod(dims[:targets[0]])
+        else:
+            assert not np.shares_memory(block, state.amps) and lead == 1
+        fold = lead > 1 and width * tail <= qstate._FOLD_WIDTH
+        seen.add((order is None, "L=1" if lead == 1 else "R=1" if tail == 1 else "fold" if fold else "matmul"))
+    assert seen == {(True, "L=1"), (True, "R=1"), (True, "fold"), (True, "matmul"), (False, "L=1")}
+
 
 class TestDenseReference:
     @DENSE
     @given(registers())
     @example(REVERSED)
+    @with_layouts(())
     def test_apply(self, case):
         dims, targets, seed = case
         gen = np.random.default_rng(seed)
@@ -474,6 +568,7 @@ class TestDenseReference:
     @DENSE
     @given(registers(), st.booleans())
     @example(REVERSED, True)
+    @with_layouts((True,), (False,))
     def test_measure(self, case, computational):
         dims, targets, seed = case
         gen = np.random.default_rng(seed)
@@ -499,6 +594,7 @@ class TestDenseReference:
     @DENSE
     @given(registers())
     @example(((2, 3, 4), (2, 1), 7))
+    @with_layouts(())
     def test_branch_residual(self, case):
         dims, targets, seed = case
         if len(targets) == len(dims):
