@@ -1,4 +1,4 @@
-"""Layer timings of qstate for two versions of the package, taken interleaved.
+"""Layer timings of qstate and qalgo for two versions of the package, taken interleaved.
 
 Each round starts one worker process per side (the base revision's `src/`,
 extracted with `git archive`, and this checkout's `src/`), alternating which
@@ -9,7 +9,9 @@ side goes first, and every worker times the same rows:
 * `measure` (computational basis, forced outcome 0) at n = 20 on the same
   layouts and on a single middle qubit;
 * the public `StateVector` constructor at n = 2 and n = 20;
-* `grover_search` at n = 14.
+* `grover_search` at n = 14, 16, 18 and 20, and at n = 14 and 16 the search
+  followed by reading every trajectory state.  The parent side skips a row
+  that carries a `parent_skip` reason, and reports it as null.
 
 A row's time is the median per-call wall time over repeated batches inside a
 worker, and its reported figure the median over rounds. `peak_kib` is the
@@ -57,7 +59,12 @@ def rows():
         yield {"layer": "measure", "n": 20, "layout": name, "targets": list(targets)}
     for n in (2, 20):
         yield {"layer": "StateVector", "n": n}
-    yield {"layer": "grover_search", "n": 14}
+    for n in (14, 16):
+        for mode in ("search", "search+read"):
+            yield {"layer": "grover_search", "n": n, "mode": mode}
+    for n, projected in ((18, "1.6"), (20, "12.6")):
+        yield {"layer": "grover_search", "n": n, "mode": "search",
+               "parent_skip": f"dense trajectory of k+1 states, projected {projected} GiB"}
 
 
 def call_for(row):
@@ -71,8 +78,13 @@ def call_for(row):
     dims = (2,) * n
     if row["layer"] == "StateVector":
         return lambda: qstate.StateVector(dims, amps)
-    if row["layer"] == "grover_search":
+    if row["layer"] == "grover_search" and row["mode"] == "search":
         return lambda: qalgo.grover_search(n, 3)
+    if row["layer"] == "grover_search":
+        def search_and_read():
+            for _ in qalgo.grover_search(n, 3).trajectory:
+                pass
+        return search_and_read
     state = qstate.StateVector(dims, amps)
     targets = tuple(row["targets"])
     if row["layer"] == "measure":
@@ -108,20 +120,31 @@ def peak_kib(fn) -> float:
         tracemalloc.stop()
 
 
-def worker() -> None:
+def worker(side: str) -> None:
     out = []
     for row in rows():
+        if side == "parent" and "parent_skip" in row:
+            out.append(None)
+            continue
         fn = call_for(row)
         out.append({"ms": time_row(fn) * 1e3, "peak_kib": peak_kib(fn)})
     json.dump(out, sys.stdout)
 
 
-def run_side(src: Path) -> list[dict]:
+def run_side(side: str, src: Path) -> list[dict | None]:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, __file__, "--worker"], env=env,
+    done = subprocess.run([sys.executable, __file__, "--worker", side], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def summary(runs: list[list[dict | None]], i: int) -> tuple[float | None, float | None]:
+    """Median time and largest peak of row i over a side's rounds; None for a skipped row."""
+    if runs[0][i] is None:
+        return None, None
+    return (round(statistics.median(r[i]["ms"] for r in runs), 5),
+            round(max(r[i]["peak_kib"] for r in runs), 1))
 
 
 def cpu_model() -> str:
@@ -140,10 +163,10 @@ def main() -> int:
     parser.add_argument("--base", default="HEAD~1", help="git revision of the parent side")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out", help="JSON file to write (required)")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", choices=("parent", "change"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        worker()
+        worker(args.worker)
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -155,26 +178,28 @@ def main() -> int:
         runs = {"parent": [], "change": []}
         for k in range(args.rounds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                runs[side].append(run_side(sides[side]))
+                runs[side].append(run_side(side, sides[side]))
     table = []
     for i, row in enumerate(rows()):
         for side in ("parent", "change"):
-            row[f"{side}_ms"] = round(statistics.median(r[i]["ms"] for r in runs[side]), 5)
-            row[f"{side}_peak_kib"] = round(max(r[i]["peak_kib"] for r in runs[side]), 1)
-        row["speedup"] = round(row["parent_ms"] / row["change_ms"], 2)
+            row[f"{side}_ms"], row[f"{side}_peak_kib"] = summary(runs[side], i)
+        skipped = row["parent_ms"] is None
+        row["speedup"] = None if skipped else round(row["parent_ms"] / row["change_ms"], 2)
         table.append(row)
-        where = row.get("layout", "")
+        where = row.get("layout", row.get("mode", ""))
+        parent = "skipped" if skipped else f"{row['parent_ms']:.4f}"
+        parent_peak = "-" if skipped else f"{row['parent_peak_kib']:.0f}"
         print(f"{row['layer']:>13} n={row['n']:<2} {where:<11} "
-              f"{row['parent_ms']:10.4f} -> {row['change_ms']:10.4f} ms  x{row['speedup']:<5} "
-              f"peak {row['parent_peak_kib']:.0f} -> {row['change_peak_kib']:.0f} KiB")
+              f"{parent:>10} -> {row['change_ms']:10.4f} ms  x{row['speedup']} "
+              f"peak {parent_peak} -> {row['change_peak_kib']:.0f} KiB")
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           capture_output=True, text=True).stdout.strip()
     report = {
-        "what": "qstate layer timings, parent vs change, interleaved worker processes",
+        "what": "qstate and qalgo layer timings, parent vs change, interleaved worker processes",
         "parent": f"src/ of {base}",
         "change": "src/ of the checkout's working tree",
         "rounds": args.rounds,
-        "unit": "ms per call, median over rounds of each worker's median batch",
+        "unit": "ms per call, median over rounds of each worker's median batch; null where the parent skips a row",
         "host": {"cpu": cpu_model(), "machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count(), "blas_threads": 1},
         "rows": table,

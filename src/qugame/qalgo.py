@@ -1,8 +1,12 @@
 """Oracle-based quantum algorithms at desk scale.
 
-Grover search is simulated with the exact rotation geometry (the oracle and
-diffusion operators are reflections, their product a rotation by 2*theta with
-sin(theta) = 1/sqrt(N)).  Order finding keeps the full left register of
+Grover search runs in its two-dimensional invariant plane, spanned by the
+target |a> and the uniform state over the other N - 1 items (Boyer, Brassard,
+Hoyer, Tapp, Fortschr. Phys. 46, 493, 1998): the oracle and the diffusion are
+reflections of the pair (on-target amplitude, shared off-target amplitude),
+their product a rotation by 2*theta with sin(theta) = 1/sqrt(N).  A run keeps
+k + 1 such pairs, O(k) memory; its trajectory is lazy, and each index builds
+the 2^n-amplitude state afresh.  Order finding keeps the full left register of
 2n qubits but represents the right register symbolically as the integer
 m^x mod N, collapsing it before the Fourier transform; the collapse commutes
 with the left-register QFT, so the sampled distribution is identical to the
@@ -12,7 +16,8 @@ deferred-measurement version (tested).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
 
@@ -34,14 +39,45 @@ def _nearest_int(x: float) -> int:
 
 
 @dataclass(frozen=True)
+class GroverTrajectory(Sequence):
+    """Read-only sequence of the states of a Grover run, kept as (on, off) pairs.
+
+    Item j is the register after j rotations: amplitude `on` on the target
+    and `off` on every other item.  Indexing (integers, negative integers)
+    builds a fresh 2^n-amplitude StateVector each time, nothing is cached;
+    a slice is another lazy trajectory.
+    """
+
+    dims: tuple[int, ...]
+    target: int
+    pairs: tuple[tuple[float, float], ...] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, pairs=self.pairs[index])
+        on, off = self.pairs[index]
+        amps = np.full(1 << len(self.dims), off, dtype=complex)
+        amps[self.target] = on
+        return StateVector._owned(self.dims, amps)
+
+
+@dataclass(frozen=True)
 class GroverRun:
-    """Trajectory and bookkeeping of one Grover search."""
+    """Bookkeeping of one Grover search.
+
+    ``trajectory`` holds the k + 1 states from the uniform start to the final
+    register as a lazy GroverTrajectory: memory is O(k), and each index
+    builds one 2^n-amplitude state.
+    """
 
     n: int
     target: int
     k: int
     theta: float
-    trajectory: tuple[StateVector, ...]
+    trajectory: Sequence[StateVector]
     success_probability: float
 
 
@@ -88,7 +124,8 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     diffusion*oracle rotation k times (k from grover_iterations by default).
     The phase-kickback ancilla is dropped: once the oracle acts as the phase
     flip 1 - 2|a><a| on the search register, the (|0> - |1>) qubit never
-    changes and carries no information.
+    changes and carries no information.  Both reflections act on the pair
+    (on-target amplitude, shared off-target amplitude), O(1) work per step.
     """
     if n < 1:
         raise DomainError(f"need at least one qubit, got n={n}")
@@ -99,23 +136,22 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
         raise DomainError(f"target {a} out of range for {n} qubits")
     if k is None:
         k = grover_iterations(N)
+    if k < 0:
+        raise DomainError(f"rotation count must be >= 0, got k={k}")
     theta = math.asin(1.0 / math.sqrt(N))
-    dims = (2,) * n
-    amps = np.full(N, 1.0 / math.sqrt(N), dtype=complex)
-    trajectory = [StateVector._owned(dims, amps)]  # each step's array is fresh
+    on = off = 1.0 / math.sqrt(N)
+    pairs = [(on, off)]
     for _ in range(k):
-        amps = amps.copy()
-        amps[a] = -amps[a]                     # reflection about a-perp
-        amps = 2.0 * amps.mean() - amps        # inversion about the mean
-        trajectory.append(StateVector._owned(dims, amps))
-    success = float(abs(amps[a]) ** 2)
+        mean = (-on + (N - 1) * off) / N      # mean after the oracle flips the target
+        on, off = 2.0 * mean + on, 2.0 * mean - off  # inversion about the mean
+        pairs.append((on, off))
     return GroverRun(
         n=n,
         target=a,
         k=k,
         theta=theta,
-        trajectory=tuple(trajectory),
-        success_probability=success,
+        trajectory=GroverTrajectory((2,) * n, a, tuple(pairs)),
+        success_probability=on * on,
     )
 
 
@@ -210,6 +246,15 @@ def _register_width(N: int) -> int:
     return 2 * math.ceil(math.log2(N))
 
 
+def _check_register_cap(N: int) -> None:
+    """ResourceError when the left register for N, Q = 2^(2n), exceeds MAX_STATE_DIM."""
+    Q = 1 << _register_width(N)
+    if Q > qstate.MAX_STATE_DIM:
+        raise ResourceError(
+            f"order finding for N={N} needs Q={Q} amplitudes, above cap {qstate.MAX_STATE_DIM}"
+        )
+
+
 def multiplicative_order(m: int, N: int) -> int:
     if gcd(m, N) != 1:
         raise DomainError(f"{m} is not a unit modulo {N}")
@@ -258,7 +303,8 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
     a concrete value Z = m^(x0) mod N first, which filters the left register
     down to the comb {x : m^x = Z}, and the QFT peak w is then sampled from
     the exact comb spectrum.  The continued-fraction candidate (d', r') with
-    denominator below N is attached.
+    denominator below N is attached.  A left register Q = 2^(2n) above
+    qstate.MAX_STATE_DIM is a ResourceError.
     """
     if N < 3:
         raise DomainError("modulus must be >= 3")
@@ -266,6 +312,7 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
         raise DomainError(
             f"gcd({m}, {N}) > 1: the classical exit should have been taken"
         )
+    _check_register_cap(N)
     Q, two_n, r, x0_probs, w_dists = _order_find_distributions(N, m)
     x0 = rng.choice(x0_probs)
     M = (Q - 1 - x0) // r + 1
@@ -360,9 +407,10 @@ class ShorResult:
 def shor_factor(N: int, rng: RandomSource, max_rounds: int = 25) -> ShorResult:
     """Shor's factoring loop: random bases, order finding, gcd extraction.
 
-    Even N, prime powers and lucky gcd draws take the classical exits.  Each
-    base is retried O(log log N) times before a new one is drawn; a round is
-    one order-finding invocation.
+    Even N, prime powers and lucky gcd draws take the classical exits; any
+    other N whose order-finding register exceeds the cap is a ResourceError
+    before the first base is drawn.  Each base is retried O(log log N) times
+    before a new one is drawn; a round is one order-finding invocation.
     """
     if N < 4 or _is_prime(N):
         raise DomainError(f"{N} is not composite")
@@ -375,6 +423,7 @@ def shor_factor(N: int, rng: RandomSource, max_rounds: int = 25) -> ShorResult:
             0,
             ({"event": "classical-exit", "detail": f"prime power of {root}"},),
         )
+    _check_register_cap(N)
 
     per_base = max(2, _nearest_int(math.log2(math.log2(N))))
     transcript: list[dict] = []

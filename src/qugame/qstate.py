@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,13 +55,24 @@ def _unit(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _index(value, what: str) -> int:
+    """value as an exact int: numpy integers pass; a bool or a value that is not
+    an integer (1.7, "1") is a DomainError instead of being truncated."""
+    if isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 def digits_to_index(dims: Sequence[int], digits: Sequence[int]) -> int:
     """Mixed-radix index of a digit string, leftmost digit most significant."""
     if len(digits) != len(dims):
         raise DomainError(f"expected {len(dims)} digits, got {len(digits)}")
     index = 0
     for d, digit in zip(dims, digits):
-        digit = int(digit)
+        digit = _index(digit, "digit")
         if not 0 <= digit < d:
             raise DomainError(f"digit {digit} out of range for dimension {d}")
         index = index * d + digit
@@ -82,7 +94,7 @@ class StateVector:
     __slots__ = ("dims", "amps")
 
     def __init__(self, dims: Sequence[int], amps):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_index(d, "dimension") for d in dims)
         if not dims or any(d < 2 for d in dims):
             raise DomainError(f"every subsystem dimension must be >= 2, got {dims}")
         total = math.prod(dims)
@@ -201,13 +213,17 @@ class MeasurementRecord:
 
 def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> StateVector:
     """Computational basis state |digits> over the given dimension list."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_index(d, "dimension") for d in dims)
+    total = math.prod(dims)
     if isinstance(digits, str):
         digits = [int(c) for c in digits]
-    elif isinstance(digits, int):
-        digits = index_to_digits(dims, digits)
-    index = digits_to_index(dims, digits)
-    amps = np.zeros(math.prod(dims), dtype=complex)
+    if isinstance(digits, (int, np.integer)):
+        index = _index(digits, "basis index")
+        if not 0 <= index < total:
+            raise DomainError(f"basis index {index} out of range for dims {dims}")
+    else:
+        index = digits_to_index(dims, digits)
+    amps = np.zeros(total, dtype=complex)
     amps[index] = 1.0
     return StateVector(dims, amps)
 
@@ -340,7 +356,7 @@ def qft(n: int, inverse: bool = False) -> UnitaryMatrix:
 def _resolve_targets(state: StateVector, targets: Sequence[int] | None) -> tuple[int, ...]:
     if targets is None:
         return tuple(range(len(state.dims)))
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(_index(t, "target") for t in targets)
     if len(set(targets)) != len(targets):
         raise DomainError(f"targets must be distinct, got {targets}")
     for t in targets:
@@ -484,7 +500,7 @@ def measure(
         raise DomainError(f"measurement probabilities sum to {total}, state not normalized")
 
     if force is not None:
-        outcome = int(force)
+        outcome = _index(force, "forced outcome")
         if not 0 <= outcome < len(probs):
             raise DomainError(f"forced outcome {outcome} out of range")
         if probs[outcome] <= 1e-30:

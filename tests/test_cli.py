@@ -24,6 +24,8 @@ BAD_INPUTS = [
     (("grover", "--n", "-1", "--target", "0"), 2),
     (("bv", "--n", "-1", "--secret", "0"), 2),
     (("bv", "--n", "64", "--secret", "1"), 3),
+    (("shor", "--N", "10403"), 3),
+    (("rsa", "--N", "10403", "--e", "11", "--cipher", "2"), 3),
     (("guess", "--variant", "I", "--n", "-1", "--secret", "0"), 2),
     (("guess", "--variant", "II", "--n", "-1", "--secret", "0"), 2),
     (("spinflip", "--bob1", "cnot"), 2),

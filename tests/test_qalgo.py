@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qugame import qalgo, qstate
-from qugame.errors import DomainError
+from qugame.errors import DomainError, ResourceError
 from qugame.rng import RandomSource
 
 SQ2 = math.sqrt(2.0)
@@ -102,6 +105,106 @@ class TestGroverSearch:
         for n in range(1, 9):
             run = qalgo.grover_search(n, (1 << n) - 1)
             assert run.success_probability >= 1.0 - 1.0 / (1 << n) - 1e-12
+
+
+def dense_replay(n: int, a: int, k: int) -> list[np.ndarray]:
+    """Reference: both reflections applied to all 2^n amplitudes at every step."""
+    N = 1 << n
+    amps = np.full(N, 1.0 / math.sqrt(N), dtype=complex)
+    states = [amps]
+    for _ in range(k):
+        amps = amps.copy()
+        amps[a] = -amps[a]                     # reflection about a-perp
+        amps = 2.0 * amps.mean() - amps        # inversion about the mean
+        states.append(amps)
+    return states
+
+
+def replay_cases(n: int):
+    """(target, k) pairs: every target up to n = 4, the ends and three seeded ones above."""
+    N = 1 << n
+    gen = np.random.default_rng(n)
+    targets = range(N) if n <= 4 else sorted({0, N - 1, *gen.integers(1, N - 1, size=3).tolist()})
+    best = qalgo.grover_iterations(N)
+    return [(a, k) for a in targets for k in sorted({0, 1, best, 3 * best})]
+
+
+class TestGroverTrajectory:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_replay(self, n):
+        for a, k in replay_cases(n):
+            run = qalgo.grover_search(n, a, k=k)
+            reference = dense_replay(n, a, k)
+            assert run.k == k and len(run.trajectory) == k + 1
+            for j, state in enumerate(run.trajectory):
+                assert np.abs(state.amps - reference[j]).max() <= 1e-12, (n, a, k, j)
+            assert abs(run.success_probability - abs(reference[-1][a]) ** 2) <= 1e-12
+
+    def test_sequence_contract(self):
+        run = qalgo.grover_search(4, 9, k=5)
+        traj = run.trajectory
+        assert isinstance(traj, Sequence) and len(traj) == 6
+        assert np.array_equal(traj[-1].amps, traj[5].amps)
+        assert np.array_equal(traj[-6].amps, traj[0].amps)
+        for bad in (6, -7):
+            with pytest.raises(IndexError):
+                traj[bad]
+        part = traj[1:4]
+        assert len(part) == 3
+        for got, j in zip(part, range(1, 4)):
+            assert np.array_equal(got.amps, traj[j].amps)
+        assert [s.amps[9] for s in traj[::-2]] == [traj[j].amps[9] for j in (5, 3, 1)]
+        assert len(traj[7:]) == 0
+        assert [s.amps[9] for s in traj] == [traj[j].amps[9] for j in range(6)]
+
+    def test_states_are_fresh_and_read_only(self):
+        traj = qalgo.grover_search(3, 5).trajectory
+        first, again = traj[1], traj[1]
+        assert first is not again and not np.shares_memory(first.amps, again.amps)
+        assert first.dims == (2, 2, 2)
+        assert not first.amps.flags.writeable
+        with pytest.raises(AttributeError):
+            traj.pairs = ()
+        with pytest.raises(TypeError):
+            traj[0] = first
+
+    def test_replace_with_a_tuple(self):
+        run = qalgo.grover_search(3, 5)
+        dense = dataclasses.replace(run, trajectory=tuple(run.trajectory))
+        assert len(dense.trajectory) == 3
+        assert np.array_equal(dense.trajectory[2].amps, run.trajectory[2].amps)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(DomainError):
+            qalgo.grover_search(3, 5, k=-2)
+        assert len(qalgo.grover_search(3, 5, k=0).trajectory) == 1
+
+    def test_memory_is_o_of_k_plus_one_state(self):
+        tracemalloc.start()
+        try:
+            run = qalgo.grover_search(16, 3)
+            search_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for state in run.trajectory:
+                pass
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.k == 201
+        assert search_peak < 1 << 20
+        assert read_peak < 4 << 20
+
+    def test_largest_register_final_state(self):
+        tracemalloc.start()
+        try:
+            run = qalgo.grover_search(20, 0)
+            final = run.trajectory[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
+        assert abs(final.amps[0] ** 2 - run.success_probability) < 1e-12
+        assert run.success_probability > 1 - 2.0**-20
 
 
 class TestBernsteinVazirani:
@@ -296,6 +399,13 @@ class TestOrderFind:
         for z, dist in deferred.items():
             assert np.abs(dist - early[z]).max() < 1e-12, f"value {z}"
 
+    def test_register_cap(self):
+        # Q = 2^(2 ceil(log2 N)) may not exceed MAX_STATE_DIM: N = 1023 is the largest odd N
+        assert qalgo.order_find(1023, 2, RandomSource(0)).register_width == 20
+        for N in (1025, 10403):
+            with pytest.raises(ResourceError):
+                qalgo.order_find(N, 2, RandomSource(0))
+
     def test_sample_fields(self):
         s = qalgo.order_find(77, 39, RandomSource(0))
         assert s.modulus == 77 and s.base == 39
@@ -342,6 +452,14 @@ class TestShorAndRSA:
         assert qalgo.shor_factor(49, RandomSource(0)).factors == (7, 7)
         with pytest.raises(DomainError):
             qalgo.shor_factor(13, RandomSource(0))
+
+    def test_register_cap_before_first_draw(self):
+        rng = RandomSource(3)
+        with pytest.raises(ResourceError):
+            qalgo.shor_factor(10403, rng)
+        assert rng.integer(0, 1 << 30) == RandomSource(3).integer(0, 1 << 30)
+        assert qalgo.shor_factor(2 * 10403, rng).factors == (2, 10403)
+        assert qalgo.shor_factor(3**7, rng).factors == (3, 729)
 
     def test_seed_determinism(self):
         a = qalgo.shor_factor(77, RandomSource(9))

@@ -469,6 +469,39 @@ class TestNonFiniteInputs:
             qstate.measure(forged_state([2], [math.nan, 1]), force=0)
 
 
+class TestIntegerInputs:
+    """Targets, digits, dims and indices are exact integers, never truncated."""
+
+    @pytest.mark.parametrize("bad", [1.7, 0.9, True])
+    def test_non_integer_target_rejected(self, bad):
+        with pytest.raises(DomainError, match="must be an integer"):
+            qstate.apply(qstate.basis_state([2, 2], [0, 0]), qstate.pauli_x(), [bad])
+
+    @pytest.mark.parametrize("digits", [[0.9, 1.5], [0, 1.7], [True, 0]])
+    def test_non_integer_digit_rejected(self, digits):
+        with pytest.raises(DomainError, match="must be an integer"):
+            qstate.basis_state([2, 2], digits)
+
+    @pytest.mark.parametrize("dims,amps", [([2, 2.5], [1, 0, 0, 0]), ([2.0], [1, 0]),
+                                           ([True, 2], [1, 0])])
+    def test_non_integer_dimension_rejected(self, dims, amps):
+        with pytest.raises(DomainError, match="must be an integer"):
+            StateVector(dims, amps)
+
+    @pytest.mark.parametrize("index", [True, -1, 4])
+    def test_basis_index_is_an_integer_in_range(self, index):
+        with pytest.raises(DomainError):
+            qstate.basis_state([2, 2], index)
+
+    def test_numpy_integers_pass(self):
+        state = qstate.basis_state(np.array([2, 2]), [np.int64(0), np.uint8(1)])
+        assert state.dims == (2, 2) and state.amps[1] == 1.0
+        assert qstate.basis_state([2, 2], np.int64(2)).amps[2] == 1.0
+        flipped = qstate.apply(state, qstate.pauli_x(), [np.int32(0)])
+        assert flipped.amps[3] == 1.0
+        assert qstate.measure(flipped, force=np.int64(3)).outcome_index == 3
+
+
 # ---------------------------------------------------------------------------
 # apply / measure / branch_residual against a dense reference: the operator is
 # kron(U, I) in the targets-then-rest layout, conjugated by an explicit
