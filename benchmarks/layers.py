@@ -1,4 +1,4 @@
-"""Layer timings of qstate and qalgo for two versions of the package, taken interleaved.
+"""Layer timings of qstate, qalgo and verify for two versions of the package, taken interleaved.
 
 Each round starts one worker process per side (the base revision's `src/`,
 extracted with `git archive`, and this checkout's `src/`), alternating which
@@ -9,9 +9,12 @@ side goes first, and every worker times the same rows:
 * `measure` (computational basis, forced outcome 0) at n = 20 on the same
   layouts and on a single middle qubit;
 * the public `StateVector` constructor at n = 2 and n = 20;
-* `grover_search` at n = 14, 16, 18 and 20, and at n = 14 and 16 the search
-  followed by reading every trajectory state.  The parent side skips a row
-  that carries a `parent_skip` reason, and reports it as null.
+* `grover_search` at n = 14, 16, 18, 20 and 30, and at n = 14 and 16 the
+  search followed by reading every trajectory state;
+* the whole golden-table sweep, `verify.run_golden_checks()`.
+
+The parent side skips a row that carries a `parent_skip` reason, and reports
+it as null.
 
 A row's time is the median per-call wall time over repeated batches inside a
 worker, and its reported figure the median over rounds. `peak_kib` is the
@@ -62,22 +65,20 @@ def rows():
     for n in (14, 16):
         for mode in ("search", "search+read"):
             yield {"layer": "grover_search", "n": n, "mode": mode}
-    for n, projected in ((18, "1.6"), (20, "12.6")):
-        yield {"layer": "grover_search", "n": n, "mode": "search",
-               "parent_skip": f"dense trajectory of k+1 states, projected {projected} GiB"}
+    for n in (18, 20):
+        yield {"layer": "grover_search", "n": n, "mode": "search"}
+    yield {"layer": "grover_search", "n": 30, "mode": "search",
+           "parent_skip": "grover_search refuses N = 2^30 > MAX_STATE_DIM (ResourceError)"}
+    yield {"layer": "verify", "n": 0, "mode": "run_golden_checks"}
 
 
 def call_for(row):
     """A zero-argument callable doing one call of the row's layer."""
-    from qugame import qalgo, qstate  # the side's own src/, from PYTHONPATH
+    from qugame import qalgo, qstate, verify  # the side's own src/, from PYTHONPATH
 
     n = row["n"]
-    gen = np.random.default_rng(n)
-    amps = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
-    amps /= np.linalg.norm(amps)
-    dims = (2,) * n
-    if row["layer"] == "StateVector":
-        return lambda: qstate.StateVector(dims, amps)
+    if row["layer"] == "verify":
+        return verify.run_golden_checks
     if row["layer"] == "grover_search" and row["mode"] == "search":
         return lambda: qalgo.grover_search(n, 3)
     if row["layer"] == "grover_search":
@@ -85,6 +86,12 @@ def call_for(row):
             for _ in qalgo.grover_search(n, 3).trajectory:
                 pass
         return search_and_read
+    gen = np.random.default_rng(n)
+    amps = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
+    amps /= np.linalg.norm(amps)
+    dims = (2,) * n
+    if row["layer"] == "StateVector":
+        return lambda: qstate.StateVector(dims, amps)
     state = qstate.StateVector(dims, amps)
     targets = tuple(row["targets"])
     if row["layer"] == "measure":
@@ -195,7 +202,7 @@ def main() -> int:
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           capture_output=True, text=True).stdout.strip()
     report = {
-        "what": "qstate and qalgo layer timings, parent vs change, interleaved worker processes",
+        "what": "qstate, qalgo and verify layer timings, parent vs change, interleaved worker processes",
         "parent": f"src/ of {base}",
         "change": "src/ of the checkout's working tree",
         "rounds": args.rounds,

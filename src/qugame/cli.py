@@ -117,6 +117,9 @@ def _report_lines(report: qgames.GameReport) -> list[str]:
 
 
 def _run_grover(args, rng):
+    # the payload lists all 2^n final amplitudes, so refuse before searching
+    if args.n >= qstate.MAX_STATE_DIM.bit_length():
+        raise ResourceError(f"2^{args.n} amplitudes exceed cap {qstate.MAX_STATE_DIM}")
     run = qalgo.grover_search(args.n, args.target)
     payload = {
         "n": run.n,

@@ -16,6 +16,7 @@ deferred-measurement version (tested).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -59,7 +60,10 @@ class GroverTrajectory(Sequence):
         if isinstance(index, slice):
             return replace(self, pairs=self.pairs[index])
         on, off = self.pairs[index]
-        amps = np.full(1 << len(self.dims), off, dtype=complex)
+        dim = 1 << len(self.dims)
+        if dim > qstate.MAX_STATE_DIM:
+            raise ResourceError(f"state dimension {dim} exceeds cap {qstate.MAX_STATE_DIM}")
+        amps = np.full(dim, off, dtype=complex)
         amps[self.target] = on
         return StateVector._owned(self.dims, amps)
 
@@ -125,19 +129,24 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     The phase-kickback ancilla is dropped: once the oracle acts as the phase
     flip 1 - 2|a><a| on the search register, the (|0> - |1>) qubit never
     changes and carries no information.  Both reflections act on the pair
-    (on-target amplitude, shared off-target amplitude), O(1) work per step.
+    (on-target amplitude, shared off-target amplitude), O(1) work per step,
+    so only the k + 1 pairs are capped at MAX_STATE_DIM, and N must fit a
+    float64 (n <= 1023).  Reading a trajectory state builds all N amplitudes,
+    and that state is capped at MAX_STATE_DIM.
     """
     if n < 1:
         raise DomainError(f"need at least one qubit, got n={n}")
+    if n >= sys.float_info.max_exp:
+        raise ResourceError(f"N = 2^{n} does not fit a float64")
     N = 1 << n
-    if N > qstate.MAX_STATE_DIM:
-        raise ResourceError(f"state dimension {N} exceeds cap {qstate.MAX_STATE_DIM}")
     if not 0 <= a < N:
         raise DomainError(f"target {a} out of range for {n} qubits")
     if k is None:
         k = grover_iterations(N)
     if k < 0:
         raise DomainError(f"rotation count must be >= 0, got k={k}")
+    if k + 1 > qstate.MAX_STATE_DIM:
+        raise ResourceError(f"{k} rotations keep {k + 1} states, above cap {qstate.MAX_STATE_DIM}")
     theta = math.asin(1.0 / math.sqrt(N))
     on = off = 1.0 / math.sqrt(N)
     pairs = [(on, off)]

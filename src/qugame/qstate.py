@@ -216,6 +216,8 @@ def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> State
     dims = tuple(_index(d, "dimension") for d in dims)
     total = math.prod(dims)
     if isinstance(digits, str):
+        if not (digits.isascii() and digits.isdigit()):
+            raise DomainError(f"basis label {digits!r} must be decimal digits")
         digits = [int(c) for c in digits]
     if isinstance(digits, (int, np.integer)):
         index = _index(digits, "basis index")

@@ -1,13 +1,24 @@
-"""Golden-value checks behind the CLI `verify` subcommand.
+"""The paper's golden numbers, each stated once, and the sweep that checks them.
 
-Each check recomputes one of the golden tables or worked numbers from
-scratch and compares at tight tolerance.  `pd_payoffs` is injectable so a perturbed table
-makes the dependent checks fail by name (negative control).
+`GOLDENS` is the golden table: one `Golden(name, compute, expected, tol)` row
+per worked result of the source paper.  `compute(pd)` recomputes the value
+from scratch through the package; `expected` is a literal or a closed form,
+or a dict of them, and never calls the package; `tol` is the largest absolute
+deviation allowed, one number or a dict with one per key.  `match` is the one
+comparison: dict keys must agree, numbers, bools, tuples and arrays compare as
+complex arrays of equal shape, and a row fails on `not worst <= tol`, so a NaN
+fails.  It raises explicitly, so the checks still fail under `python -O`.
+
+`qugame verify` runs the table through `run_golden_checks`, and the test
+suite runs it row by row (`pytest tests/test_acceptance.py -v`).  The rows
+whose compute uses `pd` fail by name when a perturbed prisoner's-dilemma
+table is injected (negative control).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
@@ -26,441 +37,471 @@ class CheckResult:
     detail: str = ""
 
 
-def _require(condition, message="check failed"):
-    # explicit raise, not `assert`: the checks must still fail under `python -O`
-    if not condition:
-        raise AssertionError(message)
+@dataclass(frozen=True)
+class Golden:
+    name: str
+    compute: Callable[[Bimatrix], object]
+    expected: object
+    tol: float | dict = 1e-12
 
 
-def _close(actual, expected, tol=1e-9):
-    actual = np.asarray(actual)
-    expected = np.asarray(expected)
+def match(actual, expected, tol, where: str = "value") -> None:
+    """Raise AssertionError, naming the failing key, unless actual matches expected."""
+    if isinstance(expected, dict):
+        if not isinstance(actual, dict) or actual.keys() != expected.keys():
+            got = list(actual) if isinstance(actual, dict) else type(actual).__name__
+            raise AssertionError(f"{where}: keys {got} vs {list(expected)}")
+        for key, value in expected.items():
+            match(actual[key], value, tol[key] if isinstance(tol, dict) else tol, str(key))
+        return
+    actual = np.asarray(actual, dtype=complex)
+    expected = np.asarray(expected, dtype=complex)
     if actual.shape != expected.shape:
-        raise AssertionError(f"shape {actual.shape} vs {expected.shape}")
+        raise AssertionError(f"{where}: shape {actual.shape} vs {expected.shape}")
     worst = float(np.abs(actual - expected).max()) if actual.size else 0.0
-    if worst > tol:
-        raise AssertionError(f"max deviation {worst:.3e} > {tol:.0e}")
+    if not worst <= tol:
+        raise AssertionError(f"{where}: max deviation {worst:.3e} > {tol:.0e}")
 
 
+# literals that several expected values share; none of them comes from the package
 SQ2 = math.sqrt(2.0)
-
-PD_GRID_THREE_MOVES = {
-    "row": [[3, 0, 0.5], [5, 1, 0.5], [3, 3, 2.25]],
-    "col": [[3, 5, 3], [0, 1, 3], [0.5, 0.5, 2.25]],
-}
-PD_GRID_FOUR_MOVES = {
-    "row": [[3, 0, 0.5, 1], [5, 1, 0.5, 0], [3, 3, 2.25, 1.5], [1, 5, 4, 3]],
-    "col": [[3, 5, 3, 1], [0, 1, 3, 5], [0.5, 0.5, 2.25, 4], [1, 0, 1.5, 3]],
-}
+X, Y, Z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+HADAMARD = np.array([[1, 1], [1, -1]]) / SQ2
+BOS = (3.0, 2.0, 1.0)  # (alpha, beta, gamma) of the worked battle of the sexes
+NEWCOMB_W = (0.0, 0.25, 0.5, 0.75, 1.0)
+WALSH_110 = [1, 1, -1, -1, -1, -1, 1, 1]
+GROVER_30 = 25_735  # optimal rotations at N = 2^30 (Boyer, Brassard, Hoyer, Tapp)
 
 
-def _check_register_index():
-    sv = qstate.basis_state([2] * 5, "10011")
-    _require(int(np.argmax(np.abs(sv.amps))) == 19, "|10011> must sit in slot 19")
-    _close(sv.amps[19], 1.0)
-    _require(qstate.basis_state([3, 3], [2, 1]).amps[7] == 1.0)
+def _spike(n, at, rest, value):
+    """Length-n vector of `rest` with `value` at index `at`."""
+    out = np.full(n, float(rest))
+    out[at] = value
+    return out
 
 
-def _check_tensor_product():
-    u = qstate.basis_state([2], [0])
-    d = qstate.basis_state([2], [1])
-    _close(qstate.tensor(u, d).amps, [0, 1, 0, 0])
+def _bos_expected(a, b, g):
+    """Closed forms of the battle of the sexes at (alpha, beta, gamma) = (a, b, g)."""
+    d = a + b - 2 * g
+    mixed = {"pure Nash": 2, "p": (a - g) / d, "q": (b - g) / d, "payoff": (a * b - g**2) / d}
+    grid = {"Nash": [(1, 1)], "(X, X)": (b, a),
+            "row": [[a, g, (b + g) / 2, b], [g, b, (b + g) / 2, g],
+                    [(b + g) / 2, (b + g) / 2, (a + b + 2 * g) / 4, (a + g) / 2],
+                    [b, g, (a + g) / 2, a]],
+            "corner p, q": (0.5, 0.5), "corner payoffs": ((a + b) / 2, (a + b) / 2)}
+    return mixed, grid
 
 
-def _check_walsh_matrices():
+def _register_index(pd):
+    return {"|10011>": qstate.basis_state([2] * 5, "10011").amps,
+            "|21> of two qutrits": qstate.basis_state([3, 3], [2, 1]).amps}
+
+
+def _tensor_product(pd):
+    u, d = qstate.basis_state([2], [0]), qstate.basis_state([2], [1])
+    return qstate.tensor(u, d).amps
+
+
+def _walsh_matrices(pd):
     w4 = qstate.walsh(2)
-    _close(w4.entries, np.kron(qstate.hadamard().entries, qstate.hadamard().entries), 1e-12)
-    _close(
-        2.0 * w4.entries.real,
-        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
-        1e-12,
-    )
-    uu = qstate.basis_state([2, 2], [0, 0])
-    _close(qstate.apply(uu, w4).amps, np.full(4, 0.5), 1e-12)
+    return {"W4": w4.entries,
+            "H x H": qstate.tensor(qstate.hadamard(), qstate.hadamard()).entries,
+            "W4|00>": qstate.apply(qstate.basis_state([2, 2], [0, 0]), w4).amps}
 
 
-def _check_walsh_signs_on_110():
-    start = qstate.basis_state([2] * 3, "110")
-    out = qstate.apply(start, qstate.walsh(3))
-    signs = np.sign(out.amps.real)
-    _close(signs, [1, 1, -1, -1, -1, -1, 1, 1], 0)
-    _close(np.abs(out.amps), np.full(8, 1 / math.sqrt(8)), 1e-12)
+def _walsh_signs_on_110(pd):
+    out = qstate.apply(qstate.basis_state([2] * 3, "110"), qstate.walsh(3)).amps
+    return {"signs": np.sign(out.real), "amplitudes": out}
 
 
-def _check_pauli_algebra():
+def _pauli_algebra(pd):
     x, y, z = (g().entries for g in (qstate.pauli_x, qstate.pauli_y, qstate.pauli_z))
-    eye = np.eye(2)
-    for sigma in (x, y, z):
-        _close(sigma @ sigma, eye, 1e-12)
-    _close(x @ y, 1j * z, 1e-12)
-    _close(y @ z, 1j * x, 1e-12)
-    _close(z @ x, 1j * y, 1e-12)
+    return {"squares": [x @ x, y @ y, z @ z], "xy": x @ y, "yz": y @ z, "zx": z @ x,
+            "xy + yx": x @ y + y @ x}
 
 
-def _check_spin_flip_tables():
-    # Tables II-IV: payoff to Alice for each classical move combination
+def _spin_flip_tables(pd):
+    # Tables II-IV: payoff to Alice for each classical (bob1, alice, bob2) combination
     gates = {"1": qstate.identity(2), "X": qstate.pauli_x()}
-    expected = {  # (bob1, alice, bob2) -> Alice's payoff
-        ("1", "1", "1"): -1, ("X", "1", "1"): 1, ("1", "1", "X"): 1, ("X", "1", "X"): -1,
-        ("1", "X", "1"): 1, ("X", "X", "1"): -1, ("1", "X", "X"): -1, ("X", "X", "X"): 1,
+    return {
+        (b1, a, b2): qgames.spin_flip_play(gates[b1], gates[a], gates[b2],
+                                           rng=RandomSource(0)).payoffs["Alice"]
+        for b1 in gates for a in gates for b2 in gates
     }
-    for (b1, a, b2), pay in expected.items():
-        report = qgames.spin_flip_play(gates[b1], gates[a], gates[b2], rng=RandomSource(0))
-        _require(report.payoffs["Alice"] == pay, f"({b1},{a},{b2}) -> {report.payoffs}")
 
 
-def _check_hadamard_always_wins():
-    h = qstate.hadamard()
-    for p in (0.0, 0.3, 0.5, 1.0):
-        value = qgames.spin_flip_expected(
-            cgame.MixedStrategy([p, 1 - p]), (h, h), qstate.basis_state([2], [0])
-        )
-        _close(value, -1.0)
+def _hadamard_always_wins(pd):
+    h, up = qstate.hadamard(), qstate.basis_state([2], [0])
+    return [qgames.spin_flip_expected(cgame.MixedStrategy([p, 1 - p]), (h, h), up)
+            for p in (0.0, 0.3, 0.5, 0.77, 1.0)]
 
 
-def _check_grover_operators():
+def _grover_operators(pd):
     oracle, diffusion = qalgo.grover_operators(3, 5)
-    expected_oracle = np.eye(8)
-    expected_oracle[5, 5] = -1
-    _close(oracle.entries, expected_oracle, 1e-12)
-    rotation = 4.0 * (diffusion.entries @ oracle.entries).real
-    expected = np.full((8, 8), 1.0) - 4.0 * np.eye(8)
-    expected[:, 5] = -1.0
-    expected[5, 5] = 3.0
-    _close(rotation, expected, 1e-9)
+    return {"oracle": oracle.entries, "rotation": (diffusion @ oracle).entries}
 
 
-def _check_grover_amplitudes():
+def _grover_amplitudes(pd):
     run = qalgo.grover_search(3, 5)
-    _require(run.k == 2, f"k = {run.k}")
-    one = np.full(8, 1.0)
-    one[5] = 5.0
-    _close(run.trajectory[1].amps, one / (4 * SQ2), 1e-9)
-    two = np.full(8, -1.0)
-    two[5] = 11.0
-    _close(run.trajectory[2].amps, two / (8 * SQ2), 1e-9)
-    _require(abs(run.success_probability - 0.9453) < 5e-5)
+    guess = qgames.guess_number_game("I", 3, 5)
+    return {"k": run.k, "first": run.trajectory[1].amps, "second": run.trajectory[2].amps,
+            "success": run.success_probability,
+            "guess I": [guess.params["iterations"], guess.probabilities["win"]]}
 
 
-def _check_grover_large_k():
-    _require(qalgo.grover_iterations(2**30) == 25_735)
+def _grover_large_k(pd):
+    k = qalgo.grover_iterations(2**30)
+    pairs = np.array(qalgo.grover_search(30, 0, k=k + 1).trajectory.pairs)
+    on2 = pairs[:, 0] ** 2
+    norm = on2 + (2**30 - 1) * pairs[:, 1] ** 2
+    return {"k": k, "peak": int(np.argmax(on2)), "success": on2[k],
+            "norm drift": float(np.abs(norm - 1.0).max())}
 
 
-def _check_bernstein_vazirani():
-    _require(qalgo.bernstein_vazirani(3, 6) == 6)
-    _require(qalgo.bernstein_vazirani(3, 0) == 0)
+def _bernstein_vazirani(pd):
     report = qgames.guess_number_game("II", 4, 11)
-    _require(report.params["oracle_calls"] == 1)
-    _require(report.probabilities["win"] == 1.0)
+    return {"a = 6": qalgo.bernstein_vazirani(3, 6), "a = 0": qalgo.bernstein_vazirani(3, 0),
+            "guess II": [report.params["oracle_calls"], report.probabilities["win"]]}
 
 
-def _check_euler_halving():
-    _require(pow(2, 60, 77) == 1 and pow(2, 30, 77) == 1 and pow(2, 15, 77) == 43)
-    _require(gcd(77, 44) == 11 and gcd(77, 42) == 7)
-    outcome = qalgo.factor_from_order(77, 2, 60)
-    _require(outcome.factors == (7, 11), outcome)
+def _euler_halving(pd):
+    return {"2^(60, 30, 15) mod 77": [pow(2, e, 77) for e in (60, 30, 15)],
+            "gcd(77, 44), gcd(77, 42)": [gcd(77, 44), gcd(77, 42)],
+            "factors": qalgo.factor_from_order(77, 2, 60).factors}
 
 
-def _check_rsa_game():
+def _rsa_game(pd):
     result = qalgo.rsa_demo(77, 11, 67, RandomSource(1))
-    _require((result.p, result.q) == (7, 11))
-    _require(result.phi == 60 and result.d == 11 and result.plaintext == 23)
-    _require(result.rounds <= 25)
-    outcome = qalgo.factor_from_order(77, 39, 30)
-    _require(outcome.factors == (7, 11))
-    _require(pow(39, 15, 77) - 1 == 42 and pow(39, 15, 77) + 1 == 44)
+    half = pow(39, 15, 77)
+    return {"p": result.p, "q": result.q, "phi": result.phi, "d": result.d,
+            "plaintext": result.plaintext, "rounds <= 25": result.rounds <= 25,
+            "re-encrypted": pow(result.plaintext, 11, 77),
+            "39^15 mod 77": half, "39^15 -+ 1": [half - 1, half + 1],
+            "factors from r = 30": qalgo.factor_from_order(77, 39, 30).factors}
 
 
-def _check_qft():
-    _close(qstate.qft(1).entries, qstate.hadamard().entries, 1e-12)
-    f = qstate.qft(2)
-    _close((f.entries @ qstate.qft(2, inverse=True).entries), np.eye(4), 1e-12)
+def _qft(pd):
+    out = {"qft(1)": qstate.qft(1).entries, "qft(2)": qstate.qft(2).entries}
+    for n in (1, 2, 3):
+        out[f"qft({n}) qft({n})^-1"] = (qstate.qft(n) @ qstate.qft(n, inverse=True)).entries
+    return out
 
 
-def _check_bell_states():
+def _bell_states(pd):
     bell = qstate.bell_basis(2)
-    _close(bell[3].amps, [0, 1 / SQ2, -1 / SQ2, 0], 1e-12)
-    state = qstate.basis_state([2, 2], [0, 0])
-    state = qstate.apply(state, qstate.hadamard(), [0])
+    state = qstate.apply(qstate.basis_state([2, 2], [0, 0]), qstate.hadamard(), [0])
     state = qstate.apply(state, qstate.cnot(), [0, 1])
-    _close(state.amps, bell[0].amps, 1e-12)
-    ghz = qstate.bell_basis(3)[0]
-    _close(ghz.amps[[0, 7]], [1 / SQ2, 1 / SQ2], 1e-12)
+    return {"B0": bell[0].amps, "B3": bell[3].amps, "CNOT H|00>": state.amps,
+            "GHZ pair": [b.amps for b in qstate.bell_basis(3)]}
 
 
-def _check_ewl_entangler():
+def _ewl_entangler(pd):
     u = qgames.ewl_entangler(2)
     state = qstate.apply(qstate.basis_state([2, 2], [0, 0]), u)
-    _close(state.amps, [1 / SQ2, 0, 0, 1j / SQ2], 1e-12)
     xx = qstate.tensor(qstate.pauli_x(), qstate.pauli_x())
     final = qstate.apply(qstate.apply(state, xx), u.dagger())
-    _close(np.abs(final.amps) ** 2, [0, 0, 0, 1], 1e-12)
+    _, _, played = qgames.ewl_play(qstate.pauli_x(), qstate.pauli_x(), pd)
+    return {"J|00>": state.amps, "J^dag XX J|00>": final.probabilities(),
+            "ewl_play(X, X)": played.probabilities()}
 
 
-def _check_ewl_play_values(pd: Bimatrix):
+def _pd_ewl_play(pd):
     one, h = qstate.identity(2), qstate.hadamard()
-    _close(qgames.ewl_play(one, one, pd)[:2], (3.0, 3.0))
-    _close(qgames.ewl_play(one, h, pd)[:2], (0.5, 3.0))
-    _close(qgames.ewl_play(h, h, pd)[:2], (2.25, 2.25))
+    return {f"({a}, {b})": qgames.ewl_play(ua, ub, pd)[:2]
+            for (a, ua), (b, ub) in (((1, one), (1, one)), ((1, one), ("H", h)),
+                                     (("H", h), ("H", h)), (("H", h), (1, one)))}
 
 
-def _check_pd_three_move_grid(pd: Bimatrix):
-    table = qgames.ewl_table(qgames.move_set("I,X,H"), pd)
-    _close(table.payoff_row, PD_GRID_THREE_MOVES["row"])
-    _close(table.payoff_col, PD_GRID_THREE_MOVES["col"])
+def _ewl_grid(moves: str, payoffs: Bimatrix):
+    table = qgames.ewl_table(qgames.move_set(moves), payoffs)
+    return table, {"row": table.payoff_row, "col": table.payoff_col,
+                   "Nash": cgame.pure_nash(table)}
 
 
-def _check_pd_four_move_grid(pd: Bimatrix):
-    table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), pd)
-    _close(table.payoff_row, PD_GRID_FOUR_MOVES["row"])
-    _close(table.payoff_col, PD_GRID_FOUR_MOVES["col"])
-    _require(cgame.pure_nash(table) == [(3, 3)], "unique Nash at (Z, Z)")
-    flags = cgame.pareto_analysis(table)
-    _require(flags.cell(3, 3) == (False, True), "Z,Z must be Pareto optimal")
+def _pd_three_move_grid(pd):
+    return _ewl_grid("I,X,H", pd)[1]
 
 
-def _check_classical_pd(pd: Bimatrix):
-    _require(cgame.pure_nash(pd) == [(1, 1)])
-    rows, cols = cgame.dominant_moves(pd)
-    _require(rows == [1] and cols == [1])
+def _pd_four_move_grid(pd):
+    table, out = _ewl_grid("I,X,H,Z", pd)
+    out["Pareto (Z, Z)"] = cgame.pareto_analysis(table).cell(3, 3)
+    return out
+
+
+def _pd_classical(pd):
     flags = cgame.pareto_analysis(pd)
-    _require(flags.cell(1, 1)[0] is True, "(1,1) jointly dominated by (3,3)")
-    _require(flags.cell(0, 0) == (False, True), "(3,3) is Pareto optimal")
+    return {"Nash": cgame.pure_nash(pd), "dominant": cgame.dominant_moves(pd),
+            "Pareto (D, D)": flags.cell(1, 1), "Pareto (C, C)": flags.cell(0, 0)}
 
 
-def _check_bos_mixed():
-    alpha, beta, gamma = 3.0, 2.0, 1.0
-    game = qgames.battle_of_sexes_payoffs(alpha, beta, gamma)
-    _require(len(cgame.pure_nash(game)) == 2)
-    result = cgame.mixed_nash_2x2(game)
-    denom = alpha + beta - 2 * gamma
-    _close(result.p, (alpha - gamma) / denom, 1e-12)
-    _close(result.q, (beta - gamma) / denom, 1e-12)
-    _close(result.payoffs[0], (alpha * beta - gamma**2) / denom, 1e-12)
+def _bos_mixed_equilibrium(pd):
+    game = qgames.battle_of_sexes_payoffs(*BOS)
+    mixed = cgame.mixed_nash_2x2(game)
+    return {"pure Nash": len(cgame.pure_nash(game)), "p": mixed.p, "q": mixed.q,
+            "payoff": mixed.payoffs[0]}
 
 
-def _check_bos_four_move_grid():
-    alpha, beta, gamma = 3.0, 2.0, 1.0
-    bos = qgames.battle_of_sexes_payoffs(alpha, beta, gamma)
-    table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), bos)
-    _require(cgame.pure_nash(table) == [(1, 1)], "unique Nash at (X, X)")
-    _close(table.cell(1, 1), (beta, alpha))
-    # mixed play over the {1, sigma_z} corners equalizes the payoffs
-    corner = Bimatrix(
-        ["I", "Z"], ["I", "Z"],
-        [[table.payoff_row[i][j] for j in (0, 3)] for i in (0, 3)],
-        [[table.payoff_col[i][j] for j in (0, 3)] for i in (0, 3)],
-    )
-    result = cgame.mixed_nash_2x2(corner)
-    _close((result.p, result.q), (0.5, 0.5))
-    _close(result.payoffs, ((alpha + beta) / 2, (alpha + beta) / 2))
+def _bos_four_move_grid(pd):
+    table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.battle_of_sexes_payoffs(*BOS))
+    pick = np.ix_((0, 3), (0, 3))  # the {1, sigma_z} corner
+    mixed = cgame.mixed_nash_2x2(
+        Bimatrix(["I", "Z"], ["I", "Z"], table.payoff_row[pick], table.payoff_col[pick]))
+    return {"Nash": cgame.pure_nash(table), "(X, X)": table.cell(1, 1), "row": table.payoff_row,
+            "corner p, q": (mixed.p, mixed.q), "corner payoffs": mixed.payoffs}
 
 
-def _check_newcomb():
-    for w in (0.0, 0.25, 0.5, 1.0):
-        report = qgames.newcomb_play(0, w)
-        _close(report.probabilities["|00>"], 1.0)
-        _close(report.payoffs["Alice"], 1_000_000.0)
-        report = qgames.newcomb_play(1, w)
-        _close(report.probabilities["|11>"], 1.0)
-        _close(report.payoffs["Alice"], 1_000.0)
+def _newcomb(pd):
+    out = {"P|00>": [], "payoff, |00>": [], "P|11>": [], "payoff, |11>": [], "coherent": []}
+    for w in NEWCOMB_W:
+        million, empty = qgames.newcomb_play(0, w), qgames.newcomb_play(1, w)
+        out["P|00>"].append(million.probabilities["|00>"])
+        out["payoff, |00>"].append(million.payoffs["Alice"])
+        out["P|11>"].append(empty.probabilities["|11>"])
+        out["payoff, |11>"].append(empty.payoffs["Alice"])
         shorthand = qgames.newcomb_play(1, w, coherent_shorthand=True)
-        _close(shorthand.params["coherent_coefficient"], [1.0 - 2.0 * w, 0.0])
+        out["coherent"].append(shorthand.params["coherent_coefficient"])
+    return out
 
 
-def _check_ess_invasion(pd: Bimatrix):
-    _require(cgame.ess_test(pd, incumbent=1, mutant=0, eta=0.1).stable, "D is ESS vs C")
+def _ess_invasion(pd):
     table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), pd)
-    _require(not cgame.ess_test(table, incumbent=1, mutant=2, eta=0.01).stable,
-             "sigma_x must fall to H")
-    _require(not cgame.ess_test(table, incumbent=2, mutant=3, eta=0.01).stable,
-             "H must fall to sigma_z")
+    return {"D vs C": cgame.ess_test(pd, incumbent=1, mutant=0, eta=0.1).stable,
+            **{f"{a} vs {b}": cgame.ess_test(table, incumbent=i, mutant=j, eta=eta).stable
+               for a, i, b, j, eta in (("X", 1, "H", 2, 0.01), ("H", 2, "Z", 3, 0.01),
+                                       ("Z", 3, "X", 1, 0.1))}}
 
 
-def _check_card_query():
+def _card_query(pd):
     h = qstate.hadamard()
+    probs = []
     for bit in (0, 1):
         state = qstate.basis_state([2], [0])
         for gate in (h, qstate.phase_gate(bit), h):
             state = qstate.apply(state, gate)
-        _close(np.abs(state.amps) ** 2, [1 - bit, bit], 1e-12)
+        probs.append(state.probabilities())
     report = qgames.card_game_round((0, 1, 1), draw=0, rng=RandomSource(0))
-    _require(any("(0, 1, 1)" in e.get("operation", "") for e in report.transcript))
+    logged = any("(0, 1, 1)" in e.get("operation", "") for e in report.transcript)
+    return {"H P(b) H|0>": probs, "query logged": logged}
 
 
-def _check_card_fairness():
-    total = 0.0
-    count = 0
-    for orientation in (0, 1):
-        for draw in range(3):
-            report = qgames.card_game_round((0, 1, orientation), draw=draw, rng=RandomSource(0))
-            total += report.payoffs["Bob"]
-            count += 1
-    _close(total / count, 0.0)
+def _card_fairness(pd):
+    return float(np.mean([
+        qgames.card_game_round((0, 1, o), draw=d, rng=RandomSource(0)).payoffs["Bob"]
+        for o in (0, 1) for d in range(3)
+    ]))
 
 
-def _check_pseudo_telepathy():
+def _pseudo_telepathy(pd):
     y, win = qgames.pseudo_telepathy_round((1, 1, 0), rng=RandomSource(3))
-    _require(win and sum(y) % 2 == 1, "sum x = 2 mod 4 forces odd output parity")
-    for n in (2, 3, 4):
-        for bits in range(1 << n):
-            x = [(bits >> i) & 1 for i in range(n)]
-            if sum(x) % 2:
-                continue
-            _, win = qgames.pseudo_telepathy_round(x, rng=RandomSource(bits))
-            _require(win)
+    wins = [
+        qgames.pseudo_telepathy_round(x, rng=RandomSource(bits))[1]
+        for n in (2, 3, 4) for bits in range(1 << n)
+        for x in [[(bits >> i) & 1 for i in range(n)]] if sum(x) % 2 == 0
+    ]
+    return {"x = 110": [win, sum(y) % 2 == 1], "every even input": all(wins)}
 
 
-def _check_pseudo_telepathy_core():
+def _pseudo_telepathy_core(pd):
     game = qgames.pseudo_telepathy_game(4)
     rng = RandomSource(5)
+    inside = []
     for _ in range(25):
         raw = np.array([rng.uniform() for _ in range(4)])
-        allocation = raw / raw.sum()
-        _require(cgame.core_check(game, cgame.Imputation(allocation)))
+        inside.append(cgame.core_check(game, cgame.Imputation(raw / raw.sum())))
     short = cgame.Imputation([0.3, 0.3, 0.2, 0.1])  # sums to 0.9
-    _require(not cgame.core_check(game, short))
+    return {"random allocations": all(inside), "short allocation": cgame.core_check(game, short)}
 
 
-def _check_teleport():
+def _teleport(pd):
     psi = StateVector([2], [0.6, 0.8])
     state = qstate.tensor(psi, qstate.bell_basis(2)[3])
-    _, residual = qstate.branch_residual(state, qstate.bell_basis(2)[0], targets=(0, 1))
-    # unnormalized residual is (a/2)|1> - (b/2)|0>: normalized (-b, a)
-    _close(residual.amps, [-0.8, 0.6], 1e-12)
-    for k in range(4):
-        report = qgames.teleport(psi, force=k)
-        _close(report.params["recovery_fidelity"], 1.0)
+    prob, residual = qstate.branch_residual(state, qstate.bell_basis(2)[0], targets=(0, 1))
+    return {"B0 branch": prob, "B0 branch residual": residual.amps,
+            "fidelities": [qgames.teleport(psi, force=k).params["recovery_fidelity"]
+                           for k in range(4)]}
 
 
-def _check_secret_sharing_qubit():
+def _secret_sharing_qubit(pd):
     psi = StateVector([2], [0.6, 0.8j])
-    for bell_k in range(4):
-        for bob_s in range(2):
-            report = qgames.secret_share_qubit(psi, force=(bell_k, bob_s))
-            _close(report.params["recovery_fidelity"], 1.0)
-            _require(report.params["gerald_offdiag_given_alice_only"] < 1e-9)
-            _require(report.params["gerald_deviation_from_mixed_given_bob_only"] < 1e-9)
+    params = [qgames.secret_share_qubit(psi, force=(k, s)).params
+              for k in range(4) for s in range(2)]
+    return {key: [p[key] for p in params] for key in (
+        "recovery_fidelity", "gerald_offdiag_given_alice_only",
+        "gerald_deviation_from_mixed_given_bob_only")}
 
 
-def _check_secret_sharing_qutrit():
-    alpha = qstate.basis_state([3], [0])
-    encoded = qgames.encode_qutrit_secret(alpha)
-    hot = {qstate.digits_to_index((3, 3, 3), d) for d in ((0, 0, 0), (1, 1, 1), (2, 2, 2))}
-    _close(sorted(np.nonzero(np.abs(encoded.amps) > 1e-12)[0]), sorted(hot))
+def _secret_sharing_qutrit(pd):
+    def support(state):
+        return np.argwhere(np.abs(state.amps.reshape(3, 3, 3)) > 1e-12)
+
+    encoded = qgames.encode_qutrit_secret(qstate.basis_state([3], [0]))
     add = qstate.controlled_add(3)
-    state = qstate.apply(encoded, add, [0, 1])
-    after_first = {qstate.digits_to_index((3, 3, 3), d) for d in ((0, 0, 0), (1, 2, 1), (2, 1, 2))}
-    _close(sorted(np.nonzero(np.abs(state.amps) > 1e-12)[0]), sorted(after_first))
-    state = qstate.apply(state, add, [1, 0])
-    after_second = {qstate.digits_to_index((3, 3, 3), d) for d in ((0, 0, 0), (0, 2, 1), (0, 1, 2))}
-    _close(sorted(np.nonzero(np.abs(state.amps) > 1e-12)[0]), sorted(after_second))
+    first = qstate.apply(encoded, add, [0, 1])
+    second = qstate.apply(first, add, [1, 0])
     secret = StateVector([3], np.array([0.5, 0.5j, math.sqrt(0.5)]))
-    for pair in ("alice,bob", "bob,gerald", "alice,gerald"):
-        report = qgames.secret_share_qutrit(secret, pair)
-        _close(report.params["recovery_fidelity"], 1.0)
-        _require(max(report.params["share_mixedness_deviation"]) < 1e-9)
+    reports = [qgames.secret_share_qutrit(secret, pair)
+               for pair in ("alice,bob", "bob,gerald", "alice,gerald")]
+    return {"encoded |0>": support(encoded),
+            "amplitudes": encoded.amps[np.abs(encoded.amps) > 1e-12],
+            "after first add": support(first), "after second add": support(second),
+            "fidelities": [r.params["recovery_fidelity"] for r in reports],
+            "share mixedness": max(max(r.params["share_mixedness_deviation"]) for r in reports)}
 
 
-def _check_density_ensemble():
-    psi1 = StateVector([2], [0.8, 0.6])
-    psi2 = StateVector([2], [0.6, -0.8j])
-    rho = density.rho_from_ensemble([psi1, psi2], [0.75, 0.25])
-    expected = np.array([[0.57, 0.36 + 0.12j], [0.36 - 0.12j, 0.43]])
-    _close(rho.entries, expected, 1e-10)
-    phi1 = StateVector([2], [0.6, 0.8])
-    phi2 = StateVector([2], [0.8, -0.6])
-    _require(abs(density.measure_prob(rho, phi1) - 0.826) < 5e-4)
-    _require(abs(density.measure_prob(rho, phi2) - 0.174) < 5e-4)
-    _close(density.expectation(rho, qstate.pauli_x().entries), 0.72, 1e-10)
+def _density_ensemble(pd):
+    rho = density.rho_from_ensemble(
+        [StateVector([2], [0.8, 0.6]), StateVector([2], [0.6, -0.8j])], [0.75, 0.25])
+    return {"rho": rho.entries,
+            "P(0.6, 0.8)": density.measure_prob(rho, StateVector([2], [0.6, 0.8])),
+            "P(0.8, -0.6)": density.measure_prob(rho, StateVector([2], [0.8, -0.6])),
+            "<sigma_x>": density.expectation(rho, qstate.pauli_x().entries)}
 
 
-def _check_bloch():
-    mixed = density.DensityMatrix.maximally_mixed(2)
-    _close(density.to_bloch(mixed).as_array(), [0, 0, 0], 1e-12)
-    rho = density.from_bloch(density.BlochVector(0, 0, 1 / 3))
-    _close(rho.entries, np.diag([2 / 3, 1 / 3]), 1e-12)
+def _bloch_sphere(pd):
     pure = density.DensityMatrix.from_state(StateVector([2], [0.6, 0.8j]))
-    _close(density.to_bloch(pure).norm(), 1.0, 1e-12)
+    mixed = density.DensityMatrix.maximally_mixed(2)
+    return {"maximally mixed": density.to_bloch(mixed).as_array(),
+            "r = (0, 0, 1/3)": density.from_bloch(density.BlochVector(0, 0, 1 / 3)).entries,
+            "|r| of a pure state": density.to_bloch(pure).norm()}
 
 
-def _check_mle():
+def _mle_estimate(pd):
     est = density.mle_bernoulli(2, 1)
-    _close(est.p_hat, 1 / 3, 1e-12)
-    _close(est.rho.entries, np.diag([2 / 3, 1 / 3]), 1e-12)
-    _close(est.r_z, 1 / 3, 1e-12)
+    return {"p_hat": est.p_hat, "rho": est.rho.entries, "r_z": est.r_z}
 
 
-def _check_discrimination():
+def _discrimination_cost(pd):
     n = 3
-    priors = np.full(n, 1 / n)
-    costs = np.full((n, n), 2.0) - 2.0 * np.eye(n)
-    uniform_channel = np.full((n, n), 1 / n)
-    problem = density.DiscriminationProblem(priors, costs, uniform_channel)
-    c_b, p_e = density.discrimination_cost(problem)
-    _close(p_e, 1 - 1 / n, 1e-12)
-    _close(c_b, 2.0 * p_e, 1e-12)
-    identity_problem = density.DiscriminationProblem(priors, costs, np.eye(n))
-    _close(density.discrimination_cost(identity_problem), (0.0, 0.0), 1e-12)
+    priors, costs = np.full(n, 1 / n), np.full((n, n), 2.0) - 2.0 * np.eye(n)
+    blind = density.DiscriminationProblem(priors, costs, np.full((n, n), 1 / n))
+    perfect = density.DiscriminationProblem(priors, costs, np.eye(n))
+    return {"uniform channel": density.discrimination_cost(blind),
+            "identity channel": density.discrimination_cost(perfect)}
 
 
-def _check_uqcm():
-    result = density.uqcm_clone(qstate.basis_state([2], [0]))
-    _close(result.clone.entries, np.diag([5 / 6, 1 / 6]), 1e-10)
-    _close(result.fidelity, 5 / 6, 1e-9)
-    _close(result.eta, 2 / 3, 1e-9)
+def _uqcm_clone(pd):
+    up = density.uqcm_clone(qstate.basis_state([2], [0]))
     tilted = density.uqcm_clone(StateVector([2], [0.6, 0.8j]))
-    _close(tilted.fidelity, 5 / 6, 1e-9)
-    _close(tilted.eta, 2 / 3, 1e-9)
+    return {"clone of |0>": up.clone.entries, "fidelity": [up.fidelity, tilted.fidelity],
+            "eta": [up.eta, tilted.eta]}
+
+
+BOS_MIXED, BOS_GRID = _bos_expected(*BOS)
+GOLDENS: tuple[Golden, ...] = (
+    Golden("register-index", _register_index,
+           {"|10011>": np.eye(32)[19], "|21> of two qutrits": np.eye(9)[7]}, 0.0),
+    Golden("tensor-product", _tensor_product, [0, 1, 0, 0]),
+    Golden("walsh-matrices", _walsh_matrices,
+           {"W4": np.kron(HADAMARD, HADAMARD), "H x H": np.kron(HADAMARD, HADAMARD),
+            "W4|00>": np.full(4, 0.5)}),
+    Golden("walsh-signs-on-110", _walsh_signs_on_110,
+           {"signs": WALSH_110, "amplitudes": np.divide(WALSH_110, math.sqrt(8))},
+           {"signs": 0.0, "amplitudes": 1e-12}),
+    Golden("pauli-algebra", _pauli_algebra,
+           {"squares": [np.eye(2)] * 3, "xy": 1j * Z, "yz": 1j * X, "zx": 1j * Y,
+            "xy + yx": np.zeros((2, 2))}),
+    Golden("spin-flip-tables", _spin_flip_tables,
+           {("1", "1", "1"): -1, ("1", "1", "X"): 1, ("1", "X", "1"): 1, ("1", "X", "X"): -1,
+            ("X", "1", "1"): 1, ("X", "1", "X"): -1, ("X", "X", "1"): -1, ("X", "X", "X"): 1},
+           0.0),
+    Golden("hadamard-always-wins", _hadamard_always_wins, [-1.0] * 5),
+    Golden("grover-operators", _grover_operators,
+           {"oracle": np.diag(_spike(8, 5, 1, -1)),
+            "rotation": (np.ones((8, 8)) / 4 - np.eye(8)) * _spike(8, 5, 1, -1)}),
+    Golden("grover-amplitudes", _grover_amplitudes,
+           {"k": 2, "first": _spike(8, 5, 1, 5) / (4 * SQ2),
+            "second": _spike(8, 5, -1, 11) / (8 * SQ2),
+            "success": 121 / 128, "guess I": [2, 121 / 128]}),
+    Golden("grover-large-k", _grover_large_k,
+           {"k": GROVER_30, "peak": GROVER_30,
+            "success": math.sin((2 * GROVER_30 + 1) * math.asin(2**-15)) ** 2,
+            "norm drift": 0.0}),
+    Golden("bernstein-vazirani", _bernstein_vazirani,
+           {"a = 6": 6, "a = 0": 0, "guess II": [1, 1.0]}, 0.0),
+    Golden("euler-halving", _euler_halving,
+           {"2^(60, 30, 15) mod 77": [1, 1, 43], "gcd(77, 44), gcd(77, 42)": [11, 7],
+            "factors": (7, 11)}, 0.0),
+    Golden("rsa-game", _rsa_game,
+           {"p": 7, "q": 11, "phi": 60, "d": 11, "plaintext": 23, "rounds <= 25": True,
+            "re-encrypted": 67, "39^15 mod 77": 43, "39^15 -+ 1": [42, 44],
+            "factors from r = 30": (7, 11)}, 0.0),
+    Golden("qft", _qft,
+           {"qft(1)": HADAMARD, "qft(2)": 1j ** np.outer(range(4), range(4)) / 2,
+            **{f"qft({n}) qft({n})^-1": np.eye(1 << n) for n in (1, 2, 3)}}),
+    Golden("bell-states", _bell_states,
+           {"B0": np.array([1, 0, 0, 1]) / SQ2, "B3": np.array([0, 1, -1, 0]) / SQ2,
+            "CNOT H|00>": np.array([1, 0, 0, 1]) / SQ2,
+            "GHZ pair": [(np.eye(8)[0] + sign * np.eye(8)[7]) / SQ2 for sign in (1, -1)]}),
+    Golden("ewl-entangler", _ewl_entangler,
+           {"J|00>": np.array([1, 0, 0, 1j]) / SQ2, "J^dag XX J|00>": [0, 0, 0, 1],
+            "ewl_play(X, X)": [0, 0, 0, 1]}),
+    Golden("pd-ewl-play", _pd_ewl_play,
+           {"(1, 1)": (3, 3), "(1, H)": (0.5, 3), "(H, H)": (2.25, 2.25), "(H, 1)": (3, 0.5)}),
+    Golden("pd-three-move-grid", _pd_three_move_grid,
+           {"row": [[3, 0, 0.5], [5, 1, 0.5], [3, 3, 2.25]],
+            "col": [[3, 5, 3], [0, 1, 3], [0.5, 0.5, 2.25]], "Nash": [(2, 2)]}),
+    Golden("pd-four-move-grid", _pd_four_move_grid,
+           {"row": [[3, 0, 0.5, 1], [5, 1, 0.5, 0], [3, 3, 2.25, 1.5], [1, 5, 4, 3]],
+            "col": [[3, 5, 3, 1], [0, 1, 3, 5], [0.5, 0.5, 2.25, 4], [1, 0, 1.5, 3]],
+            "Nash": [(3, 3)], "Pareto (Z, Z)": (False, True)}),
+    Golden("pd-classical", _pd_classical,
+           {"Nash": [(1, 1)], "dominant": ([1], [1]), "Pareto (D, D)": (True, False),
+            "Pareto (C, C)": (False, True)}, 0.0),
+    Golden("bos-mixed-equilibrium", _bos_mixed_equilibrium, BOS_MIXED),
+    Golden("bos-four-move-grid", _bos_four_move_grid, BOS_GRID),
+    Golden("newcomb", _newcomb,
+           {"P|00>": [1.0] * 5, "payoff, |00>": [1_000_000.0] * 5, "P|11>": [1.0] * 5,
+            "payoff, |11>": [1_000.0] * 5, "coherent": [(1 - 2 * w, 0.0) for w in NEWCOMB_W]},
+           {"P|00>": 1e-12, "payoff, |00>": 1e-9, "P|11>": 1e-12, "payoff, |11>": 1e-9,
+            "coherent": 1e-12}),
+    Golden("ess-invasion", _ess_invasion,
+           {"D vs C": True, "X vs H": False, "H vs Z": False, "Z vs X": True}, 0.0),
+    Golden("card-query", _card_query, {"H P(b) H|0>": np.eye(2), "query logged": True}),
+    Golden("card-fairness", _card_fairness, 0.0),
+    Golden("pseudo-telepathy", _pseudo_telepathy,
+           {"x = 110": [True, True], "every even input": True}, 0.0),
+    Golden("pseudo-telepathy-core", _pseudo_telepathy_core,
+           {"random allocations": True, "short allocation": False}, 0.0),
+    Golden("teleport", _teleport,
+           {"B0 branch": 0.25, "B0 branch residual": [-0.8, 0.6], "fidelities": [1.0] * 4}),
+    Golden("secret-sharing-qubit", _secret_sharing_qubit,
+           {"recovery_fidelity": [1.0] * 8, "gerald_offdiag_given_alice_only": [0.0] * 8,
+            "gerald_deviation_from_mixed_given_bob_only": [0.0] * 8}),
+    Golden("secret-sharing-qutrit", _secret_sharing_qutrit,
+           {"encoded |0>": [(0, 0, 0), (1, 1, 1), (2, 2, 2)], "amplitudes": [3**-0.5] * 3,
+            "after first add": [(0, 0, 0), (1, 2, 1), (2, 1, 2)],
+            "after second add": [(0, 0, 0), (0, 1, 2), (0, 2, 1)],
+            "fidelities": [1.0] * 3, "share mixedness": 0.0}),
+    Golden("density-ensemble", _density_ensemble,
+           {"rho": [[0.57, 0.36 + 0.12j], [0.36 - 0.12j, 0.43]], "P(0.6, 0.8)": 0.826,
+            "P(0.8, -0.6)": 0.174, "<sigma_x>": 0.72}),
+    Golden("bloch-sphere", _bloch_sphere,
+           {"maximally mixed": [0, 0, 0], "r = (0, 0, 1/3)": np.diag([2 / 3, 1 / 3]),
+            "|r| of a pure state": 1.0}),
+    Golden("mle-estimate", _mle_estimate,
+           {"p_hat": 1 / 3, "rho": np.diag([2 / 3, 1 / 3]), "r_z": 1 / 3}),
+    Golden("discrimination-cost", _discrimination_cost,
+           {"uniform channel": (2 * (1 - 1 / 3), 1 - 1 / 3), "identity channel": (0.0, 0.0)}),
+    Golden("uqcm-clone", _uqcm_clone,
+           {"clone of |0>": np.diag([5 / 6, 1 / 6]), "fidelity": [5 / 6] * 2, "eta": [2 / 3] * 2}),
+)
+
+
+def check(golden: Golden, pd: Bimatrix | None = None) -> None:
+    """Recompute one row and match it against its expected value (AssertionError on a miss)."""
+    pd = pd if pd is not None else qgames.prisoners_dilemma_payoffs()
+    match(golden.compute(pd), golden.expected, golden.tol)
 
 
 def run_golden_checks(pd_payoffs: Bimatrix | None = None) -> list[CheckResult]:
-    """Run every golden check; returns one result per named check."""
+    """Run every row of GOLDENS; returns one result per named row, in table order."""
     pd = pd_payoffs if pd_payoffs is not None else qgames.prisoners_dilemma_payoffs()
-    checks = [
-        ("register-index", _check_register_index),
-        ("tensor-product", _check_tensor_product),
-        ("walsh-matrices", _check_walsh_matrices),
-        ("walsh-signs-on-110", _check_walsh_signs_on_110),
-        ("pauli-algebra", _check_pauli_algebra),
-        ("spin-flip-tables", _check_spin_flip_tables),
-        ("hadamard-always-wins", _check_hadamard_always_wins),
-        ("grover-operators", _check_grover_operators),
-        ("grover-amplitudes", _check_grover_amplitudes),
-        ("grover-large-k", _check_grover_large_k),
-        ("bernstein-vazirani", _check_bernstein_vazirani),
-        ("euler-halving", _check_euler_halving),
-        ("rsa-game", _check_rsa_game),
-        ("qft", _check_qft),
-        ("bell-states", _check_bell_states),
-        ("ewl-entangler", _check_ewl_entangler),
-        ("pd-ewl-play", lambda: _check_ewl_play_values(pd)),
-        ("pd-three-move-grid", lambda: _check_pd_three_move_grid(pd)),
-        ("pd-four-move-grid", lambda: _check_pd_four_move_grid(pd)),
-        ("pd-classical", lambda: _check_classical_pd(pd)),
-        ("bos-mixed-equilibrium", _check_bos_mixed),
-        ("bos-four-move-grid", _check_bos_four_move_grid),
-        ("newcomb", _check_newcomb),
-        ("ess-invasion", lambda: _check_ess_invasion(pd)),
-        ("card-query", _check_card_query),
-        ("card-fairness", _check_card_fairness),
-        ("pseudo-telepathy", _check_pseudo_telepathy),
-        ("pseudo-telepathy-core", _check_pseudo_telepathy_core),
-        ("teleport", _check_teleport),
-        ("secret-sharing-qubit", _check_secret_sharing_qubit),
-        ("secret-sharing-qutrit", _check_secret_sharing_qutrit),
-        ("density-ensemble", _check_density_ensemble),
-        ("bloch-sphere", _check_bloch),
-        ("mle-estimate", _check_mle),
-        ("discrimination-cost", _check_discrimination),
-        ("uqcm-clone", _check_uqcm),
-    ]
     results = []
-    for name, fn in checks:
+    for golden in GOLDENS:
         try:
-            fn()
+            check(golden, pd)
         except Exception as exc:  # report, never abort the sweep
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            results.append(CheckResult(golden.name, False, f"{type(exc).__name__}: {exc}"))
         else:
-            results.append(CheckResult(name, True))
+            results.append(CheckResult(golden.name, True))
     return results

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qugame import verify
 from qugame.qstate import StateVector, UnitaryMatrix
+
+GOLDEN = {g.name: g for g in verify.GOLDENS}
+
+
+def golden(name: str) -> None:
+    """Check one row of the golden table, where its expected numbers are stated."""
+    verify.check(GOLDEN[name])
 
 
 def random_state(dims, gen: np.random.Generator) -> StateVector:

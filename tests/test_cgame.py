@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import golden
 from qugame import cgame, qgames
 from qugame.cgame import Bimatrix, CharacteristicGame, Imputation, MixedStrategy
 from qugame.errors import DomainError
@@ -118,14 +119,13 @@ def random_integer_games(gen, count=200):
 
 class TestPureNash:
     def test_prisoners_dilemma(self):
-        assert cgame.pure_nash(qgames.prisoners_dilemma_payoffs()) == [(1, 1)]
+        golden("pd-classical")
 
     def test_battle_of_sexes_two_equilibria(self):
         assert cgame.pure_nash(qgames.battle_of_sexes_payoffs()) == [(0, 0), (1, 1)]
 
     def test_quantum_pd_four_move_grid(self):
-        table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.prisoners_dilemma_payoffs())
-        assert cgame.pure_nash(table) == [(3, 3)]
+        golden("pd-four-move-grid")
 
     def test_matches_brute_force_oracle(self, gen):
         for _ in range(200):
@@ -150,8 +150,7 @@ class TestPureNash:
 
 class TestDominance:
     def test_prisoners_dilemma(self):
-        rows, cols = cgame.dominant_moves(qgames.prisoners_dilemma_payoffs())
-        assert rows == [1] and cols == [1]
+        golden("pd-classical")
 
     def test_newcomb_dominant_row(self):
         # Alice's payoffs only; the predictor column player has no own table
@@ -174,17 +173,14 @@ class TestDominance:
 
 class TestPareto:
     def test_prisoners_dilemma_cells(self):
-        flags = cgame.pareto_analysis(qgames.prisoners_dilemma_payoffs())
-        assert flags.cell(1, 1) == (True, False)   # (1,1) dominated by (3,3)
-        assert flags.cell(0, 0) == (False, True)   # (3,3) Pareto optimal
+        golden("pd-classical")
 
     def test_single_cell_game(self):
         g = Bimatrix(["only"], ["only"], [[2.0]], [[5.0]])
         assert cgame.pareto_analysis(g).cell(0, 0) == (False, True)
 
     def test_quantum_pd_four_move_corner(self):
-        table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.prisoners_dilemma_payoffs())
-        assert cgame.pareto_analysis(table).cell(3, 3) == (False, True)
+        golden("pd-four-move-grid")
 
     def test_matches_brute_force_oracle(self, gen):
         for g in random_integer_games(gen):
@@ -220,17 +216,7 @@ class TestMixedNash2x2:
             assert abs(result.payoffs[0] - (alpha * beta - gamma**2) / denom) < 1e-12
 
     def test_quantum_bos_corner_submatrix(self):
-        alpha, beta = 3.0, 2.0
-        table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.battle_of_sexes_payoffs())
-        corner = Bimatrix(
-            ["I", "Z"], ["I", "Z"],
-            [[table.payoff_row[i][j] for j in (0, 3)] for i in (0, 3)],
-            [[table.payoff_col[i][j] for j in (0, 3)] for i in (0, 3)],
-        )
-        result = cgame.mixed_nash_2x2(corner)
-        assert abs(result.p - 0.5) < 1e-12 and abs(result.q - 0.5) < 1e-12
-        assert abs(result.payoffs[0] - (alpha + beta) / 2) < 1e-12
-        assert abs(result.payoffs[1] - (alpha + beta) / 2) < 1e-12
+        golden("bos-four-move-grid")
 
     def test_pd_degenerate(self):
         g = qgames.prisoners_dilemma_payoffs()
@@ -315,11 +301,7 @@ class TestESS:
         assert result.invasion_barrier > 0.999
 
     def test_quantum_invasion_sequence(self):
-        table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.prisoners_dilemma_payoffs())
-        assert not cgame.ess_test(table, incumbent=1, mutant=2, eta=0.01).stable
-        assert not cgame.ess_test(table, incumbent=2, mutant=3, eta=0.01).stable
-        # the final sigma_z population resists the classical moves
-        assert cgame.ess_test(table, incumbent=3, mutant=1, eta=0.1).stable
+        golden("ess-invasion")
 
     def test_small_eta_matches_best_response(self, gen):
         for _ in range(50):

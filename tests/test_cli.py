@@ -1,12 +1,16 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from conftest import GOLDEN
 from qugame import cli, qgames, verify
 from qugame.cgame import Bimatrix
+
+GROVER = GOLDEN["grover-amplitudes"].expected
 
 
 def run_cli(capsys, *argv):
@@ -49,8 +53,8 @@ class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "grover", "--n", "3", "--target", "5")
         assert code == 0
-        assert "k = 2" in out
-        assert "0.9453" in out
+        assert f"k = {GROVER['k']}" in out
+        assert f"{GROVER['success']:.4f}" in out
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -71,6 +75,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "grover", "--n", "21", "--target", "0")
         assert code == 3
         assert "resource error" in err
+
+    @pytest.mark.parametrize("n", ["40", "64"])
+    def test_grover_refuses_a_dense_payload_before_searching(self, n):
+        # a fresh process that reports its own peak RSS (KiB) as the last stderr line
+        script = ("import resource, sys\nfrom qugame import cli\ncode = cli.main(sys.argv[1:])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script, "grover", "--n", n, "--target", "0"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3 and "resource error" in proc.stderr
+        assert time.perf_counter() - start < 10.0
+        assert int(proc.stderr.split()[-1]) < 100 * 1024
+
+    def test_guess_at_paper_scale(self, capsys):
+        code, out, _ = run_cli(capsys, "guess", "--variant", "I", "--n", "30", "--secret", "5",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        large = GOLDEN["grover-large-k"].expected
+        assert payload["params"]["oracle_calls"] == large["k"]
+        assert abs(payload["probabilities"]["win"] - large["success"]) < 1e-12
 
     @pytest.mark.parametrize(
         "argv, expected", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
@@ -94,8 +120,8 @@ class TestGoldenOutputs:
             capsys, "grover", "--n", "3", "--target", "5", "--format", "json"
         )
         payload = json.loads(out)
-        assert payload["k"] == 2
-        assert abs(payload["success_probability"] - 0.9453125) < 1e-9
+        assert payload["k"] == GROVER["k"]
+        assert abs(payload["success_probability"] - GROVER["success"]) < 1e-12
 
     def test_rsa_plaintext(self, capsys):
         code, out, _ = run_cli(
@@ -103,9 +129,9 @@ class TestGoldenOutputs:
             "--format", "json",
         )
         payload = json.loads(out)
-        assert payload["plaintext"] == 23
-        assert sorted((payload["p"], payload["q"])) == [7, 11]
-        assert payload["phi"] == 60 and payload["d"] == 11
+        rsa = GOLDEN["rsa-game"].expected
+        assert {k: payload[k] for k in ("p", "q", "phi", "d", "plaintext")} == {
+            k: rsa[k] for k in ("p", "q", "phi", "d", "plaintext")}
 
     def test_tables_pd_four_move_grid(self, capsys):
         code, out, _ = run_cli(
@@ -113,10 +139,7 @@ class TestGoldenOutputs:
         )
         payload = json.loads(out)
         row = np.array(payload["table"]["payoff_row"])
-        assert np.allclose(
-            row, [[3, 0, 0.5, 1], [5, 1, 0.5, 0], [3, 3, 2.25, 1.5], [1, 5, 4, 3]],
-            atol=1e-10,
-        )
+        assert np.abs(row - GOLDEN["pd-four-move-grid"].expected["row"]).max() < 1e-12
         assert payload["pure_nash"] == [["Z", "Z"]]
 
     def test_bv(self, capsys):
@@ -127,8 +150,9 @@ class TestGoldenOutputs:
     def test_clone(self, capsys):
         code, out, _ = run_cli(capsys, "clone", "--state", "0.6,0.8j", "--format", "json")
         payload = json.loads(out)
-        assert abs(payload["fidelity"] - 5 / 6) < 1e-9
-        assert abs(payload["eta"] - 2 / 3) < 1e-9
+        clone = GOLDEN["uqcm-clone"].expected  # index 1: the input (0.6, 0.8j)
+        assert abs(payload["fidelity"] - clone["fidelity"][1]) < 1e-12
+        assert abs(payload["eta"] - clone["eta"][1]) < 1e-12
 
     def test_teleport_fidelity(self, capsys):
         code, out, _ = run_cli(capsys, "teleport", "--state", "0.6,0.8j", "--seed", "3",
@@ -140,7 +164,7 @@ class TestGoldenOutputs:
         code, out, _ = run_cli(capsys, "estimate", "--n-up", "2", "--n-down", "1",
                                "--format", "json")
         payload = json.loads(out)
-        assert abs(payload["p_hat"] - 1 / 3) < 1e-12
+        assert abs(payload["p_hat"] - GOLDEN["mle-estimate"].expected["p_hat"]) < 1e-12
 
     def test_ess_json(self, capsys):
         code, out, _ = run_cli(capsys, "ess", "--incumbent", "X", "--mutant", "H",
@@ -161,7 +185,8 @@ class TestGoldenOutputs:
         code, out, _ = run_cli(capsys, "newcomb", "--sb", "1", "--w", "0.25",
                                "--coherent", "--format", "json")
         payload = json.loads(out)
-        assert abs(payload["params"]["coherent_coefficient"][0] - 0.5) < 1e-12
+        coherent = GOLDEN["newcomb"].expected["coherent"][verify.NEWCOMB_W.index(0.25)]
+        assert np.abs(np.subtract(payload["params"]["coherent_coefficient"], coherent)).max() < 1e-12
 
 
 class TestDeterminism:
@@ -217,8 +242,6 @@ class TestDeterminism:
 
 class TestVerify:
     def test_all_goldens_pass(self, capsys):
-        import time
-
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import GOLDEN, golden, random_state
 from qugame import density, qstate
 from qugame.density import BlochVector, DensityMatrix, DiscriminationProblem
 from qugame.errors import DomainError
 from qugame.qstate import StateVector
+
+
+# the cloner's fidelity and Bloch shrink, the same for every input state
+FIDELITY, SHRINK = (GOLDEN["uqcm-clone"].expected[key][0] for key in ("fidelity", "eta"))
 
 
 def ensemble_243() -> DensityMatrix:
@@ -16,9 +20,7 @@ def ensemble_243() -> DensityMatrix:
 
 class TestEnsembles:
     def test_worked_mixed_ensemble(self):
-        rho = ensemble_243()
-        expected = np.array([[0.57, 0.36 + 0.12j], [0.36 - 0.12j, 0.43]])
-        assert np.abs(rho.entries - expected).max() < 1e-10
+        golden("density-ensemble")
 
     def test_pure_projector(self):
         rho = density.rho_from_ensemble([qstate.basis_state([2], [0])], [1.0])
@@ -45,9 +47,7 @@ class TestEnsembles:
 
 class TestMeasureProb:
     def test_worked_probabilities(self):
-        rho = ensemble_243()
-        assert abs(density.measure_prob(rho, StateVector([2], [0.6, 0.8])) - 0.826) < 5e-4
-        assert abs(density.measure_prob(rho, StateVector([2], [0.8, -0.6])) - 0.174) < 5e-4
+        golden("density-ensemble")
 
     def test_complete_basis_sums_to_one(self, gen):
         states = [random_state((2, 2), gen) for _ in range(3)]
@@ -72,7 +72,7 @@ class TestExpectation:
         assert abs(density.expectation(rho, qstate.pauli_z().entries) - 1.0) < 1e-12
 
     def test_worked_sigma_x(self):
-        assert abs(density.expectation(ensemble_243(), qstate.pauli_x().entries) - 0.72) < 1e-10
+        golden("density-ensemble")
 
     def test_codiagonal_weighted_eigenvalues(self, gen):
         for _ in range(10):
@@ -91,8 +91,7 @@ class TestExpectation:
 
 class TestBloch:
     def test_fully_mixed_is_origin(self):
-        r = density.to_bloch(DensityMatrix.maximally_mixed(2))
-        assert r.norm() < 1e-12
+        golden("bloch-sphere")
 
     def test_pure_states_on_sphere(self, gen):
         for _ in range(10):
@@ -100,8 +99,7 @@ class TestBloch:
             assert abs(density.to_bloch(rho).norm() - 1.0) < 1e-10
 
     def test_third_z_vector(self):
-        rho = density.from_bloch(BlochVector(0, 0, 1 / 3))
-        assert np.allclose(rho.entries, np.diag([2 / 3, 1 / 3]))
+        golden("bloch-sphere")
 
     def test_round_trip(self, gen):
         for _ in range(10):
@@ -154,10 +152,7 @@ class TestPartialTrace:
 
 class TestMLE:
     def test_simple_counts(self):
-        est = density.mle_bernoulli(2, 1)
-        assert abs(est.p_hat - 1 / 3) < 1e-12
-        assert abs(est.r_z - 1 / 3) < 1e-12
-        assert np.allclose(est.rho.entries, np.diag([2 / 3, 1 / 3]))
+        golden("mle-estimate")
 
     def test_statistical_density_matrix_form(self):
         est = density.mle_bernoulli(7, 13)
@@ -223,14 +218,12 @@ class TestDiscrimination:
 
 class TestCloning:
     def test_zero_state_clone(self):
-        result = density.uqcm_clone(qstate.basis_state([2], [0]))
-        assert np.abs(result.clone.entries - np.diag([5 / 6, 1 / 6])).max() < 1e-10
-        assert abs(result.fidelity - 5 / 6) < 1e-9
+        golden("uqcm-clone")
 
     def test_universal_fidelity(self, gen):
         for _ in range(100):
             result = density.uqcm_clone(random_state((2,), gen))
-            assert abs(result.fidelity - 5 / 6) < 1e-9
+            assert abs(result.fidelity - FIDELITY) < 1e-9
 
     def test_bloch_shrink(self, gen):
         for _ in range(25):
@@ -238,14 +231,14 @@ class TestCloning:
             result = density.uqcm_clone(psi)
             r_in = density.to_bloch(DensityMatrix.from_state(psi)).as_array()
             r_out = density.to_bloch(result.clone).as_array()
-            assert np.abs(r_out - (2 / 3) * r_in).max() < 1e-9
-            assert abs(result.eta - 2 / 3) < 1e-9
+            assert np.abs(r_out - SHRINK * r_in).max() < 1e-9
+            assert abs(result.eta - SHRINK) < 1e-9
 
     def test_clone_mixture_form(self, gen):
         psi = random_state((2,), gen)
         result = density.uqcm_clone(psi)
         pure = np.outer(psi.amps, psi.amps.conj())
-        expected = (2 / 3) * pure + (1 / 3) * np.eye(2) / 2
+        expected = SHRINK * pure + (1 - SHRINK) * np.eye(2) / 2
         assert np.abs(result.clone.entries - expected).max() < 1e-10
 
     def test_pair_state_trace(self, gen):
@@ -268,7 +261,7 @@ class TestFidelity:
 
     def test_clone_value(self, gen):
         psi = random_state((2,), gen)
-        assert abs(density.fidelity(density.uqcm_clone(psi).clone, psi) - 5 / 6) < 1e-9
+        assert abs(density.fidelity(density.uqcm_clone(psi).clone, psi) - FIDELITY) < 1e-9
 
 
 class TestDensityMatrixType:

