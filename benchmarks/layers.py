@@ -1,4 +1,4 @@
-"""Layer timings of qstate, qalgo and verify for two versions of the package, taken interleaved.
+"""Layer timings of qstate, qalgo, rng, verify and the CLI for two package versions, interleaved.
 
 Each round starts one worker process per side (the base revision's `src/`,
 extracted with `git archive`, and this checkout's `src/`), alternating which
@@ -11,10 +11,11 @@ side goes first, and every worker times the same rows:
 * the public `StateVector` constructor at n = 2 and n = 20;
 * `grover_search` at n = 14, 16, 18, 20 and 30, and at n = 14 and 16 the
   search followed by reading every trajectory state;
-* the whole golden-table sweep, `verify.run_golden_checks()`.
-
-The parent side skips a row that carries a `parent_skip` reason, and reports
-it as null.
+* the whole golden-table sweep, `verify.run_golden_checks()`;
+* `order_find` at Q = 2^14, 2^18 and 2^20: a first build (the spectrum and
+  order caches cleared before each call) and a repeat on the warm cache;
+* `RandomSource.choice` over 4, 2^10 and 2^20 weights;
+* the CLI's `grover --n 20 --target 0` with table output, in process.
 
 A row's time is the median per-call wall time over repeated batches inside a
 worker, and its reported figure the median over rounds. `peak_kib` is the
@@ -27,6 +28,8 @@ BLAS thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -43,6 +46,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BATCH_SECONDS = 0.05
 BATCHES = 7
+
+
+# (N, m) per register width 2n = 14, 18, 20 (orders 30, 198 and 105)
+ORDER_PAIRS = {14: (77, 39), 18: (437, 2), 20: (899, 7)}
 
 
 def layouts(n: int) -> dict[str, tuple[int, ...]]:
@@ -67,18 +74,51 @@ def rows():
             yield {"layer": "grover_search", "n": n, "mode": mode}
     for n in (18, 20):
         yield {"layer": "grover_search", "n": n, "mode": "search"}
-    yield {"layer": "grover_search", "n": 30, "mode": "search",
-           "parent_skip": "grover_search refuses N = 2^30 > MAX_STATE_DIM (ResourceError)"}
+    yield {"layer": "grover_search", "n": 30, "mode": "search"}
     yield {"layer": "verify", "n": 0, "mode": "run_golden_checks"}
+    for n, pair in ORDER_PAIRS.items():
+        for mode in ("first", "repeat"):
+            yield {"layer": "order_find", "n": n, "mode": mode, "pair": list(pair)}
+    for n in (2, 10, 20):
+        yield {"layer": "choice", "n": n, "mode": f"{1 << n} weights"}
+    yield {"layer": "cli grover", "n": 20, "mode": "table"}
 
 
 def call_for(row):
     """A zero-argument callable doing one call of the row's layer."""
-    from qugame import qalgo, qstate, verify  # the side's own src/, from PYTHONPATH
+    from qugame import cli, qalgo, qstate, verify  # the side's own src/, from PYTHONPATH
+    from qugame.rng import RandomSource
 
     n = row["n"]
     if row["layer"] == "verify":
         return verify.run_golden_checks
+    if row["layer"] == "order_find":
+        N, m = row["pair"]
+        rng = RandomSource(0)
+        if row["mode"] == "repeat":
+            qalgo.order_find(N, m, rng)
+            return lambda: qalgo.order_find(N, m, rng)
+        # the spectrum cache was per (N, m) before it was per (Q, r)
+        spectra = getattr(qalgo, "_comb_spectrum", None) or qalgo._order_find_distributions
+        caches = [spectra, qalgo.multiplicative_order]
+
+        def first_build():
+            for cache in caches:
+                if hasattr(cache, "cache_clear"):
+                    cache.cache_clear()
+            qalgo.order_find(N, m, rng)
+        return first_build
+    if row["layer"] == "choice":
+        weights = np.random.default_rng(n).random(1 << n)
+        rng = RandomSource(0)
+        return lambda: rng.choice(weights)
+    if row["layer"] == "cli grover":
+        argv = ["grover", "--n", str(n), "--target", "0"]
+
+        def grover_table():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+        return grover_table
     if row["layer"] == "grover_search" and row["mode"] == "search":
         return lambda: qalgo.grover_search(n, 3)
     if row["layer"] == "grover_search":
@@ -130,15 +170,12 @@ def peak_kib(fn) -> float:
 def worker(side: str) -> None:
     out = []
     for row in rows():
-        if side == "parent" and "parent_skip" in row:
-            out.append(None)
-            continue
         fn = call_for(row)
         out.append({"ms": time_row(fn) * 1e3, "peak_kib": peak_kib(fn)})
     json.dump(out, sys.stdout)
 
 
-def run_side(side: str, src: Path) -> list[dict | None]:
+def run_side(side: str, src: Path) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run([sys.executable, __file__, "--worker", side], env=env,
@@ -146,10 +183,8 @@ def run_side(side: str, src: Path) -> list[dict | None]:
     return json.loads(done.stdout)
 
 
-def summary(runs: list[list[dict | None]], i: int) -> tuple[float | None, float | None]:
-    """Median time and largest peak of row i over a side's rounds; None for a skipped row."""
-    if runs[0][i] is None:
-        return None, None
+def summary(runs: list[list[dict]], i: int) -> tuple[float, float]:
+    """Median time and largest peak of row i over a side's rounds."""
     return (round(statistics.median(r[i]["ms"] for r in runs), 5),
             round(max(r[i]["peak_kib"] for r in runs), 1))
 
@@ -190,23 +225,20 @@ def main() -> int:
     for i, row in enumerate(rows()):
         for side in ("parent", "change"):
             row[f"{side}_ms"], row[f"{side}_peak_kib"] = summary(runs[side], i)
-        skipped = row["parent_ms"] is None
-        row["speedup"] = None if skipped else round(row["parent_ms"] / row["change_ms"], 2)
+        row["speedup"] = round(row["parent_ms"] / row["change_ms"], 2)
         table.append(row)
         where = row.get("layout", row.get("mode", ""))
-        parent = "skipped" if skipped else f"{row['parent_ms']:.4f}"
-        parent_peak = "-" if skipped else f"{row['parent_peak_kib']:.0f}"
         print(f"{row['layer']:>13} n={row['n']:<2} {where:<11} "
-              f"{parent:>10} -> {row['change_ms']:10.4f} ms  x{row['speedup']} "
-              f"peak {parent_peak} -> {row['change_peak_kib']:.0f} KiB")
+              f"{row['parent_ms']:10.4f} -> {row['change_ms']:10.4f} ms  x{row['speedup']} "
+              f"peak {row['parent_peak_kib']:.0f} -> {row['change_peak_kib']:.0f} KiB")
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           capture_output=True, text=True).stdout.strip()
     report = {
-        "what": "qstate, qalgo and verify layer timings, parent vs change, interleaved worker processes",
+        "what": "qstate, qalgo, rng, verify and cli layer timings, parent vs change, interleaved worker processes",
         "parent": f"src/ of {base}",
         "change": "src/ of the checkout's working tree",
         "rounds": args.rounds,
-        "unit": "ms per call, median over rounds of each worker's median batch; null where the parent skips a row",
+        "unit": "ms per call, median over rounds of each worker's median batch",
         "host": {"cpu": cpu_model(), "machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count(), "blas_threads": 1},
         "rows": table,

@@ -127,10 +127,11 @@ def _run_grover(args, rng):
         "k": run.k,
         "theta": run.theta,
         "success_probability": run.success_probability,
-        "final_amplitudes": [
-            [float(a.real), float(a.imag)] for a in run.trajectory[-1].amps
-        ],
     }
+    if args.format == "json" or args.output:
+        # one [re, im] row per amplitude, only when the payload is written out
+        amps = run.trajectory[-1].amps
+        payload["final_amplitudes"] = amps.view(float).reshape(-1, 2).tolist()
     lines = [
         f"Grover search over {1 << run.n} items for target {run.target}",
         f"  k = {run.k}",

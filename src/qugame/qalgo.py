@@ -10,13 +10,17 @@ the 2^n-amplitude state afresh.  Order finding keeps the full left register of
 2n qubits but represents the right register symbolically as the integer
 m^x mod N, collapsing it before the Fourier transform; the collapse commutes
 with the left-register QFT, so the sampled distribution is identical to the
-deferred-measurement version (tested).
+deferred-measurement version (tested).  That comb spectrum depends only on Q
+and the order r, and is kept by (Q, r) as the cumulative tables
+`RandomSource.draw` searches, in an LRU bounded by SPECTRUM_CACHE_BYTES.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -27,7 +31,7 @@ import numpy as np
 from . import qstate
 from .errors import DomainError, ResourceError
 from .qstate import StateVector, UnitaryMatrix
-from .rng import RandomSource
+from .rng import RandomSource, cumulative
 
 
 def _nearest_int(x: float) -> int:
@@ -44,14 +48,21 @@ class GroverTrajectory(Sequence):
     """Read-only sequence of the states of a Grover run, kept as (on, off) pairs.
 
     Item j is the register after j rotations: amplitude `on` on the target
-    and `off` on every other item.  Indexing (integers, negative integers)
-    builds a fresh 2^n-amplitude StateVector each time, nothing is cached;
-    a slice is another lazy trajectory.
+    and `off` on every other item; ``pairs`` is a read-only (k + 1, 2)
+    float64 array.  Indexing (integers, negative integers) builds a fresh
+    2^n-amplitude StateVector each time, nothing is cached; a slice is
+    another lazy trajectory over a view of the pairs.
     """
 
     dims: tuple[int, ...]
     target: int
-    pairs: tuple[tuple[float, float], ...] = field(repr=False)
+    pairs: np.ndarray = field(repr=False, compare=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroverTrajectory):
+            return NotImplemented
+        return ((self.dims, self.target) == (other.dims, other.target)
+                and np.array_equal(self.pairs, other.pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -59,7 +70,7 @@ class GroverTrajectory(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return replace(self, pairs=self.pairs[index])
-        on, off = self.pairs[index]
+        on, off = self.pairs[operator.index(index)].tolist()
         dim = 1 << len(self.dims)
         if dim > qstate.MAX_STATE_DIM:
             raise ResourceError(f"state dimension {dim} exceeds cap {qstate.MAX_STATE_DIM}")
@@ -148,18 +159,24 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     if k + 1 > qstate.MAX_STATE_DIM:
         raise ResourceError(f"{k} rotations keep {k + 1} states, above cap {qstate.MAX_STATE_DIM}")
     theta = math.asin(1.0 / math.sqrt(N))
-    on = off = 1.0 / math.sqrt(N)
-    pairs = [(on, off)]
-    for _ in range(k):
-        mean = (-on + (N - 1) * off) / N      # mean after the oracle flips the target
-        on, off = 2.0 * mean + on, 2.0 * mean - off  # inversion about the mean
-        pairs.append((on, off))
+    pairs = np.empty((k + 1, 2))
+    flat = memoryview(pairs.reshape(-1))  # plain float stores, no numpy scalar per item
+    on = off = flat[0] = flat[1] = 1.0 / math.sqrt(N)
+    rest, size = float(N - 1), float(N)
+    for j in range(2, 2 * k + 2, 2):
+        mean = (rest * off - on) / size  # mean after the oracle flips the target
+        on = 2.0 * mean + on             # inversion about the mean
+        off = 2.0 * mean - off
+        flat[j] = on
+        flat[j + 1] = off
+    flat.release()
+    pairs.setflags(write=False)
     return GroverRun(
         n=n,
         target=a,
         k=k,
         theta=theta,
-        trajectory=GroverTrajectory((2,) * n, a, tuple(pairs)),
+        trajectory=GroverTrajectory((2,) * n, a, pairs),
         success_probability=on * on,
     )
 
@@ -264,6 +281,7 @@ def _check_register_cap(N: int) -> None:
         )
 
 
+@lru_cache(maxsize=1024)
 def multiplicative_order(m: int, N: int) -> int:
     if gcd(m, N) != 1:
         raise DomainError(f"{m} is not a unit modulo {N}")
@@ -274,35 +292,78 @@ def multiplicative_order(m: int, N: int) -> int:
     return r
 
 
-@lru_cache(maxsize=64)
-def _order_find_distributions(N: int, m: int):
-    """Collapse and Fourier-peak distributions for the (N, m) order problem.
+# Bytes of comb spectra kept between calls: 23 spectra of the largest (Q = 2^20)
+# register, each two 8 MiB w tables (two comb lengths) and a small x0 table.
+SPECTRUM_CACHE_BYTES = 384 << 20
 
-    Returns (Q, 2n, r, x0_probs, {comb_length: w_probs}).  After the right
-    register collapses onto m^(x0) mod N, the surviving left-register comb is
-    x0, x0+r, ... with M = comb length; the QFT output probability is the
-    squared geometric sum |sum_j e^(2 pi i j r w / Q)|^2 / (M Q), independent
-    of x0 except through M.
+
+def _build_comb_spectrum(two_n: int, r: int):
+    """Sampling tables of the comb spectrum for order r on a 2n-qubit left register.
+
+    Returns (x0_cdf, {comb_length: w_cdf}) as built by `rng.cumulative`.  After
+    the right register collapses onto m^(x0) mod N, the surviving left-register
+    comb is x0, x0+r, ... with M = comb length, probability M/Q; the QFT output
+    probability is the squared geometric sum |sum_j e^(2 pi i j r w / Q)|^2 / (M Q),
+    independent of x0 except through M.  Only Q and r enter, never N or m.
     """
-    two_n = _register_width(N)
     Q = 1 << two_n
-    r = multiplicative_order(m, N)
-    lengths = np.array([(Q - 1 - x0) // r + 1 for x0 in range(r)])
-    x0_probs = lengths / Q
-    w = np.arange(Q)
-    w_dists = {}
-    for M in np.unique(lengths):
-        M = int(M)
-        half_angle = math.pi * r * w / Q
+    lengths = (Q - 1 - np.arange(r)) // r + 1
+    half_angle = np.arange(Q, dtype=float)
+    half_angle *= math.pi * r
+    half_angle /= Q
+    sin_half = np.sin(half_angle)
+    flat = np.abs(sin_half) < 1e-12
+    buf = np.empty(Q)
+    w_cdfs = {}
+    for M in np.unique(lengths).tolist():
+        np.multiply(half_angle, M, out=buf)
+        np.sin(buf, out=buf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.sin(M * half_angle) / np.sin(half_angle)
-        ratio = np.where(np.abs(np.sin(half_angle)) < 1e-12, float(M), ratio)
-        probs = ratio**2 / (M * Q)
-        probs = probs / probs.sum()
-        probs.setflags(write=False)
-        w_dists[M] = probs
-    x0_probs.setflags(write=False)
-    return Q, two_n, r, x0_probs, w_dists
+            buf /= sin_half
+        buf[flat] = M
+        buf **= 2
+        buf /= M * Q
+        buf /= buf.sum()
+        w_cdfs[M] = cumulative(buf)
+    return cumulative(lengths / Q), w_cdfs
+
+
+class _SpectrumCache:
+    """Least-recently-used comb spectra by (2n, r), bounded by their arrays' bytes.
+
+    Pairs (N, m) with the same register width and order share one entry.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def __call__(self, two_n: int, r: int):
+        key = (two_n, r)
+        spectrum = self.entries.get(key)
+        if spectrum is not None:
+            self.entries.move_to_end(key)
+            return spectrum
+        spectrum = _build_comb_spectrum(two_n, r)
+        self.entries[key] = spectrum
+        self.nbytes += _spectrum_bytes(spectrum)
+        while self.nbytes > self.budget:
+            _, old = self.entries.popitem(last=False)
+            self.nbytes -= _spectrum_bytes(old)
+        return spectrum
+
+    def cache_clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+def _spectrum_bytes(spectrum) -> int:
+    x0_cdf, w_cdfs = spectrum
+    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in w_cdfs.values())
+
+
+_comb_spectrum = _SpectrumCache(SPECTRUM_CACHE_BYTES)
 
 
 def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
@@ -322,15 +383,17 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
             f"gcd({m}, {N}) > 1: the classical exit should have been taken"
         )
     _check_register_cap(N)
-    Q, two_n, r, x0_probs, w_dists = _order_find_distributions(N, m)
-    x0 = rng.choice(x0_probs)
-    M = (Q - 1 - x0) // r + 1
-    w = rng.choice(w_dists[M])
-    d, rr = continued_fraction_best(int(w), Q, N)
+    two_n = _register_width(N)
+    Q = 1 << two_n
+    r = multiplicative_order(m, N)
+    x0_cdf, w_cdfs = _comb_spectrum(two_n, r)
+    x0 = rng.draw(x0_cdf)
+    w = rng.draw(w_cdfs[(Q - 1 - x0) // r + 1])
+    d, rr = continued_fraction_best(w, Q, N)
     return PeriodSample(
         modulus=N,
         base=m,
-        observed_w=int(w),
+        observed_w=w,
         register_width=two_n,
         candidate_num=d,
         candidate_den=rr,

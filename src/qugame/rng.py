@@ -14,6 +14,24 @@ from .errors import DomainError
 DEFAULT_SEED = 0
 
 
+def cumulative(probs) -> np.ndarray:
+    """Read-only cumulative table of the weights `probs`, for `RandomSource.draw`.
+
+    The steps are those of numpy's `Generator.choice(len(p), p=p)` after the
+    weights are clipped at 0 and divided by their sum, in the same order, so
+    `draw(cumulative(p))` gives the index `choice` would on the same stream.
+    """
+    p = np.maximum(np.asarray(probs, dtype=float), 0.0)  # drop tiny negative drift
+    total = p.sum()
+    if not 0.0 < total < np.inf:  # all zero, or a NaN or infinite weight
+        raise DomainError(f"cannot sample from weights summing to {total}")
+    p /= total
+    cdf = np.add.accumulate(p, out=p)
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
+
+
 class RandomSource:
     """PCG64 stream behind a small sampling interface.
 
@@ -32,14 +50,11 @@ class RandomSource:
 
     def choice(self, probs) -> int:
         """Sample an index according to the probability vector `probs`."""
-        p = np.asarray(probs, dtype=float)
-        # guard against tiny negative / drifting sums from float arithmetic
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if not 0.0 < total < np.inf:  # all zero, or a NaN or infinite weight
-            raise DomainError(f"cannot sample from weights summing to {total}")
-        p = p / total
-        return int(self._gen.choice(len(p), p=p))
+        return self.draw(cumulative(probs))
+
+    def draw(self, cdf: np.ndarray) -> int:
+        """Sample an index from a table built by `cumulative`: one uniform, one search."""
+        return int(cdf.searchsorted(self._gen.random(), side="right"))
 
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""

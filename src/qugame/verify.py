@@ -151,7 +151,7 @@ def _grover_amplitudes(pd):
 
 def _grover_large_k(pd):
     k = qalgo.grover_iterations(2**30)
-    pairs = np.array(qalgo.grover_search(30, 0, k=k + 1).trajectory.pairs)
+    pairs = qalgo.grover_search(30, 0, k=k + 1).trajectory.pairs
     on2 = pairs[:, 0] ** 2
     norm = on2 + (2**30 - 1) * pairs[:, 1] ** 2
     return {"k": k, "peak": int(np.argmax(on2)), "success": on2[k],

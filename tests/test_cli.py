@@ -2,12 +2,13 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import GOLDEN
-from qugame import cli, qgames, verify
+from qugame import cli, qalgo, qgames, verify
 from qugame.cgame import Bimatrix
 
 GROVER = GOLDEN["grover-amplitudes"].expected
@@ -196,6 +197,25 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_grover_json_amplitudes_are_re_im_rows(self, capsys):
+        _, out, _ = run_cli(capsys, "grover", "--n", "3", "--target", "5", "--format", "json")
+        run = qalgo.grover_search(3, 5)
+        rows = [[float(a.real), float(a.imag)] for a in run.trajectory[-1].amps]
+        expected = {"subcommand": "grover", "seed": json.loads(out)["seed"], "n": 3,
+                    "target": 5, "k": run.k, "theta": run.theta,
+                    "success_probability": run.success_probability, "final_amplitudes": rows}
+        assert out == cli._canonical_json(expected)
+
+    def test_grover_table_builds_no_amplitudes(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "grover", "--n", "20", "--target", "0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "k = 804" in out
+        assert peak < 4 << 20  # the final state alone takes 16 MiB
+
     def test_table_and_json_agree(self, capsys):
         _, table_out, _ = run_cli(capsys, "grover", "--n", "3", "--target", "5")
         _, json_out, _ = run_cli(capsys, "grover", "--n", "3", "--target", "5",
@@ -237,6 +257,7 @@ class TestDeterminism:
         run_cli(capsys, "grover", "--n", "2", "--target", "1", "--output", str(target))
         payload = json.loads(target.read_text())
         assert payload["subcommand"] == "grover"
+        assert len(payload["final_amplitudes"]) == 4  # written although the table was printed
         assert target.read_text() == cli._canonical_json(payload)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -150,6 +151,26 @@ class TestGroverTrajectory:
         with pytest.raises(TypeError):
             traj[0] = first
 
+    def test_pairs_are_one_read_only_array(self):
+        run = qalgo.grover_search(5, 17)
+        pairs = run.trajectory.pairs
+        assert pairs.shape == (run.k + 1, 2) and pairs.dtype == np.float64
+        assert pairs.nbytes == 16 * (run.k + 1) and not pairs.flags.writeable
+        assert pairs[-1, 0] ** 2 == run.success_probability
+        part = run.trajectory[1:3]
+        assert np.shares_memory(part.pairs, pairs)  # slices stay lazy views
+        with pytest.raises(TypeError):
+            run.trajectory[1.0]
+
+    def test_runs_compare_without_raising(self):
+        run = qalgo.grover_search(4, 9)
+        assert run == qalgo.grover_search(4, 9)
+        assert run.trajectory[1:] == qalgo.grover_search(4, 9).trajectory[1:]
+        assert run != qalgo.grover_search(4, 8)
+        assert run != qalgo.grover_search(4, 9, k=1)
+        assert run.trajectory != tuple(run.trajectory)
+        assert hash(run) == hash(qalgo.grover_search(4, 9))
+
     def test_replace_with_a_tuple(self):
         run = qalgo.grover_search(3, 5)
         dense = dataclasses.replace(run, trajectory=tuple(run.trajectory))
@@ -177,7 +198,13 @@ class TestGroverTrajectory:
         assert read_peak < 4 << 20
 
     def test_paper_scale_search_keeps_only_pairs(self):
-        run = qalgo.grover_search(30, 0)
+        tracemalloc.start()
+        try:
+            run = qalgo.grover_search(30, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # 16 bytes for each of the 25,736 pairs
         assert len(run.trajectory) == run.k + 1
         for index in (0, -1):
             with pytest.raises(ResourceError):
@@ -330,9 +357,10 @@ class TestContinuedFractions:
 class TestOrderFind:
     def test_comb_spacing_matches_order(self):
         # the left-register comb after collapse steps by the true order
-        Q, two_n, r, x0_probs, w_dists = qalgo._order_find_distributions(77, 39)
-        assert two_n == 14 and Q == 16384
-        assert r == 30
+        two_n, r = qalgo._register_width(77), qalgo.multiplicative_order(39, 77)
+        assert two_n == 14 and r == 30
+        x0_cdf, _ = qalgo._comb_spectrum(two_n, r)
+        x0_probs = np.diff(x0_cdf, prepend=0.0)
         assert len(x0_probs) == 30
         assert abs(sum(x0_probs) - 1.0) < 1e-12
 
@@ -344,8 +372,11 @@ class TestOrderFind:
 
     def test_order_five_comb(self):
         # 3 has order 5 mod 11: the surviving comb steps by 5
-        Q, _, r, x0_probs, _ = qalgo._order_find_distributions(11, 3)
+        two_n, r = qalgo._register_width(11), qalgo.multiplicative_order(3, 11)
         assert r == 5
+        x0_cdf, _ = qalgo._comb_spectrum(two_n, r)
+        Q = 1 << two_n
+        assert len(x0_cdf) == r
         for x0 in range(r):
             z = pow(3, x0, 11)
             comb = [x for x in range(Q) if pow(3, x, 11) == z]
@@ -384,7 +415,11 @@ class TestOrderFind:
     def test_collapse_before_qft_equals_deferred(self):
         # joint (Z, w) distribution computed both ways for N = 15, m = 2
         N, m = 15, 2
-        Q, two_n, r, x0_probs, w_dists = qalgo._order_find_distributions(N, m)
+        two_n, r = qalgo._register_width(N), qalgo.multiplicative_order(m, N)
+        Q = 1 << two_n
+        x0_cdf, w_cdfs = qalgo._comb_spectrum(two_n, r)
+        x0_probs = np.diff(x0_cdf, prepend=0.0)
+        w_dists = {M: np.diff(cdf, prepend=0.0) for M, cdf in w_cdfs.items()}
         powers = [pow(m, x, N) for x in range(Q)]
         deferred = {}
         for z in sorted(set(powers)):
@@ -411,6 +446,149 @@ class TestOrderFind:
         assert s.modulus == 77 and s.base == 39
         assert 0 <= s.observed_w < 1 << s.register_width
         assert s.collapsed_value in {pow(39, x, 77) for x in range(30)}
+
+
+@functools.cache
+def dense_distributions(N: int, m: int):
+    """Reference: the comb spectrum built per (N, m) as probability vectors.
+
+    Returns (Q, 2n, r, x0_probs, {comb_length: w_probs}), each vector the
+    squared geometric sum of the collapsed comb, evaluated over all Q outputs.
+    """
+    two_n = qalgo._register_width(N)
+    Q = 1 << two_n
+    r = qalgo.multiplicative_order(m, N)
+    lengths = np.array([(Q - 1 - x0) // r + 1 for x0 in range(r)])
+    x0_probs = lengths / Q
+    w = np.arange(Q)
+    w_dists = {}
+    for M in np.unique(lengths):
+        M = int(M)
+        half_angle = math.pi * r * w / Q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.sin(M * half_angle) / np.sin(half_angle)
+        ratio = np.where(np.abs(np.sin(half_angle)) < 1e-12, float(M), ratio)
+        probs = ratio**2 / (M * Q)
+        w_dists[M] = probs / probs.sum()
+    return Q, two_n, r, x0_probs, w_dists
+
+
+def numpy_choice(gen, probs) -> int:
+    """Reference sampler: clip, normalise, then numpy's own `Generator.choice`."""
+    p = np.clip(probs, 0.0, None)
+    return int(gen.choice(len(p), p=p / p.sum()))
+
+
+def dense_order_find(N: int, m: int, gen) -> qalgo.PeriodSample:
+    """Reference `order_find`: the dense spectrum sampled by `numpy_choice`."""
+    Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
+    x0 = numpy_choice(gen, x0_probs)
+    w = numpy_choice(gen, w_dists[(Q - 1 - x0) // r + 1])
+    d, rr = qalgo.continued_fraction_best(w, Q, N)
+    return qalgo.PeriodSample(N, m, w, two_n, d, rr, pow(m, x0, N))
+
+
+# (N, m): Q = 2^20 pairs, and pairs sharing (Q, r): (91, 2) and (65, 2) have
+# Q = 2^14 and r = 12, (1023, 2) and (671, 3) have Q = 2^20 and r = 10; r = 4
+# divides Q, so (15, 2) has one comb length.
+ORACLE_PAIRS = ((15, 2), (77, 39), (91, 2), (65, 2), (1023, 2), (671, 3), (525, 2))
+
+
+@pytest.fixture
+def spectrum_cache():
+    """The package's spectrum cache, emptied before and after the test."""
+    qalgo._comb_spectrum.cache_clear()
+    yield qalgo._comb_spectrum
+    qalgo._comb_spectrum.cache_clear()
+
+
+def spectrum_bytes(spectrum) -> int:
+    x0_cdf, w_cdfs = spectrum
+    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in w_cdfs.values())
+
+
+class TestCombSpectrum:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_samples_match_dense_oracle(self, seed, spectrum_cache):
+        rng = RandomSource(seed)
+        gen = np.random.Generator(np.random.PCG64(seed))
+        for N, m in ORACLE_PAIRS:
+            for _ in range(3):
+                assert qalgo.order_find(N, m, rng) == dense_order_find(N, m, gen), (N, m)
+        assert rng.integer(0, 1 << 30) == int(gen.integers(0, (1 << 30) + 1))
+
+    def test_shared_order_samples_match_after_cache_hit(self, spectrum_cache):
+        # (65, 2) is served from the entry (91, 2) built
+        for seed in range(4):
+            rng = RandomSource(seed)
+            gen = np.random.Generator(np.random.PCG64(seed))
+            for N, m in ((91, 2), (65, 2), (91, 2), (65, 2)):
+                assert qalgo.order_find(N, m, rng) == dense_order_find(N, m, gen)
+
+    @pytest.mark.parametrize("N, m", [(15, 2), (77, 39), (91, 2), (899, 7)])
+    def test_tables_are_the_dense_spectrum(self, N, m):
+        Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
+        x0_cdf, w_cdfs = qalgo._comb_spectrum(two_n, r)
+        assert np.abs(np.diff(x0_cdf, prepend=0.0) - x0_probs).max() < 1e-12
+        assert sorted(w_cdfs) == sorted(w_dists)
+        for M, cdf in w_cdfs.items():
+            assert cdf.shape == (Q,) and cdf[-1] == 1.0
+            assert np.abs(np.diff(cdf, prepend=0.0) - w_dists[M]).max() < 1e-12
+            assert not cdf.flags.writeable
+        assert not x0_cdf.flags.writeable
+
+    def test_same_order_shares_one_entry(self, spectrum_cache):
+        qalgo.order_find(91, 2, RandomSource(0))
+        assert list(spectrum_cache.entries) == [(14, 12)]
+        held, entry = spectrum_cache.nbytes, spectrum_cache.entries[(14, 12)]
+        qalgo.order_find(65, 2, RandomSource(1))
+        assert list(spectrum_cache.entries) == [(14, 12)]
+        assert spectrum_cache.nbytes == held == spectrum_bytes(entry)
+        assert spectrum_cache.entries[(14, 12)] is entry
+
+    def test_bytes_stay_under_budget(self, spectrum_cache):
+        # 26 distinct orders on the Q = 2^20 register, more than the budget holds
+        orders = {}
+        for N in range(513, 1024, 2):
+            if len(orders) == 26:
+                break
+            if math.gcd(2, N) == 1:
+                orders.setdefault(qalgo.multiplicative_order(2, N), N)
+        assert len(orders) == 26
+        rng = RandomSource(0)
+        for N in orders.values():
+            qalgo.order_find(N, 2, rng)
+            assert spectrum_cache.nbytes <= qalgo.SPECTRUM_CACHE_BYTES
+            assert spectrum_cache.nbytes == sum(
+                spectrum_bytes(e) for e in spectrum_cache.entries.values())
+        keys = list(spectrum_cache.entries)
+        assert len(keys) < 26
+        assert keys == [(20, r) for r in list(orders)[26 - len(keys):]]  # oldest went first
+
+    def test_hit_refreshes_recency(self, spectrum_cache, monkeypatch):
+        sizes = {r: spectrum_bytes(qalgo._build_comb_spectrum(8, r)) for r in (3, 5, 7)}
+        monkeypatch.setattr(spectrum_cache, "budget", sum(sizes.values()) - 1)
+        for r in (3, 5, 3, 7):
+            qalgo._comb_spectrum(8, r)
+        assert list(spectrum_cache.entries) == [(8, 3), (8, 7)]
+        assert spectrum_cache.nbytes == sizes[3] + sizes[7]
+
+    def test_first_build_peak(self, spectrum_cache):
+        tracemalloc.start()
+        try:
+            qalgo.order_find(1023, 2, RandomSource(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 57 << 20
+
+    def test_order_is_cached_per_pair(self):
+        qalgo.multiplicative_order.cache_clear()
+        assert qalgo.multiplicative_order(39, 77) == 30
+        assert qalgo.multiplicative_order(39, 77) == 30
+        assert qalgo.multiplicative_order.cache_info().hits == 1
+        with pytest.raises(DomainError):
+            qalgo.multiplicative_order(7, 77)
 
 
 class TestFactorExtraction:

@@ -9,7 +9,7 @@ from conftest import golden, haar_unitary, random_state
 from qugame import qstate
 from qugame.errors import DomainError, ResourceError
 from qugame.qstate import StateVector, UnitaryMatrix
-from qugame.rng import RandomSource
+from qugame.rng import RandomSource, cumulative
 
 SQ2 = math.sqrt(2.0)
 
@@ -246,6 +246,37 @@ class TestRandomSource:
         ref = np.random.Generator(np.random.PCG64(7))
         draws = [rng.choice(probs) for _ in range(50)]
         assert draws == [int(ref.choice(4, p=probs)) for _ in range(50)]
+
+    def test_draw_stream_is_numpy_choice(self):
+        # 3,000 weight vectors of 1-3,000 entries, about 30% of them zero
+        draws = 0
+        for seed in range(3000):
+            gen = np.random.default_rng([seed, 6])
+            weights = gen.random(int(gen.integers(1, 3001)))
+            weights[gen.random(len(weights)) < 0.3] = 0.0
+            if not weights.any():
+                weights[-1] = 1.0
+            rng, ref = RandomSource(seed), np.random.Generator(np.random.PCG64(seed))
+            cdf = cumulative(weights)
+            p = weights / weights.sum()
+            for _ in range(3):
+                assert rng.draw(cdf) == int(ref.choice(len(p), p=p)), seed
+                draws += 1
+        assert draws == 9000
+
+    @pytest.mark.parametrize(
+        "weights", [[0.0, 0.0], [-1.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], []]
+    )
+    def test_cumulative_rejects_weights_without_a_distribution(self, weights):
+        with pytest.raises(DomainError):
+            cumulative(weights)
+
+    def test_cumulative_is_read_only_and_leaves_weights_alone(self):
+        weights = np.array([2.0, -1e-18, 0.0, 6.0])
+        cdf = cumulative(weights)
+        assert not cdf.flags.writeable
+        assert cdf.tolist() == [0.25, 0.25, 0.25, 1.0]
+        assert weights.tolist() == [2.0, -1e-18, 0.0, 6.0]
 
 
 class TestMeasure:
