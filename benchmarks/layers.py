@@ -7,7 +7,8 @@ side goes first, and every worker times the same rows:
 * `apply` of a Haar gate at n = 2, 10, 16, 20 qubits on the leading qubit,
   the middle pair, the trailing qubit and a reversed non-adjacent pair;
 * `measure` (computational basis, forced outcome 0) at n = 20 on the same
-  layouts and on a single middle qubit;
+  layouts and on a single middle qubit, and the teleportation step: a
+  Bell-basis `measure` of qubits (0, 1) of a 3-qubit register;
 * the public `StateVector` constructor at n = 2 and n = 20;
 * `grover_search` at n = 14, 16, 18, 20 and 30, and at n = 14 and 16 the
   search followed by reading every trajectory state;
@@ -67,6 +68,7 @@ def rows():
     measured["middle"] = (10,)
     for name, targets in measured.items():
         yield {"layer": "measure", "n": 20, "layout": name, "targets": list(targets)}
+    yield {"layer": "measure", "n": 3, "layout": "bell", "targets": [0, 1]}
     for n in (2, 20):
         yield {"layer": "StateVector", "n": n}
     for n in (14, 16):
@@ -135,7 +137,8 @@ def call_for(row):
     state = qstate.StateVector(dims, amps)
     targets = tuple(row["targets"])
     if row["layer"] == "measure":
-        return lambda: qstate.measure(state, targets=targets, force=0)
+        basis = qstate.bell_basis(2) if row["layout"] == "bell" else None
+        return lambda: qstate.measure(state, basis=basis, targets=targets, force=0)
     z = gen.standard_normal((2, 2 ** len(targets), 2 ** len(targets)))
     q, r = np.linalg.qr(z[0] + 1j * z[1])
     u = qstate.UnitaryMatrix(q * (np.diag(r) / np.abs(np.diag(r))))

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, as_index
 
 # comparison slack for payoff tables produced by floating-point simulation
 PAYOFF_TOL = 1e-9
@@ -342,7 +342,7 @@ class CharacteristicGame:
     __slots__ = ("n_players", "values")
 
     def __init__(self, n_players: int, v: Mapping):
-        n_players = int(n_players)
+        n_players = as_index(n_players, "player count")
         if n_players < 1:
             raise DomainError("need at least one player")
         if n_players > MAX_PLAYERS:
@@ -361,12 +361,13 @@ class CharacteristicGame:
 
     @staticmethod
     def _mask(subset, n_players: int) -> int:
-        if isinstance(subset, int):
-            mask = subset
+        if isinstance(subset, (int, np.integer)):
+            mask = as_index(subset, "coalition mask")
         else:
-            mask = 0
-            for player in subset:
-                mask |= 1 << int(player)
+            players = [as_index(player, "player") for player in subset]
+            if any(player < 0 for player in players):
+                raise DomainError(f"subset {subset} names a negative player")
+            mask = sum(1 << player for player in set(players))
         if not 0 <= mask < (1 << n_players):
             raise DomainError(f"subset {subset} out of range for {n_players} players")
         return mask

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_index
 from .qstate import StateVector
 
 HERMITIAN_TOL = 1e-10
@@ -154,10 +154,10 @@ def from_bloch(r: BlochVector) -> DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) -> DensityMatrix:
     """Trace out every subsystem not listed in `keep`."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_index(d, "dimension") for d in dims)
     if math.prod(dims) != rho.dim:
         raise DomainError(f"dims {dims} do not factor dimension {rho.dim}")
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(as_index(k, "kept subsystem") for k in keep))
     if any(not 0 <= k < len(dims) for k in keep):
         raise DomainError(f"keep indices {keep} out of range")
     n = len(dims)

@@ -29,7 +29,7 @@ from math import gcd
 import numpy as np
 
 from . import qstate
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, as_index
 from .qstate import StateVector, UnitaryMatrix
 from .rng import RandomSource, cumulative
 
@@ -97,19 +97,14 @@ class GroverRun:
 
 
 def grover_iterations(N: int) -> int:
-    """Optimal rotation count: nearest integer to pi/(4 theta) - 1/2.
+    """Optimal rotation count: nearest integer to pi/(4 theta) - 1/2, theta = asin(1/sqrt(N)).
 
-    Uses the exact theta = asin(1/sqrt(N)) up to N = 2^20 and the large-N
-    approximation pi*sqrt(N)/4 - 1/2 beyond.  Ties round half away from zero.
+    Ties round half away from zero.  N must fit a float64 (N < 2^1024).
     """
+    N = as_index(N, "search space size")
     if N < 2:
         raise DomainError("search space must have at least 2 elements")
-    if N <= 1 << 20:
-        theta = math.asin(1.0 / math.sqrt(N))
-        x = math.pi / (4.0 * theta) - 0.5
-    else:
-        x = math.pi * math.sqrt(N) / 4.0 - 0.5
-    return max(0, _nearest_int(x))
+    return max(0, _nearest_int(math.pi / (4.0 * math.asin(1.0 / math.sqrt(N))) - 0.5))
 
 
 def grover_operators(n: int, a: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
@@ -118,6 +113,9 @@ def grover_operators(n: int, a: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     oracle = 1 - 2|a><a| flips the sign of the marked state; diffusion is
     -W (1 - 2|0><0|) W = 2|s><s| - 1, the inversion about the mean.
     """
+    n, a = as_index(n, "qubit count"), as_index(a, "target")
+    if n < 1:
+        raise DomainError(f"need at least one qubit, got n={n}")
     dim = 1 << n
     if dim > qstate.MAX_OPERATOR_DIM:
         raise ResourceError(f"operator dimension {dim} exceeds cap {qstate.MAX_OPERATOR_DIM}")
@@ -145,6 +143,7 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     float64 (n <= 1023).  Reading a trajectory state builds all N amplitudes,
     and that state is capped at MAX_STATE_DIM.
     """
+    n, a = as_index(n, "qubit count"), as_index(a, "target")
     if n < 1:
         raise DomainError(f"need at least one qubit, got n={n}")
     if n >= sys.float_info.max_exp:
@@ -152,8 +151,7 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     N = 1 << n
     if not 0 <= a < N:
         raise DomainError(f"target {a} out of range for {n} qubits")
-    if k is None:
-        k = grover_iterations(N)
+    k = grover_iterations(N) if k is None else as_index(k, "rotation count")
     if k < 0:
         raise DomainError(f"rotation count must be >= 0, got k={k}")
     if k + 1 > qstate.MAX_STATE_DIM:
@@ -202,6 +200,7 @@ def bernstein_vazirani(n: int, a: int, oracle=None) -> int:
     deterministically.  A custom ``oracle`` (amps -> amps) may be injected;
     it is invoked exactly once.
     """
+    n, a = as_index(n, "qubit count"), as_index(a, "hidden string")
     if n < 1:
         raise DomainError(f"need at least one qubit, got n={n}")
     N = 1 << n
@@ -233,6 +232,7 @@ def continued_fraction_best(w: int, Q: int, bound: int) -> tuple[int, int]:
 
     Returns (numerator, denominator) in lowest terms; (0, 1) for w = 0.
     """
+    w, Q, bound = as_index(w, "w"), as_index(Q, "Q"), as_index(bound, "denominator bound")
     if not 0 <= w < Q:
         raise DomainError(f"need 0 <= w < Q, got w={w}, Q={Q}")
     if bound < 1:
@@ -281,8 +281,9 @@ def _check_register_cap(N: int) -> None:
         )
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed: a cached (2, 15) must not answer (2.0, 15)
 def multiplicative_order(m: int, N: int) -> int:
+    m, N = as_index(m, "base"), as_index(N, "modulus")
     if gcd(m, N) != 1:
         raise DomainError(f"{m} is not a unit modulo {N}")
     r, v = 1, m % N
@@ -376,6 +377,7 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
     denominator below N is attached.  A left register Q = 2^(2n) above
     qstate.MAX_STATE_DIM is a ResourceError.
     """
+    N, m = as_index(N, "modulus"), as_index(m, "base")
     if N < 3:
         raise DomainError("modulus must be >= 3")
     if gcd(m, N) != 1:
@@ -423,6 +425,7 @@ def factor_from_order(N: int, m: int, r: int) -> FactorOutcome:
     Requires m^r = 1 mod N and even r; computes gcd(N, m^(r/2) +- 1) and,
     when m^(r/2) = 1, keeps halving the exponent while it stays even.
     """
+    N, m, r = as_index(N, "modulus"), as_index(m, "base"), as_index(r, "order candidate")
     if r < 1:
         raise DomainError("order candidate must be >= 1")
     if pow(m, r, N) != 1:
@@ -484,6 +487,7 @@ def shor_factor(N: int, rng: RandomSource, max_rounds: int = 25) -> ShorResult:
     before the first base is drawn.  Each base is retried O(log log N) times
     before a new one is drawn; a round is one order-finding invocation.
     """
+    N, max_rounds = as_index(N, "modulus"), as_index(max_rounds, "round limit")
     if N < 4 or _is_prime(N):
         raise DomainError(f"{N} is not composite")
     if N % 2 == 0:
@@ -538,6 +542,8 @@ class RSAResult:
 
 def rsa_demo(N: int, e: int, ciphertext: int, rng: RandomSource, max_rounds: int = 25) -> RSAResult:
     """Break a toy RSA triplet (N, e, c): factor N, invert e mod phi, decrypt."""
+    N, e = as_index(N, "modulus"), as_index(e, "public exponent")
+    ciphertext = as_index(ciphertext, "ciphertext")
     shor = shor_factor(N, rng, max_rounds=max_rounds)
     if not shor.ok:
         raise DomainError(f"factoring {N} exhausted {max_rounds} rounds")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import density, qalgo, qstate
 from .cgame import Bimatrix, CharacteristicGame, MixedStrategy
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, as_index
 from .qstate import StateVector, UnitaryMatrix
 from .rng import RandomSource
 
@@ -332,7 +332,7 @@ def card_game_round(
     he withdraws when his drawn card shows the minority mark (a sure loser)
     and otherwise plays, winning only if he actually drew the mixed card.
     """
-    r = tuple(int(b) for b in r)
+    r = tuple(as_index(b, "deal bit") for b in r)
     if len(r) != 3 or any(b not in (0, 1) for b in r):
         raise DomainError(f"deal must be three bits, got {r}")
     if r[0] != 0 or r[1] != 1:
@@ -341,7 +341,7 @@ def card_game_round(
         rng = RandomSource()
     if draw is None:
         draw = rng.integer(0, 2)
-    draw = int(draw)
+    draw = as_index(draw, "draw index")
     if not 0 <= draw <= 2:
         raise DomainError(f"draw index {draw} out of range")
 
@@ -389,7 +389,7 @@ def pseudo_telepathy_round(
     Players holding x_i = 1 phase their qubit by i, everyone Hadamards and
     measures; the promise requires sum(x) even and the players always win.
     """
-    x = tuple(int(b) for b in x)
+    x = tuple(as_index(b, "input bit") for b in x)
     n = len(x)
     if n < 2:
         raise DomainError("need at least 2 players")
@@ -422,12 +422,15 @@ def pseudo_telepathy_game(n: int) -> CharacteristicGame:
 # teleportation
 
 
-def _correction_gates() -> tuple[UnitaryMatrix, ...]:
-    i_sigma_y = UnitaryMatrix([[0, 1], [-1, 0]], check=False)
-    minus_sigma_z = UnitaryMatrix([[-1, 0], [0, 1]], check=False)
-    sigma_x = qstate.pauli_x()
-    minus_identity = UnitaryMatrix([[-1, 0], [0, -1]], check=False)
-    return (i_sigma_y, minus_sigma_z, sigma_x, minus_identity)
+# the fixed bases and Bob's corrections (i sigma_y, -sigma_z, sigma_x, -1), built once
+_BELL = tuple(qstate.bell_basis(2))
+_GHZ = qstate.bell_basis(3)[0]
+_CORRECTION_GATES = (
+    UnitaryMatrix([[0, 1], [-1, 0]], check=False),
+    UnitaryMatrix([[-1, 0], [0, 1]], check=False),
+    qstate.pauli_x(),
+    UnitaryMatrix([[-1, 0], [0, -1]], check=False),
+)
 
 
 def teleport(
@@ -441,16 +444,13 @@ def teleport(
     """
     if psi.dims != (2,):
         raise DomainError("teleport expects a single qubit")
-    bell = qstate.bell_basis(2)
-    state = qstate.tensor(psi, bell[3])
+    state = qstate.tensor(psi, _BELL[3])
     report = GameReport("teleport", params={})
     report.log("Alice", "compose psi with shared |b3>", state)
-    record = qstate.measure(state, basis=bell, targets=(0, 1), rng=rng, force=force)
+    record = qstate.measure(state, basis=_BELL, targets=(0, 1), rng=rng, force=force)
     k = record.outcome_index
-    _, residual = qstate.branch_residual(state, bell[k], targets=(0, 1))
     report.log("Alice", f"Bell measurement -> b{k} (prob {record.probability:.4f})")
-    correction = _correction_gates()[k]
-    recovered = qstate.apply(residual, correction)
+    recovered = qstate.apply(record.residual, _CORRECTION_GATES[k])
     report.log("Bob", f"apply correction for b{k}", recovered)
     fidelity = abs(qstate.inner(recovered, psi))
     report.outcome = f"b{k}"
@@ -463,21 +463,14 @@ def teleport(
 # secret sharing
 
 
+_X, _Z = qstate.pauli_x().entries, qstate.pauli_z().entries
 # Gerald's correction, indexed [bell outcome][bob outcome]; bob outcome 0 is
-# |x+>, 1 is |x->.
-def _sharing_corrections() -> tuple[tuple[UnitaryMatrix, UnitaryMatrix], ...]:
-    one = qstate.identity(2)
-    x = qstate.pauli_x()
-    z = qstate.pauli_z()
-    xz = UnitaryMatrix(x.entries @ z.entries, check=False)   # sigma_x sigma_z
-    zx = UnitaryMatrix(z.entries @ x.entries, check=False)   # sigma_z sigma_x
-    minus_x = UnitaryMatrix(-x.entries, check=False)
-    return ((one, z), (x, xz), (z, one), (zx, minus_x))
-
-
-def _x_basis() -> list[StateVector]:
-    s = 1.0 / math.sqrt(2.0)
-    return [StateVector([2], [s, s]), StateVector([2], [s, -s])]
+# |x+>, 1 is |x-> (the columns of the Hadamard).
+_SHARING_CORRECTIONS = tuple(
+    tuple(UnitaryMatrix(m, check=False) for m in pair)
+    for pair in ((np.eye(2), _Z), (_X, _X @ _Z), (_Z, np.eye(2)), (_Z @ _X, -_X))
+)
+_X_BASIS = tuple(StateVector([2], column) for column in qstate.hadamard().entries.T)
 
 
 def secret_share_qubit(
@@ -495,46 +488,36 @@ def secret_share_qubit(
     """
     if secret.dims != (2,):
         raise DomainError("the shared secret must be a single qubit")
-    ghz = qstate.bell_basis(3)[0]
-    state = qstate.tensor(secret, ghz)  # qubits: secret, Alice, Bob, Gerald
+    state = qstate.tensor(secret, _GHZ)  # qubits: secret, Alice, Bob, Gerald
     report = GameReport("secret-qubit", params={})
     report.log("Alice", "compose secret with GHZ", state)
 
-    bell = qstate.bell_basis(2)
     force_bell = force[0] if force is not None else None
-    record = qstate.measure(state, basis=bell, targets=(0, 1), rng=rng, force=force_bell)
+    record = qstate.measure(state, basis=_BELL, targets=(0, 1), rng=rng, force=force_bell)
     k = record.outcome_index
-    _, bob_gerald = qstate.branch_residual(state, bell[k], targets=(0, 1))
+    bob_gerald = record.residual
     report.log("Alice", f"Bell measurement -> b{k} (prob {record.probability:.4f})")
 
-    xb = _x_basis()
     force_bob = force[1] if force is not None else None
-    bob_record = qstate.measure(bob_gerald, basis=xb, targets=(0,), rng=rng, force=force_bob)
+    bob_record = qstate.measure(bob_gerald, basis=_X_BASIS, targets=(0,), rng=rng, force=force_bob)
     s = bob_record.outcome_index
-    _, gerald = qstate.branch_residual(bob_gerald, xb[s], targets=(0,))
     report.log("Bob", f"x-basis measurement -> x{'+' if s == 0 else '-'}")
 
-    correction = _sharing_corrections()[k][s]
-    recovered = qstate.apply(gerald, correction)
+    recovered = qstate.apply(bob_record.residual, _SHARING_CORRECTIONS[k][s])
     report.log("Gerald", "apply tabulated correction", recovered)
     fidelity = abs(qstate.inner(recovered, secret))
 
     # security bookkeeping: what each message alone leaves Gerald with.
     # Alice's alone: Gerald's state given only the Bell outcome is diagonal
-    # (phases lost); Bob's alone: averaging over Alice's outcomes at this
-    # Bob outcome leaves the fully mixed state.
+    # (phases lost); Bob's alone: his x outcome leaves Gerald, once Alice's
+    # two qubits are traced out (summed over her Bell basis), fully mixed.
     rho_given_alice = density.partial_trace(
         density.DensityMatrix.from_state(bob_gerald), (2, 2), keep=(1,)
     )
-    mix = np.zeros((2, 2), dtype=complex)
-    total = 0.0
-    for j in range(4):
-        prob_j, residual_j = qstate.branch_residual(state, bell[j], targets=(0, 1))
-        prob_s, gerald_js = qstate.branch_residual(residual_j, xb[s], targets=(0,))
-        weight = prob_j * prob_s
-        mix += weight * np.outer(gerald_js.amps, gerald_js.amps.conj())
-        total += weight
-    mix /= total
+    given_bob = qstate.measure(state, basis=_X_BASIS, targets=(2,), force=s).residual
+    mix = density.partial_trace(
+        density.DensityMatrix.from_state(given_bob), (2, 2, 2), keep=(2,)
+    ).entries
     off_diag = float(np.abs(rho_given_alice.entries[0, 1]))
     mixed_dev = float(np.abs(mix - np.eye(2) / 2.0).max())
 

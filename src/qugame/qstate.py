@@ -9,23 +9,25 @@ Conventions used throughout the package:
 * Gates are dense complex matrices certified unitary on construction.
 * All values are immutable after construction; the only stateful object is
   the RandomSource consumed by ``measure``.
-* ``apply``, ``measure`` and ``branch_residual`` see the register as an
-  (L, T, R) block with the addressed subsystems on the middle axis: a
-  zero-copy view for contiguous ascending targets, one transposed copy with
-  the targets in front otherwise.  ``_split`` and ``_join`` are the only code
-  that picks this layout; ``_contract`` runs one kernel on the block.
+* ``apply`` and ``measure`` see the register as an (L, T, R) block with the
+  addressed subsystems on the middle axis: a zero-copy view for contiguous
+  ascending targets, one transposed copy with the targets in front
+  otherwise.  ``_split`` and ``_join`` are the only code that picks this
+  layout; ``_contract`` runs one kernel on the block.
+* ``measure`` is the one measurement primitive: its record carries the
+  normalized residual state of the unmeasured subsystems, which is what a
+  receiver holds after a Bell measurement (teleportation, secret sharing).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, as_index
 from .rng import RandomSource
 
 # Size caps (module-level, adjustable): dense statevectors up to 20 qubits,
@@ -55,24 +57,13 @@ def _unit(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _index(value, what: str) -> int:
-    """value as an exact int: numpy integers pass; a bool or a value that is not
-    an integer (1.7, "1") is a DomainError instead of being truncated."""
-    if isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-
-
 def digits_to_index(dims: Sequence[int], digits: Sequence[int]) -> int:
     """Mixed-radix index of a digit string, leftmost digit most significant."""
     if len(digits) != len(dims):
         raise DomainError(f"expected {len(dims)} digits, got {len(digits)}")
     index = 0
     for d, digit in zip(dims, digits):
-        digit = _index(digit, "digit")
+        digit = as_index(digit, "digit")
         if not 0 <= digit < d:
             raise DomainError(f"digit {digit} out of range for dimension {d}")
         index = index * d + digit
@@ -94,7 +85,7 @@ class StateVector:
     __slots__ = ("dims", "amps")
 
     def __init__(self, dims: Sequence[int], amps):
-        dims = tuple(_index(d, "dimension") for d in dims)
+        dims = tuple(as_index(d, "dimension") for d in dims)
         if not dims or any(d < 2 for d in dims):
             raise DomainError(f"every subsystem dimension must be >= 2, got {dims}")
         total = math.prod(dims)
@@ -196,15 +187,29 @@ class UnitaryMatrix:
 class MeasurementRecord:
     """One projective measurement outcome.
 
-    ``probability`` is the Born weight of the selected basis vector;
-    ``post_state`` is the collapsed register (the basis vector itself when
-    the full register was measured).
+    ``probability`` is the Born weight of ``vector``, the selected basis
+    vector over ``targets`` (in target order).  ``residual`` is the
+    normalized state of the unmeasured subsystems in register order, None
+    when every subsystem was measured.
     """
 
     outcome_index: int
     outcome_label: str
     probability: float
-    post_state: StateVector
+    targets: tuple[int, ...]
+    vector: StateVector
+    residual: StateVector | None
+
+    @property
+    def post_state(self) -> StateVector:
+        """The collapsed register, vector (x) residual in register order, built on each read."""
+        if self.residual is None:
+            return self.vector
+        n = len(self.targets) + len(self.residual.dims)
+        order = self.targets + tuple(i for i in range(n) if i not in self.targets)
+        dims = tuple(d for _, d in sorted(zip(order, self.vector.dims + self.residual.dims)))
+        amps = np.multiply.outer(self.vector.amps, self.residual.amps)
+        return StateVector._owned(dims, _join(amps, dims, order))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +218,14 @@ class MeasurementRecord:
 
 def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> StateVector:
     """Computational basis state |digits> over the given dimension list."""
-    dims = tuple(_index(d, "dimension") for d in dims)
+    dims = tuple(as_index(d, "dimension") for d in dims)
     total = math.prod(dims)
     if isinstance(digits, str):
         if not (digits.isascii() and digits.isdigit()):
             raise DomainError(f"basis label {digits!r} must be decimal digits")
         digits = [int(c) for c in digits]
     if isinstance(digits, (int, np.integer)):
-        index = _index(digits, "basis index")
+        index = as_index(digits, "basis index")
         if not 0 <= index < total:
             raise DomainError(f"basis index {index} out of range for dims {dims}")
     else:
@@ -246,7 +251,7 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def identity(dim: int = 2) -> UnitaryMatrix:
-    return UnitaryMatrix(np.eye(dim, dtype=complex), check=False)
+    return UnitaryMatrix(np.eye(as_index(dim, "dimension"), dtype=complex), check=False)
 
 
 def pauli_x() -> UnitaryMatrix:
@@ -284,6 +289,7 @@ def quarter_phase() -> UnitaryMatrix:
 
 def controlled_add(dim: int = 3) -> UnitaryMatrix:
     """Two-qudit gate |c,t> -> |c, (t+c) mod dim>; left qudit controls."""
+    dim = as_index(dim, "dimension")
     size = dim * dim
     m = np.zeros((size, size), dtype=complex)
     for c in range(dim):
@@ -326,6 +332,7 @@ def walsh(n: int) -> UnitaryMatrix:
     Entry (x, y) is (-1)^(x.y) / sqrt(2^n) with x.y the bitwise dot product;
     the transform is its own inverse.
     """
+    n = as_index(n, "qubit count")
     if n < 1:
         raise DomainError("walsh requires n >= 1")
     dim = 1 << n
@@ -340,6 +347,7 @@ def walsh(n: int) -> UnitaryMatrix:
 
 def qft(n: int, inverse: bool = False) -> UnitaryMatrix:
     """Quantum Fourier transform on n qubits: entry (x,y) = e^{+-2 pi i xy/2^n}/sqrt(2^n)."""
+    n = as_index(n, "qubit count")
     if n < 1:
         raise DomainError("qft requires n >= 1")
     dim = 1 << n
@@ -358,7 +366,7 @@ def qft(n: int, inverse: bool = False) -> UnitaryMatrix:
 def _resolve_targets(state: StateVector, targets: Sequence[int] | None) -> tuple[int, ...]:
     if targets is None:
         return tuple(range(len(state.dims)))
-    targets = tuple(_index(t, "target") for t in targets)
+    targets = tuple(as_index(t, "target") for t in targets)
     if len(set(targets)) != len(targets):
         raise DomainError(f"targets must be distinct, got {targets}")
     for t in targets:
@@ -456,18 +464,6 @@ def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOL) ->
     return abs(abs(inner(a, b)) - 1.0) <= tol
 
 
-def _check_orthonormal(basis: Sequence[StateVector], dims: tuple[int, ...]) -> None:
-    k = len(basis)
-    vectors = np.array([bv.amps for bv in basis])
-    gram = vectors.conj() @ vectors.T
-    if not np.abs(gram - np.eye(k)).max() <= ORTHO_TOL:
-        raise DomainError("measurement basis is not orthonormal")
-    if k != vectors.shape[1]:
-        raise DomainError(
-            f"basis with {k} vectors does not span the measured subsystems (dim {vectors.shape[1]})"
-        )
-
-
 def measure(
     state: StateVector,
     basis: Sequence[StateVector] | None = None,
@@ -480,29 +476,35 @@ def measure(
     ``basis`` defaults to the computational basis of the targets and must be
     orthonormal and complete otherwise.  Outcome k is sampled with the Born
     probability; pass ``force`` to select a branch deterministically (the
-    recorded probability is still the true branch weight).
+    recorded probability is still the true branch weight, and a zero-weight
+    branch is a DomainError).  The residual comes from the same contraction.
     """
-    targets, block, order = _split(state, targets)
+    targets, block, _ = _split(state, targets)
     target_dims = tuple(state.dims[t] for t in targets)
 
     if basis is None:
-        residuals = block  # middle index k is already <k|psi>
+        rows = block  # middle index k is already <k|psi>
     else:
         for bv in basis:
             if bv.dims != target_dims:
                 raise DomainError(
                     f"basis vector dims {bv.dims} do not match measured subsystems {target_dims}"
                 )
-        _check_orthonormal(basis, target_dims)
-        residuals = _contract(np.array([bv.amps for bv in basis]).conj(), block)
+        if len(basis) != block.shape[1]:
+            raise DomainError(f"basis with {len(basis)} vectors does not span the measured "
+                              f"subsystems (dim {block.shape[1]})")
+        vectors = np.array([bv.amps for bv in basis])
+        if not np.abs(vectors.conj() @ vectors.T - np.eye(len(basis))).max() <= ORTHO_TOL:
+            raise DomainError("measurement basis is not orthonormal")
+        rows = _contract(vectors.conj(), block)
 
-    probs = _weights(residuals)
+    probs = _weights(rows)
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-6:  # NaN fails too
         raise DomainError(f"measurement probabilities sum to {total}, state not normalized")
 
     if force is not None:
-        outcome = _index(force, "forced outcome")
+        outcome = as_index(force, "forced outcome")
         if not 0 <= outcome < len(probs):
             raise DomainError(f"forced outcome {outcome} out of range")
         if probs[outcome] <= 1e-30:
@@ -515,55 +517,16 @@ def measure(
     probability = float(probs[outcome])
     if basis is None:
         label = "|" + "".join(str(d) for d in index_to_digits(target_dims, outcome)) + ">"
+        vector = StateVector._owned(target_dims, np.eye(1, len(probs), outcome, dtype=complex)[0])
     else:
         label = f"basis[{outcome}]"
-
-    # full-register measurement collapses exactly onto the basis vector
-    if len(targets) == len(state.dims) and basis is not None:
-        post = basis[outcome]
-    elif len(targets) == len(state.dims):
-        amps = np.zeros(len(probs), dtype=complex)
-        amps[outcome] = 1.0
-        post = StateVector._owned(target_dims, amps)
-    else:
-        if basis is None:
-            amps = np.zeros_like(block)
-            np.divide(block[:, outcome, :], math.sqrt(probability), out=amps[:, outcome, :])
-        else:
-            residual = residuals[:, outcome, :] / math.sqrt(probability)
-            amps = basis[outcome].amps[:, None] * residual[:, None, :]
-        post = StateVector._owned(state.dims, _join(amps, state.dims, order))
-
-    return MeasurementRecord(
-        outcome_index=outcome,
-        outcome_label=label,
-        probability=probability,
-        post_state=post,
-    )
-
-
-def branch_residual(
-    state: StateVector, basis_vector: StateVector, targets: Sequence[int]
-) -> tuple[float, StateVector | None]:
-    """Weight and normalized residual of projecting `targets` onto one basis vector.
-
-    Returns (probability, residual-state-of-the-remaining-subsystems); the
-    residual is None when the branch has zero weight.
-    """
-    targets, block, _ = _split(state, targets)
-    target_dims = tuple(state.dims[t] for t in targets)
-    if basis_vector.dims != target_dims:
-        raise DomainError(
-            f"basis vector dims {basis_vector.dims} do not match measured subsystems {target_dims}"
-        )
-    if len(targets) == len(state.dims):
-        raise DomainError("branch_residual requires at least one unmeasured subsystem")
-    residual = _contract(basis_vector.amps.conj()[None, :], block)
-    probability = float(_weights(residual)[0])
-    if probability <= 1e-30:
-        return 0.0, None
-    rest_dims = tuple(d for i, d in enumerate(state.dims) if i not in targets)
-    return probability, StateVector._owned(rest_dims, residual.reshape(-1) / math.sqrt(probability))
+        vector = basis[outcome]
+    residual = None
+    if len(targets) < len(state.dims):  # the block's (L, R) pair is the rest in register order
+        rest_dims = tuple(d for i, d in enumerate(state.dims) if i not in targets)
+        amps = rows[:, outcome, :] / math.sqrt(probability)
+        residual = StateVector._owned(rest_dims, amps.reshape(-1))
+    return MeasurementRecord(outcome, label, probability, targets, vector, residual)
 
 
 def bell_basis(n: int) -> list[StateVector]:

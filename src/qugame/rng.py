@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_index
 
 DEFAULT_SEED = 0
 
@@ -40,7 +40,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
-        self.seed = int(seed)
+        self.seed = as_index(seed, "seed")
         if self.seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))

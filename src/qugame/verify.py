@@ -314,9 +314,9 @@ def _pseudo_telepathy_core(pd):
 
 def _teleport(pd):
     psi = StateVector([2], [0.6, 0.8])
-    state = qstate.tensor(psi, qstate.bell_basis(2)[3])
-    prob, residual = qstate.branch_residual(state, qstate.bell_basis(2)[0], targets=(0, 1))
-    return {"B0 branch": prob, "B0 branch residual": residual.amps,
+    bell = qstate.bell_basis(2)
+    record = qstate.measure(qstate.tensor(psi, bell[3]), basis=bell, targets=(0, 1), force=0)
+    return {"B0 branch": record.probability, "B0 branch residual": record.residual.amps,
             "fidelities": [qgames.teleport(psi, force=k).params["recovery_fidelity"]
                            for k in range(4)]}
 

@@ -16,6 +16,7 @@ import pytest
 from conftest import GOLDEN, haar_unitary, random_state
 from qugame import cgame, density, qalgo, qgames, qstate, verify
 from qugame.cgame import Bimatrix, Imputation, MixedStrategy
+from qugame.errors import DomainError
 from qugame.rng import RandomSource
 
 GOLDEN_NAMES = [
@@ -257,3 +258,66 @@ def test_criterion_12_property_suites():
             for yy in range(1 << n):
                 sign = -1.0 if bin(xx & yy).count("1") % 2 else 1.0
                 assert abs(w[xx, yy] - sign * scale) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one integer check at every public entry point: a float or a bool is refused,
+# never truncated, and numpy integers pass
+
+BELL_RHO = density.DensityMatrix.from_state(qstate.bell_basis(2)[0])
+NON_INTEGER_CALLS = {
+    "partial_trace-keep": lambda: density.partial_trace(BELL_RHO, (2, 2), keep=(0.9,)),
+    "partial_trace-dims": lambda: density.partial_trace(BELL_RHO, (2.0, 2), keep=(0,)),
+    "card-deal": lambda: qgames.card_game_round((0, 1, 0.0), draw=1),
+    "card-draw": lambda: qgames.card_game_round((0, 1, 0), draw=1.9),
+    "telepathy-inputs": lambda: qgames.pseudo_telepathy_round((1, 1.5, 0)),
+    "game-players": lambda: cgame.CharacteristicGame(2.7, {}),
+    "game-members": lambda: cgame.CharacteristicGame(2, {(0, 1.0): 1.0}),
+    "game-mask": lambda: cgame.CharacteristicGame(2, {True: 1.0}),
+    "seed-bool": lambda: RandomSource(True),
+    "seed-float": lambda: RandomSource(1.5),
+    "grover_iterations": lambda: qalgo.grover_iterations(8.0),
+    "identity": lambda: qstate.identity(2.5),
+    "controlled_add": lambda: qstate.controlled_add(True),
+    "walsh": lambda: qstate.walsh(2.0),
+    "qft": lambda: qstate.qft(True),
+    "grover_operators": lambda: qalgo.grover_operators(3, 5.0),
+    "grover_search": lambda: qalgo.grover_search(3.0, 5),
+    "grover_search-k": lambda: qalgo.grover_search(3, 5, k=2.0),
+    "bernstein_vazirani": lambda: qalgo.bernstein_vazirani(3, 5.0),
+    "continued_fraction_best": lambda: qalgo.continued_fraction_best(1, 4.0, 3),
+    "multiplicative_order": lambda: qalgo.multiplicative_order(2.0, 15),
+    "order_find": lambda: qalgo.order_find(15.0, 2, RandomSource(0)),
+    "factor_from_order": lambda: qalgo.factor_from_order(15, 2, 4.0),
+    "shor_factor": lambda: qalgo.shor_factor(15.0, RandomSource(0)),
+    "rsa_demo": lambda: qalgo.rsa_demo(77, 11.0, 67, RandomSource(1)),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_non_integer_arguments_are_domain_errors(call):
+    qalgo.multiplicative_order(2, 15)  # a cached int pair must not answer a float one
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integers_pass_every_entry_point():
+    i = np.int64
+    assert density.partial_trace(BELL_RHO, (i(2), i(2)), keep=(i(1),)).dim == 2
+    card = qgames.card_game_round((i(0), i(1), i(0)), draw=i(1))
+    assert card.params == {"deal": [0, 1, 0], "draw": 1}
+    assert qgames.pseudo_telepathy_round((i(1), i(1), i(0)))[1]
+    game = cgame.CharacteristicGame(i(2), {(i(0), i(1)): 1.0, i(1): 0.5})
+    assert game.n_players == 2 and game.value((0, 1)) == 1.0 and game.value((0,)) == 0.5
+    assert RandomSource(i(3)).seed == 3
+    assert qstate.identity(i(2)).dim == 2 and qstate.controlled_add(i(3)).dim == 9
+    assert qstate.walsh(i(2)).dim == 4 and qstate.qft(i(2)).dim == 4
+    assert qalgo.grover_iterations(i(8)) == 2
+    assert qalgo.grover_search(i(3), i(5), k=i(2)).k == 2
+    assert qalgo.bernstein_vazirani(i(3), i(5)) == 5
+    assert qalgo.continued_fraction_best(i(1), i(4), i(5)) == (1, 4)
+    assert qalgo.multiplicative_order(i(2), i(15)) == 4
+    assert qalgo.order_find(i(15), i(2), RandomSource(0)).modulus == 15
+    assert qalgo.factor_from_order(i(15), i(2), i(4)).factors == (3, 5)
+    rsa = qalgo.rsa_demo(i(77), i(11), i(67), RandomSource(1))
+    assert rsa.plaintext == pow(67, pow(11, -1, 60), 77)

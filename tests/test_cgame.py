@@ -356,3 +356,8 @@ class TestCore:
     def test_empty_coalition_must_be_zero(self):
         with pytest.raises(DomainError):
             CharacteristicGame(2, {(): 1.0})
+
+    @pytest.mark.parametrize("subset", [(-1,), (0, -1), (2,), 4])
+    def test_players_outside_the_game_rejected(self, subset):
+        with pytest.raises(DomainError):
+            CharacteristicGame(2, {subset: 1.0})

@@ -51,6 +51,11 @@ class TestGroverOperators:
         assert np.allclose((oracle @ oracle).entries, np.eye(4), atol=1e-12)
         assert np.allclose((diffusion @ diffusion).entries, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_qubits_rejected(self, n):
+        with pytest.raises(DomainError, match="at least one qubit"):
+            qalgo.grover_operators(n, 0)
+
     def test_matrix_and_vector_paths_agree(self):
         oracle, diffusion = qalgo.grover_operators(3, 5)
         state = qstate.apply(qstate.basis_state([2] * 3, [0] * 3), qstate.walsh(3))

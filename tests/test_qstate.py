@@ -329,16 +329,37 @@ class TestMeasure:
         with pytest.raises(DomainError):
             qstate.measure(StateVector([2], [1, 0]), basis=bad, rng=RandomSource(0))
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_incomplete_basis_rejected(self, size):
+        basis = [StateVector([2], [1, 0])][:size]
+        with pytest.raises(DomainError, match="does not span"):
+            qstate.measure(StateVector([2], [1, 0]), basis=basis, force=0)
+
     def test_partial_measurement_residual(self):
         bell = qstate.bell_basis(2)
         psi = StateVector([2], [0.6, 0.8])
         state = qstate.tensor(psi, bell[3])
         record = qstate.measure(state, basis=bell, targets=(0, 1), force=2)
         assert abs(record.probability - 0.25) < 1e-12
-        prob, residual = qstate.branch_residual(state, bell[2], targets=(0, 1))
-        assert abs(prob - 0.25) < 1e-12
         # residual of b2 is sigma_x psi = (b, a)
-        assert np.allclose(residual.amps, [0.8, 0.6], atol=1e-12)
+        assert record.residual.dims == (2,)
+        assert np.allclose(record.residual.amps, [0.8, 0.6], atol=1e-12)
+
+    def test_full_register_has_no_residual(self):
+        bell = qstate.bell_basis(2)
+        for basis in (None, bell):
+            record = qstate.measure(bell[1], basis=basis, targets=(1, 0), force=1)
+            assert record.residual is None
+            assert record.post_state is record.vector
+            assert record.targets == (1, 0)
+
+    def test_forced_zero_weight_outcome_raises(self):
+        bell = qstate.bell_basis(2)
+        state = qstate.tensor(qstate.basis_state([2], [0]), bell[0])
+        with pytest.raises(DomainError, match="zero probability"):
+            qstate.measure(state, targets=(0,), force=1)
+        with pytest.raises(DomainError, match="zero probability"):
+            qstate.measure(state, basis=bell, targets=(1, 2), force=3)
 
     def test_reordered_targets_against_projector(self, gen):
         state = random_state((2, 2, 2), gen)
@@ -435,9 +456,10 @@ class TestInvariantsAndPlumbing:
             basis = target_basis(dims, targets, gen)
             outputs = [qstate.apply(state, u, targets).amps]
             for b in (None, basis):
-                outputs.append(qstate.measure(state, basis=b, targets=targets, force=0).post_state.amps)
-            if len(targets) < len(dims):
-                outputs.append(qstate.branch_residual(state, basis[0], targets)[1].amps)
+                record = qstate.measure(state, basis=b, targets=targets, force=0)
+                outputs.append(record.post_state.amps)
+                if record.residual is not None:
+                    outputs.append(record.residual.amps)
             for amps in outputs:
                 assert not amps.flags.writeable
                 assert not np.shares_memory(amps, state.amps)
@@ -510,7 +532,7 @@ class TestIntegerInputs:
 
 
 # ---------------------------------------------------------------------------
-# apply / measure / branch_residual against a dense reference: the operator is
+# apply and measure against a dense reference: the operator is
 # kron(U, I) in the targets-then-rest layout, conjugated by an explicit
 # permutation matrix built from mixed-radix digits.
 
@@ -623,33 +645,18 @@ class TestDenseReference:
         weight = float(np.vdot(projected, projected).real)
         record = qstate.measure(state, basis=basis, targets=targets, force=k)
         assert abs(record.probability - weight) <= 1e-10
+        assert record.targets == targets
+        assert np.abs(record.vector.amps - bk).max() <= 1e-12
         expected = projected / math.sqrt(weight)
         if rest_dim > 1:
             assert record.post_state.dims == dims
             assert np.abs(record.post_state.amps - expected).max() <= 1e-10
+            # residual = kron(b_k^dagger, I) P psi / sqrt(w), the rest in register order
+            residual = np.kron(bk.conj(), np.eye(rest_dim)) @ (perm @ state.amps)
+            assert abs(float(np.vdot(residual, residual).real) - weight) <= 1e-10
+            assert record.residual.dims == tuple(d for i, d in enumerate(dims) if i not in targets)
+            assert np.abs(record.residual.amps - residual / math.sqrt(weight)).max() <= 1e-10
         else:  # full register: the post state is the basis vector, in target order
+            assert record.residual is None
             assert record.post_state.dims == tuple(dims[t] for t in targets)
             assert abs(abs(np.vdot(perm @ expected, record.post_state.amps)) - 1.0) <= 1e-10
-
-    @DENSE
-    @given(registers())
-    @example(((2, 3, 4), (2, 1), 7))
-    @with_layouts(())
-    def test_branch_residual(self, case):
-        dims, targets, seed = case
-        if len(targets) == len(dims):
-            targets = targets[:-1] or targets
-        gen = np.random.default_rng(seed)
-        state = random_state(dims, gen)
-        perm, rest_dim = dense_layout(dims, targets)
-        bv = target_basis(dims, targets, gen)[0]
-        if rest_dim == 1:
-            with pytest.raises(DomainError):
-                qstate.branch_residual(state, bv, targets)
-            return
-        residual = np.kron(bv.amps.conj(), np.eye(rest_dim)) @ (perm @ state.amps)
-        weight = float(np.vdot(residual, residual).real)
-        prob, rest_state = qstate.branch_residual(state, bv, targets)
-        assert abs(prob - weight) <= 1e-10
-        assert rest_state.dims == tuple(d for i, d in enumerate(dims) if i not in targets)
-        assert np.abs(rest_state.amps - residual / math.sqrt(weight)).max() <= 1e-10
