@@ -660,3 +660,25 @@ class TestDenseReference:
             assert record.residual is None
             assert record.post_state.dims == tuple(dims[t] for t in targets)
             assert abs(abs(np.vdot(perm @ expected, record.post_state.amps)) - 1.0) <= 1e-10
+
+    @DENSE
+    @given(registers())
+    @example(((2, 3, 4), (2, 1), 7))
+    @with_layouts(())
+    def test_branch_residual(self, case):
+        dims, targets, seed = case
+        if len(targets) == len(dims):
+            targets = targets[:-1] or targets
+        gen = np.random.default_rng(seed)
+        state = random_state(dims, gen)
+        perm, rest_dim = dense_layout(dims, targets)
+        basis = target_basis(dims, targets, gen)
+        record = qstate.measure(state, basis=basis, targets=targets, force=0)
+        if rest_dim == 1:
+            assert record.residual is None
+            return
+        residual = np.kron(basis[0].amps.conj(), np.eye(rest_dim)) @ (perm @ state.amps)
+        weight = float(np.vdot(residual, residual).real)
+        assert abs(record.probability - weight) <= 1e-10
+        assert record.residual.dims == tuple(d for i, d in enumerate(dims) if i not in targets)
+        assert np.abs(record.residual.amps - residual / math.sqrt(weight)).max() <= 1e-10
