@@ -14,7 +14,8 @@ side goes first, and every worker times the same rows:
   search followed by reading every trajectory state;
 * the whole golden-table sweep, `verify.run_golden_checks()`;
 * `order_find` at Q = 2^14, 2^18 and 2^20: a first build (the spectrum and
-  order caches cleared before each call) and a repeat on the warm cache;
+  order caches cleared before each call) and a repeat on the warm cache, and
+  a first build of the even order 10 at Q = 2^20, (N, m) = (1023, 2);
 * `RandomSource.choice` over 4, 2^10 and 2^20 weights;
 * the CLI's `grover --n 20 --target 0` with table output, in process.
 
@@ -81,6 +82,7 @@ def rows():
     for n, pair in ORDER_PAIRS.items():
         for mode in ("first", "repeat"):
             yield {"layer": "order_find", "n": n, "mode": mode, "pair": list(pair)}
+    yield {"layer": "order_find", "n": 20, "mode": "first", "pair": [1023, 2]}  # even order 10
     for n in (2, 10, 20):
         yield {"layer": "choice", "n": n, "mode": f"{1 << n} weights"}
     yield {"layer": "cli grover", "n": 20, "mode": "table"}
@@ -231,6 +233,8 @@ def main() -> int:
         row["speedup"] = round(row["parent_ms"] / row["change_ms"], 2)
         table.append(row)
         where = row.get("layout", row.get("mode", ""))
+        if "pair" in row:
+            where += " {},{}".format(*row["pair"])
         print(f"{row['layer']:>13} n={row['n']:<2} {where:<11} "
               f"{row['parent_ms']:10.4f} -> {row['change_ms']:10.4f} ms  x{row['speedup']} "
               f"peak {row['parent_peak_kib']:.0f} -> {row['change_peak_kib']:.0f} KiB")

@@ -12,7 +12,11 @@ m^x mod N, collapsing it before the Fourier transform; the collapse commutes
 with the left-register QFT, so the sampled distribution is identical to the
 deferred-measurement version (tested).  That comb spectrum depends only on Q
 and the order r, and is kept by (Q, r) as the cumulative tables
-`RandomSource.draw` searches, in an LRU bounded by SPECTRUM_CACHE_BYTES.
+`RandomSource.draw` searches, in an LRU bounded by SPECTRUM_CACHE_BYTES.  Its
+weights come from phases reduced exactly mod Q in integers, over half the
+grid w <= Q/2 and mirrored; they are within 8e-15 of a long-double evaluation
+of the full grid, where float64 sines of the unreduced phases were up to
+1.4e-10 off at Q = 2^20.
 """
 
 from __future__ import annotations
@@ -99,12 +103,17 @@ class GroverRun:
 def grover_iterations(N: int) -> int:
     """Optimal rotation count: nearest integer to pi/(4 theta) - 1/2, theta = asin(1/sqrt(N)).
 
-    Ties round half away from zero.  N must fit a float64 (N < 2^1024).
+    Ties round half away from zero.  An N that does not fit a float64 is a
+    ResourceError.
     """
     N = as_index(N, "search space size")
     if N < 2:
         raise DomainError("search space must have at least 2 elements")
-    return max(0, _nearest_int(math.pi / (4.0 * math.asin(1.0 / math.sqrt(N))) - 0.5))
+    try:
+        root = math.sqrt(N)
+    except OverflowError:
+        raise ResourceError(f"N = 2^{math.log2(N):.6g} does not fit a float64") from None
+    return max(0, _nearest_int(math.pi / (4.0 * math.asin(1.0 / root)) - 0.5))
 
 
 def grover_operators(n: int, a: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
@@ -298,34 +307,55 @@ def multiplicative_order(m: int, N: int) -> int:
 SPECTRUM_CACHE_BYTES = 384 << 20
 
 
+def _fold(k: np.ndarray, Q: int) -> np.ndarray:
+    """Reduce k mod Q in place, then fold it to min(k, Q - k), in [0, Q/2].
+
+    sin^2(pi k / Q) has period Q and is symmetric about Q/2, so the folded k
+    gives the same value from an argument pi k / Q in [0, pi/2].
+    """
+    half = Q >> 1
+    k += half
+    k &= Q - 1
+    k -= half
+    return np.abs(k, out=k)
+
+
 def _build_comb_spectrum(two_n: int, r: int):
     """Sampling tables of the comb spectrum for order r on a 2n-qubit left register.
 
     Returns (x0_cdf, {comb_length: w_cdf}) as built by `rng.cumulative`.  After
     the right register collapses onto m^(x0) mod N, the surviving left-register
     comb is x0, x0+r, ... with M = comb length, probability M/Q; the QFT output
-    probability is the squared geometric sum |sum_j e^(2 pi i j r w / Q)|^2 / (M Q),
-    independent of x0 except through M.  Only Q and r enter, never N or m.
+    weight is the squared geometric sum |sum_j e^(2 pi i j r w / Q)|^2
+    = sin^2(pi M u / Q) / sin^2(pi u / Q) with u = r w mod Q, and M^2 where
+    u = 0, independent of x0 except through M.  Only Q and r enter, never N
+    or m.  Both phases are reduced mod Q and folded in integers, so `np.sin`
+    only sees arguments in [0, pi/2], and w runs over [0, Q/2]: the rest of
+    the grid is the mirror image, P(Q - w) = P(w).  The weights are within
+    8e-15 of a long-double evaluation on the full grid at Q up to 2^20 (the
+    unreduced float64 phases were up to 1.4e-10 off); `cumulative`
+    normalises them.
     """
     Q = 1 << two_n
+    half = Q >> 1
     lengths = (Q - 1 - np.arange(r)) // r + 1
-    half_angle = np.arange(Q, dtype=float)
-    half_angle *= math.pi * r
-    half_angle /= Q
-    sin_half = np.sin(half_angle)
-    flat = np.abs(sin_half) < 1e-12
-    buf = np.empty(Q)
+    scale = math.pi / Q
+    u = _fold(np.arange(half + 1) * r, Q)
+    sin_u = np.sin(u * scale)
+    weights = np.empty(Q)
+    low = weights[:half + 1]
+    v = np.empty_like(u)
     w_cdfs = {}
     for M in np.unique(lengths).tolist():
-        np.multiply(half_angle, M, out=buf)
-        np.sin(buf, out=buf)
+        np.multiply(u, M, out=v)
+        np.multiply(_fold(v, Q), scale, out=low)
+        np.sin(low, out=low)
         with np.errstate(divide="ignore", invalid="ignore"):
-            buf /= sin_half
-        buf[flat] = M
-        buf **= 2
-        buf /= M * Q
-        buf /= buf.sum()
-        w_cdfs[M] = cumulative(buf)
+            low /= sin_u
+        low[::Q // gcd(r, Q)] = M  # u = 0 exactly at the multiples of Q / gcd(r, Q)
+        low **= 2
+        weights[half + 1:] = low[half - 1:0:-1]
+        w_cdfs[M] = cumulative(weights)
     return cumulative(lengths / Q), w_cdfs
 
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import golden
 from qugame import qalgo, qstate
 from qugame.errors import DomainError, ResourceError
-from qugame.rng import RandomSource
+from qugame.rng import RandomSource, cumulative
 
 
 class TestGroverIterations:
@@ -37,6 +37,12 @@ class TestGroverIterations:
     def test_too_small(self):
         with pytest.raises(DomainError):
             qalgo.grover_iterations(1)
+
+    @pytest.mark.parametrize("N", [1 << 1024, (1 << 1024) - 1], ids=["2^1024", "2^1024-1"])
+    def test_beyond_float64_is_a_resource_error(self, N):
+        # (1 << 1024) - 1 rounds up to 2^1024 as a float
+        with pytest.raises(ResourceError, match="does not fit a float64"):
+            qalgo.grover_iterations(N)
 
 
 class TestGroverOperators:
@@ -458,23 +464,25 @@ def dense_distributions(N: int, m: int):
     """Reference: the comb spectrum built per (N, m) as probability vectors.
 
     Returns (Q, 2n, r, x0_probs, {comb_length: w_probs}), each vector the
-    squared geometric sum of the collapsed comb, evaluated over all Q outputs.
+    squared geometric sum of the collapsed comb, evaluated over all Q outputs
+    in long double from phases reduced mod Q in integers, then rounded to
+    float64.
     """
     two_n = qalgo._register_width(N)
     Q = 1 << two_n
     r = qalgo.multiplicative_order(m, N)
     lengths = np.array([(Q - 1 - x0) // r + 1 for x0 in range(r)])
     x0_probs = lengths / Q
-    w = np.arange(Q)
+    pi = np.arccos(np.longdouble(-1))
+    u = np.arange(Q) * r % Q
+    sin_half = np.sin(pi * u.astype(np.longdouble) / Q)
     w_dists = {}
-    for M in np.unique(lengths):
-        M = int(M)
-        half_angle = math.pi * r * w / Q
+    for M in np.unique(lengths).tolist():
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.sin(M * half_angle) / np.sin(half_angle)
-        ratio = np.where(np.abs(np.sin(half_angle)) < 1e-12, float(M), ratio)
+            ratio = np.sin(pi * (M * u % Q).astype(np.longdouble) / Q) / sin_half
+        ratio[u == 0] = M
         probs = ratio**2 / (M * Q)
-        w_dists[M] = probs / probs.sum()
+        w_dists[M] = (probs / probs.sum()).astype(float)
     return Q, two_n, r, x0_probs, w_dists
 
 
@@ -530,10 +538,15 @@ class TestCombSpectrum:
             for N, m in ((91, 2), (65, 2), (91, 2), (65, 2)):
                 assert qalgo.order_find(N, m, rng) == dense_order_find(N, m, gen)
 
-    @pytest.mark.parametrize("N, m", [(15, 2), (77, 39), (91, 2), (899, 7)])
-    def test_tables_are_the_dense_spectrum(self, N, m):
+    # (1023, 2): even r, so u = r w mod Q is 0 at w = Q/2 as well as at 0
+    @pytest.mark.parametrize("N, m", [(15, 2), (77, 39), (91, 2), (899, 7), (1023, 2), (1007, 2)])
+    def test_tables_are_the_dense_spectrum(self, N, m, spectrum_cache, monkeypatch):
         Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
+        weights = []
+        monkeypatch.setattr(qalgo, "cumulative", lambda p: weights.append(np.array(p)) or cumulative(p))
         x0_cdf, w_cdfs = qalgo._comb_spectrum(two_n, r)
+        assert len(weights) == len(w_dists) + 1  # one w table per comb length, then x0
+        assert all(np.array_equal(p[1:], p[:0:-1]) for p in weights[:-1])  # P(w) = P(Q - w)
         assert np.abs(np.diff(x0_cdf, prepend=0.0) - x0_probs).max() < 1e-12
         assert sorted(w_cdfs) == sorted(w_dists)
         for M, cdf in w_cdfs.items():
