@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, as_index
+from .errors import DomainError, as_index, check_size
 
 # comparison slack for payoff tables produced by floating-point simulation
 PAYOFF_TOL = 1e-9
@@ -289,8 +289,9 @@ def ess_test(g: Bimatrix, incumbent: int, mutant: int, eta: float) -> ESSResult:
     """Evolutionary stability of move `incumbent` against invader `mutant`.
 
     The game must be symmetric (payoff_row == payoff_col.T).  Fitnesses are
-    population-share weighted payoffs against the (1-eta, eta) mixture; the
-    invasion barrier is located by bisection to 1e-6.
+    population-share weighted payoffs against the (1-eta, eta) mixture.  Their
+    gap (1 - s) d0 + s d1 is linear in the mutant share s, so the invasion
+    barrier is its root d0 / (d0 - d1), clamped to [0, 1].
     """
     if not g.is_symmetric():
         raise DomainError("ess_test requires a symmetric game")
@@ -298,31 +299,17 @@ def ess_test(g: Bimatrix, incumbent: int, mutant: int, eta: float) -> ESSResult:
         raise DomainError(f"mutant share eta={eta} must lie in (0, 1)")
     A = g.payoff_row
     i, j = incumbent, mutant
-
-    def fitness_gap(share: float) -> float:
-        fit_i = (1.0 - share) * A[i, i] + share * A[i, j]
-        fit_j = (1.0 - share) * A[j, i] + share * A[j, j]
-        return fit_i - fit_j
-
-    stable = bool(fitness_gap(eta) > 0.0)
-    eps = 1e-9
-    if fitness_gap(eps) <= 0.0:
-        barrier = 0.0
-    elif fitness_gap(1.0 - eps) > 0.0:
-        barrier = 1.0
-    else:
-        lo, hi = eps, 1.0 - eps
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if fitness_gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        barrier = 0.5 * (lo + hi)
     fit_i = (1.0 - eta) * A[i, i] + eta * A[i, j]
     fit_j = (1.0 - eta) * A[j, i] + eta * A[j, j]
+    d0, d1 = A[i, i] - A[j, i], A[i, j] - A[j, j]
+    if d0 < 0.0 or (d0 == 0.0 and d1 <= 0.0):
+        barrier = 0.0
+    elif d1 >= 0.0:
+        barrier = 1.0
+    else:
+        barrier = d0 / (d0 - d1)
     return ESSResult(
-        stable=stable,
+        stable=bool(fit_i - fit_j > 0.0),
         invasion_barrier=float(barrier),
         fitness_incumbent=float(fit_i),
         fitness_mutant=float(fit_j),
@@ -345,8 +332,7 @@ class CharacteristicGame:
         n_players = as_index(n_players, "player count")
         if n_players < 1:
             raise DomainError("need at least one player")
-        if n_players > MAX_PLAYERS:
-            raise ResourceError(f"{n_players} players exceeds cap {MAX_PLAYERS}")
+        check_size(n_players, MAX_PLAYERS, "player count")
         values = np.zeros(1 << n_players)
         for subset, value in v.items():
             values[self._mask(subset, n_players)] = float(value)

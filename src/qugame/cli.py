@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import cgame, density, qalgo, qgames, qstate, verify
-from .errors import DomainError, QugameError, ResourceError
+from .errors import DomainError, QugameError, ResourceError, check_qubits
 from .qstate import StateVector
 from .rng import RandomSource
 
@@ -118,8 +118,7 @@ def _report_lines(report: qgames.GameReport) -> list[str]:
 
 def _run_grover(args, rng):
     # the payload lists all 2^n final amplitudes, so refuse before searching
-    if args.n >= qstate.MAX_STATE_DIM.bit_length():
-        raise ResourceError(f"2^{args.n} amplitudes exceed cap {qstate.MAX_STATE_DIM}")
+    check_qubits(args.n, qstate.MAX_STATE_DIM)
     run = qalgo.grover_search(args.n, args.target)
     payload = {
         "n": run.n,
@@ -330,6 +329,8 @@ def _run_estimate(args, rng):
 def _run_discriminate(args, rng):
     priors = args.priors
     n = len(priors)
+    if args.channel.shape != (n, n):  # before the N x N cost matrix is built
+        raise DomainError(f"channel shape {args.channel.shape} does not match {n} priors")
     costs = args.cost * (np.ones((n, n)) - np.eye(n))
     problem = density.DiscriminationProblem(priors, costs, args.channel)
     c_b, p_e = density.discrimination_cost(problem)

@@ -12,11 +12,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, as_index
+from . import qstate
+from .errors import DomainError, as_index, check_size
 from .qstate import StateVector
 
 HERMITIAN_TOL = 1e-10
-TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
 
@@ -54,6 +54,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        dim = check_size(dim, qstate.MAX_OPERATOR_DIM, "density matrix dimension")
         return cls(np.eye(dim, dtype=complex) / dim, check=False)
 
     def eigenvalues(self) -> np.ndarray:
@@ -221,9 +222,9 @@ class DiscriminationProblem:
     was sent; each column must sum to 1 (completeness).
     """
 
-    __slots__ = ("priors", "costs", "channel", "states")
+    __slots__ = ("priors", "costs", "channel")
 
-    def __init__(self, priors, costs, channel, states: Sequence[DensityMatrix] | None = None):
+    def __init__(self, priors, costs, channel):
         priors = np.asarray(priors, dtype=float).copy()
         costs = np.asarray(costs, dtype=float).copy()
         channel = np.asarray(channel, dtype=float).copy()
@@ -237,14 +238,11 @@ class DiscriminationProblem:
         col_sums = channel.sum(axis=0)
         if np.abs(col_sums - 1.0).max() > 1e-10:
             raise DomainError(f"channel columns must sum to 1, got {col_sums.tolist()}")
-        if states is not None and len(states) != n:
-            raise DomainError("one candidate state per prior required")
         for arr in (priors, costs, channel):
             arr.setflags(write=False)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "channel", channel)
-        object.__setattr__(self, "states", tuple(states) if states is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscriminationProblem is immutable")

@@ -1,9 +1,11 @@
-"""Error types shared across the package, and the integer check of its entry points.
+"""Error types shared across the package, the integer check of its entry points,
+and the one size guard that runs before every dense allocation.
 
 The CLI maps these onto process exit codes: DomainError -> 2,
 ResourceError -> 3.
 """
 
+import math
 import operator
 
 
@@ -28,3 +30,29 @@ def as_index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _size(size: int) -> str:
+    """size for a message: a short integer as is, a power of two from 2^10 or
+    any size from 2^64 as 2^k, so no message prints an unbounded integer."""
+    if size >= 1 << 64 or (size >= 1 << 10 and size & (size - 1) == 0):
+        return f"2^{math.log2(size):.6g}"
+    return str(size)
+
+
+def check_size(size, cap: int, what: str) -> int:
+    """size as an exact int, a ResourceError when it exceeds cap."""
+    size = as_index(size, what)
+    if size > cap:
+        raise ResourceError(f"{what} {_size(size)} exceeds cap {_size(cap)}")
+    return size
+
+
+def check_qubits(n, cap: int) -> int:
+    """n as a qubit count >= 1 whose 2^n-entry dimension fits cap; 2^n is never built."""
+    n = as_index(n, "qubit count")
+    if n < 1:
+        raise DomainError("need at least one qubit")
+    if n >= cap.bit_length():  # 2^n > cap
+        raise ResourceError(f"dimension 2^{_size(n)} exceeds cap {_size(cap)}")
+    return n

@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from . import qstate
-from .errors import DomainError, ResourceError, as_index
+from .errors import DomainError, ResourceError, as_index, check_qubits, check_size
 from .qstate import StateVector, UnitaryMatrix
 from .rng import RandomSource, cumulative
 
@@ -75,10 +75,7 @@ class GroverTrajectory(Sequence):
         if isinstance(index, slice):
             return replace(self, pairs=self.pairs[index])
         on, off = self.pairs[operator.index(index)].tolist()
-        dim = 1 << len(self.dims)
-        if dim > qstate.MAX_STATE_DIM:
-            raise ResourceError(f"state dimension {dim} exceeds cap {qstate.MAX_STATE_DIM}")
-        amps = np.full(dim, off, dtype=complex)
+        amps = np.full(1 << check_qubits(len(self.dims), qstate.MAX_STATE_DIM), off, dtype=complex)
         amps[self.target] = on
         return StateVector._owned(self.dims, amps)
 
@@ -122,12 +119,8 @@ def grover_operators(n: int, a: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     oracle = 1 - 2|a><a| flips the sign of the marked state; diffusion is
     -W (1 - 2|0><0|) W = 2|s><s| - 1, the inversion about the mean.
     """
-    n, a = as_index(n, "qubit count"), as_index(a, "target")
-    if n < 1:
-        raise DomainError(f"need at least one qubit, got n={n}")
+    n, a = check_qubits(n, qstate.MAX_OPERATOR_DIM), as_index(a, "target")
     dim = 1 << n
-    if dim > qstate.MAX_OPERATOR_DIM:
-        raise ResourceError(f"operator dimension {dim} exceeds cap {qstate.MAX_OPERATOR_DIM}")
     if not 0 <= a < dim:
         raise DomainError(f"target {a} out of range for {n} qubits")
     oracle = np.eye(dim, dtype=complex)
@@ -163,8 +156,7 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     k = grover_iterations(N) if k is None else as_index(k, "rotation count")
     if k < 0:
         raise DomainError(f"rotation count must be >= 0, got k={k}")
-    if k + 1 > qstate.MAX_STATE_DIM:
-        raise ResourceError(f"{k} rotations keep {k + 1} states, above cap {qstate.MAX_STATE_DIM}")
+    check_size(k + 1, qstate.MAX_STATE_DIM, "Grover states (k + 1)")
     theta = math.asin(1.0 / math.sqrt(N))
     pairs = np.empty((k + 1, 2))
     flat = memoryview(pairs.reshape(-1))  # plain float stores, no numpy scalar per item
@@ -209,12 +201,8 @@ def bernstein_vazirani(n: int, a: int, oracle=None) -> int:
     deterministically.  A custom ``oracle`` (amps -> amps) may be injected;
     it is invoked exactly once.
     """
-    n, a = as_index(n, "qubit count"), as_index(a, "hidden string")
-    if n < 1:
-        raise DomainError(f"need at least one qubit, got n={n}")
+    n, a = check_qubits(n, qstate.MAX_STATE_DIM), as_index(a, "hidden string")
     N = 1 << n
-    if N > qstate.MAX_STATE_DIM:
-        raise ResourceError(f"state dimension {N} exceeds cap {qstate.MAX_STATE_DIM}")
     if not 0 <= a < N:
         raise DomainError(f"hidden string {a} out of range for {n} qubits")
     if oracle is None:
@@ -279,15 +267,6 @@ class PeriodSample:
 def _register_width(N: int) -> int:
     """Smallest even 2n with 2^(2n-2) < N^2 < 2^(2n)."""
     return 2 * math.ceil(math.log2(N))
-
-
-def _check_register_cap(N: int) -> None:
-    """ResourceError when the left register for N, Q = 2^(2n), exceeds MAX_STATE_DIM."""
-    Q = 1 << _register_width(N)
-    if Q > qstate.MAX_STATE_DIM:
-        raise ResourceError(
-            f"order finding for N={N} needs Q={Q} amplitudes, above cap {qstate.MAX_STATE_DIM}"
-        )
 
 
 @lru_cache(maxsize=1024, typed=True)  # typed: a cached (2, 15) must not answer (2.0, 15)
@@ -414,8 +393,7 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
         raise DomainError(
             f"gcd({m}, {N}) > 1: the classical exit should have been taken"
         )
-    _check_register_cap(N)
-    two_n = _register_width(N)
+    two_n = check_qubits(_register_width(N), qstate.MAX_STATE_DIM)
     Q = 1 << two_n
     r = multiplicative_order(m, N)
     x0_cdf, w_cdfs = _comb_spectrum(two_n, r)
@@ -489,11 +467,19 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime_power_root(n: int):
-    """Smallest p with n = p^k (k >= 2), or None."""
-    for k in range(2, n.bit_length() + 1):
-        root = round(n ** (1.0 / k))
+    """The root p of n = p^k for the smallest k >= 2 that has one, or None.
+
+    n is never converted to a float: each estimate 2^(log2(n) / k) below
+    2^40 is confirmed in integers, first modulo 2^64, so above 2^80 a power
+    may be missed (None), but no wrong root is returned.
+    """
+    log_n, low = math.log2(n), n % (1 << 64)
+    for k in range(2, n.bit_length()):
+        if log_n > 40 * k:
+            continue
+        root = round(2.0 ** (log_n / k))
         for candidate in (root - 1, root, root + 1):
-            if candidate >= 2 and candidate**k == n:
+            if candidate >= 2 and pow(candidate, k, 1 << 64) == low and candidate**k == n:
                 return candidate
     return None
 
@@ -514,11 +500,13 @@ def shor_factor(N: int, rng: RandomSource, max_rounds: int = 25) -> ShorResult:
 
     Even N, prime powers and lucky gcd draws take the classical exits; any
     other N whose order-finding register exceeds the cap is a ResourceError
-    before the first base is drawn.  Each base is retried O(log log N) times
-    before a new one is drawn; a round is one order-finding invocation.
+    before the first base is drawn, and before the primality test, so a
+    prime above the cap is a ResourceError too.  Each base is retried
+    O(log log N) times before a new one is drawn; a round is one
+    order-finding invocation.
     """
     N, max_rounds = as_index(N, "modulus"), as_index(max_rounds, "round limit")
-    if N < 4 or _is_prime(N):
+    if N < 4:
         raise DomainError(f"{N} is not composite")
     if N % 2 == 0:
         return ShorResult((2, N // 2), 0, ({"event": "classical-exit", "detail": "even"},))
@@ -529,7 +517,9 @@ def shor_factor(N: int, rng: RandomSource, max_rounds: int = 25) -> ShorResult:
             0,
             ({"event": "classical-exit", "detail": f"prime power of {root}"},),
         )
-    _check_register_cap(N)
+    check_qubits(_register_width(N), qstate.MAX_STATE_DIM)
+    if _is_prime(N):
+        raise DomainError(f"{N} is not composite")
 
     per_base = max(2, _nearest_int(math.log2(math.log2(N))))
     transcript: list[dict] = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import density, qalgo, qstate
 from .cgame import Bimatrix, CharacteristicGame, MixedStrategy
-from .errors import DomainError, ResourceError, as_index
+from .errors import DomainError, as_index, check_size
 from .qstate import StateVector, UnitaryMatrix
 from .rng import RandomSource
 
@@ -389,12 +389,10 @@ def pseudo_telepathy_round(
     Players holding x_i = 1 phase their qubit by i, everyone Hadamards and
     measures; the promise requires sum(x) even and the players always win.
     """
-    x = tuple(as_index(b, "input bit") for b in x)
-    n = len(x)
+    n = check_size(len(x), PSEUDO_TELEPATHY_CAP, "player count")
     if n < 2:
         raise DomainError("need at least 2 players")
-    if n > PSEUDO_TELEPATHY_CAP:
-        raise ResourceError(f"{n} players exceeds cap {PSEUDO_TELEPATHY_CAP}")
+    x = tuple(as_index(b, "input bit") for b in x)
     if any(b not in (0, 1) for b in x):
         raise DomainError(f"inputs must be bits, got {x}")
     if sum(x) % 2 != 0:

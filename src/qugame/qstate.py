@@ -27,11 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, as_index
+from .errors import DomainError, as_index, check_qubits, check_size
 from .rng import RandomSource
 
-# Size caps (module-level, adjustable): dense statevectors up to 20 qubits,
-# dense operator constructors (walsh/qft/grover matrices) up to 2^11.
+# Size caps (module-level, adjustable, read by errors.check_size/check_qubits
+# at each call, before the allocation): dense statevectors up to 2^20
+# amplitudes, dense operators (identity, controlled_add, walsh, qft, the Grover
+# matrices, maximally mixed density matrices) up to dimension 2^11.
 MAX_STATE_DIM = 1 << 20
 MAX_OPERATOR_DIM = 1 << 11
 
@@ -88,9 +90,7 @@ class StateVector:
         dims = tuple(as_index(d, "dimension") for d in dims)
         if not dims or any(d < 2 for d in dims):
             raise DomainError(f"every subsystem dimension must be >= 2, got {dims}")
-        total = math.prod(dims)
-        if total > MAX_STATE_DIM:
-            raise ResourceError(f"state dimension {total} exceeds cap {MAX_STATE_DIM}")
+        total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
         arr = np.array(amps, dtype=complex)  # the defensive copy
         if arr.ndim != 1:
             raise DomainError(f"amplitudes must be one-dimensional, got shape {arr.shape}")
@@ -219,7 +219,7 @@ class MeasurementRecord:
 def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> StateVector:
     """Computational basis state |digits> over the given dimension list."""
     dims = tuple(as_index(d, "dimension") for d in dims)
-    total = math.prod(dims)
+    total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
     if isinstance(digits, str):
         if not (digits.isascii() and digits.isdigit()):
             raise DomainError(f"basis label {digits!r} must be decimal digits")
@@ -251,7 +251,8 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def identity(dim: int = 2) -> UnitaryMatrix:
-    return UnitaryMatrix(np.eye(as_index(dim, "dimension"), dtype=complex), check=False)
+    dim = check_size(dim, MAX_OPERATOR_DIM, "operator dimension")
+    return UnitaryMatrix(np.eye(dim, dtype=complex), check=False)
 
 
 def pauli_x() -> UnitaryMatrix:
@@ -290,7 +291,7 @@ def quarter_phase() -> UnitaryMatrix:
 def controlled_add(dim: int = 3) -> UnitaryMatrix:
     """Two-qudit gate |c,t> -> |c, (t+c) mod dim>; left qudit controls."""
     dim = as_index(dim, "dimension")
-    size = dim * dim
+    size = check_size(dim * dim, MAX_OPERATOR_DIM, "operator dimension")
     m = np.zeros((size, size), dtype=complex)
     for c in range(dim):
         for t in range(dim):
@@ -332,12 +333,7 @@ def walsh(n: int) -> UnitaryMatrix:
     Entry (x, y) is (-1)^(x.y) / sqrt(2^n) with x.y the bitwise dot product;
     the transform is its own inverse.
     """
-    n = as_index(n, "qubit count")
-    if n < 1:
-        raise DomainError("walsh requires n >= 1")
-    dim = 1 << n
-    if dim > MAX_OPERATOR_DIM:
-        raise ResourceError(f"walsh dimension {dim} exceeds operator cap {MAX_OPERATOR_DIM}")
+    n = check_qubits(n, MAX_OPERATOR_DIM)
     h = hadamard().entries
     m = np.array([[1.0]], dtype=complex)
     for _ in range(n):
@@ -347,12 +343,7 @@ def walsh(n: int) -> UnitaryMatrix:
 
 def qft(n: int, inverse: bool = False) -> UnitaryMatrix:
     """Quantum Fourier transform on n qubits: entry (x,y) = e^{+-2 pi i xy/2^n}/sqrt(2^n)."""
-    n = as_index(n, "qubit count")
-    if n < 1:
-        raise DomainError("qft requires n >= 1")
-    dim = 1 << n
-    if dim > MAX_OPERATOR_DIM:
-        raise ResourceError(f"qft dimension {dim} exceeds operator cap {MAX_OPERATOR_DIM}")
+    dim = 1 << check_qubits(n, MAX_OPERATOR_DIM)
     sign = -1.0 if inverse else 1.0
     exponent = np.outer(np.arange(dim), np.arange(dim))
     m = np.exp(sign * 2j * math.pi * exponent / dim) / math.sqrt(dim)
@@ -535,6 +526,7 @@ def bell_basis(n: int) -> list[StateVector]:
     n == 2 returns the four Bell states b0..b3; n > 2 returns the two
     N-qubit analogues (|0..0> +- |1..1>)/sqrt(2).
     """
+    n = check_qubits(n, MAX_STATE_DIM)
     if n < 2:
         raise DomainError("bell_basis requires n >= 2")
     dims = (2,) * n

@@ -330,6 +330,24 @@ class TestESS:
         assert result.stable
         assert abs(result.invasion_barrier - 0.25) < 1e-5  # (2-1)/(2-1+3-0)
 
+    def test_barrier_is_the_root_of_the_linear_gap(self, gen):
+        def barrier(a):
+            g = Bimatrix(["i", "j"], ["i", "j"], a, a.T)
+            return cgame.ess_test(g, 0, 1, eta=0.5).invasion_barrier
+
+        assert barrier(np.array([[2.0, 0.0], [1.0, 3.0]])) == 0.25
+        assert barrier(np.array([[1.0, 2.0], [1.0, 1.0]])) == 1.0  # d0 = 0 < d1: never invaded
+        assert barrier(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0.0  # a neutral mutant
+        assert barrier(np.array([[0.0, 5.0], [1.0, 0.0]])) == 0.0  # d0 < 0
+        for _ in range(200):
+            a = gen.integers(-3, 6, size=(2, 2)).astype(float)
+            b = barrier(a)
+            gap = lambda s: (1 - s) * (a[0, 0] - a[1, 0]) + s * (a[0, 1] - a[1, 1])  # noqa: E731
+            assert 0.0 <= b <= 1.0
+            inside = np.linspace(0, 1, 50)[1:-1]  # shares strictly between 0 and 1
+            assert all(gap(s) > 0 for s in inside if s < b)
+            assert b == 1.0 or gap(b + 1e-9) <= 0
+
 
 class TestCore:
     def test_pseudo_telepathy_probability_vectors(self, gen):

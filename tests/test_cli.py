@@ -47,6 +47,12 @@ BAD_INPUTS = [
     (("--manifest", "{}"), 64),
     (("--manifest", "[1]"), 64),
     (("--manifest", '{"subcommand": "grover", "parameters": [1]}'), 64),
+    (("bv", "--n", "1000000000", "--secret", "1"), 3),
+    (("guess", "--variant", "II", "--n", "1000000000", "--secret", "1"), 3),
+    (("shor", "--N", str(2**61 - 1)), 3),  # a prime above the order-finding cap
+    (("shor", "--N", str(3 * (10**400 + 1))), 3),
+    (("rsa", "--N", str(3 * (10**400 + 1)), "--e", "3", "--cipher", "2"), 3),
+    (("discriminate", "--priors", ",".join(["0"] * 3000)), 2),
 ]
 
 
@@ -89,6 +95,24 @@ class TestExitCodes:
         assert proc.returncode == 3 and "resource error" in proc.stderr
         assert time.perf_counter() - start < 10.0
         assert int(proc.stderr.split()[-1]) < 100 * 1024
+
+    def test_resource_message_prints_sizes_as_powers(self, capsys):
+        code, _, err = run_cli(capsys, "bv", "--n", "5000", "--secret", "1")
+        assert code == 3
+        assert "2^5000" in err and len(err) < 200
+
+    def test_discriminate_checks_shapes_before_the_cost_matrix(self):
+        # 3,000 priors against the default 2 x 2 channel: refused before an N x N matrix.
+        # The child reports VmHWM, the peak RSS of its own image: ru_maxrss would also
+        # count the pytest process it was started from.
+        script = ("import sys\nfrom qugame import cli\ncode = cli.main(sys.argv[1:])\n"
+                  "print(next(line for line in open('/proc/self/status')"
+                  " if line.startswith('VmHWM')).split()[1], file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script, "discriminate",
+                               "--priors", ",".join(["0"] * 3000)], capture_output=True, text=True)
+        assert proc.returncode == 2 and "does not match 3000 priors" in proc.stderr
+        assert int(proc.stderr.split()[-1]) < 64 * 1024
 
     def test_guess_at_paper_scale(self, capsys):
         code, out, _ = run_cli(capsys, "guess", "--variant", "I", "--n", "30", "--secret", "5",

@@ -654,6 +654,22 @@ class TestShorAndRSA:
         assert qalgo.shor_factor(2 * 10403, rng).factors == (2, 10403)
         assert qalgo.shor_factor(3**7, rng).factors == (3, 729)
 
+    def test_refusals_before_primality_and_float_roots(self):
+        # a prime above the cap is refused by the register guard, before trial division
+        for N in (1031, 2**61 - 1, 3 * (10**400 + 1)):
+            with pytest.raises(ResourceError):
+                qalgo.shor_factor(N, RandomSource(0))
+        with pytest.raises(DomainError):
+            qalgo.shor_factor(1021, RandomSource(0))
+
+    def test_prime_power_root_in_integers(self):
+        assert qalgo._prime_power_root(3**9000) == 3**25  # the root of the smallest k, 360
+        assert qalgo._prime_power_root((2**39 + 7) ** 2) == 2**39 + 7
+        # the root 1000003^5 of k = 10 is above 2^40, so the next power that has one answers
+        assert qalgo._prime_power_root(1000003**50) == 1000003**2
+        for n in (3 * (10**400 + 1), 2**61 - 1, 1023, 3**2 * 5, (2**39 + 7) ** 2 + 2):
+            assert qalgo._prime_power_root(n) is None
+
     def test_seed_determinism(self):
         a = qalgo.shor_factor(77, RandomSource(9))
         b = qalgo.shor_factor(77, RandomSource(9))

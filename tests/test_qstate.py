@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden, haar_unitary, random_state
-from qugame import qstate
-from qugame.errors import DomainError, ResourceError
+from qugame import density, qalgo, qstate
+from qugame.errors import DomainError, ResourceError, check_qubits, check_size
 from qugame.qstate import StateVector, UnitaryMatrix
 from qugame.rng import RandomSource, cumulative
 
@@ -203,6 +204,56 @@ class TestQft:
     def test_cap_enforced(self):
         with pytest.raises(ResourceError):
             qstate.qft(14)
+
+
+class TestSizeGuard:
+    # each call asks for GiBs (or 2^(10^9) entries); the guard refuses before allocating
+    @pytest.mark.parametrize("call", [
+        lambda: qstate.basis_state([2] * 30, 0),
+        lambda: qstate.basis_state([2] * 64, 0),
+        lambda: qstate.identity(2**17),
+        lambda: qstate.controlled_add(300),
+        lambda: qstate.bell_basis(30),
+        lambda: density.DensityMatrix.maximally_mixed(2**17),
+        lambda: qstate.walsh(10**9),
+        lambda: qalgo.grover_operators(10**9, 0),
+    ], ids=["basis_state-30", "basis_state-64", "identity", "controlled_add", "bell_basis",
+            "maximally_mixed", "walsh", "grover_operators"])
+    def test_refused_before_allocation(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as exc:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(str(exc.value)) < 200
+
+    def test_messages_print_sizes_as_powers_of_two(self):
+        with pytest.raises(ResourceError, match=r"^dimension 2\^5000 exceeds cap 2\^20$"):
+            check_qubits(5000, 1 << 20)
+        with pytest.raises(ResourceError, match=r"^state dimension 1594323 exceeds cap 2\^20$"):
+            check_size(3**13, 1 << 20, "state dimension")
+        with pytest.raises(ResourceError, match=r"^k 2\^1328\.77 exceeds cap 8$"):
+            check_size(10**400, 8, "k")
+
+    def test_qubit_count_is_an_integer_of_at_least_one(self):
+        assert check_qubits(20, 1 << 20) == 20
+        assert check_qubits(3, 8) == 3 and check_size(8, 8, "size") == 8
+        for bad in (0, -1, 2.0, True):
+            with pytest.raises(DomainError):
+                check_qubits(bad, 1 << 20)
+        with pytest.raises(ResourceError):
+            check_qubits(4, 8)
+
+    def test_caps_are_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(qstate, "MAX_OPERATOR_DIM", 4)
+        qstate.identity(4)
+        for call in (lambda: qstate.identity(8), lambda: qstate.walsh(3),
+                     lambda: density.DensityMatrix.maximally_mixed(8)):
+            with pytest.raises(ResourceError):
+                call()
 
 
 class TestInner:
