@@ -171,6 +171,10 @@ class ParetoFlags:
         return bool(self.jointly_dominated[i, j]), bool(self.pareto_optimal[i, j])
 
 
+# elements per boolean temporary of pareto_analysis: a 16x16 table takes one pass
+_PARETO_BLOCK_ELEMENTS = 1 << 16
+
+
 def pareto_analysis(g: Bimatrix, tol: float = PAYOFF_TOL) -> ParetoFlags:
     """Classify each payoff point of the table.
 
@@ -181,16 +185,20 @@ def pareto_analysis(g: Bimatrix, tol: float = PAYOFF_TOL) -> ParetoFlags:
     """
     A, B = g.payoff_row, g.payoff_col
     others_a, others_b = A.reshape(-1), B.reshape(-1)
-    dominated = np.empty(A.shape, dtype=bool)
-    optimal = np.empty(A.shape, dtype=bool)
-    # one table row of cells against every cell: (n, m*n) temporaries per row
-    for i in range(A.shape[0]):
-        a, b = A[i, :, None], B[i, :, None]
+    cells = others_a.size
+    dominated = np.empty(cells, dtype=bool)
+    optimal = np.empty(cells, dtype=bool)
+    # a block of cells against every cell: (block, m*n) temporaries, block sized
+    # by the element budget but never below one table row
+    block = max(A.shape[1], _PARETO_BLOCK_ELEMENTS // cells)
+    for start in range(0, cells, block):
+        a, b = others_a[start:start + block, None], others_b[start:start + block, None]
         ge_a, ge_b = others_a >= a - tol, others_b >= b - tol
         gt_a, gt_b = others_a > a + tol, others_b > b + tol
-        dominated[i] = (ge_a & ge_b & (gt_a | gt_b)).any(axis=1)
-        optimal[i] = ~((gt_a & ge_b) | (gt_b & ge_a)).any(axis=1)
-    return ParetoFlags(jointly_dominated=dominated, pareto_optimal=optimal)
+        dominated[start:start + block] = (ge_a & ge_b & (gt_a | gt_b)).any(axis=1)
+        optimal[start:start + block] = ~((gt_a & ge_b) | (gt_b & ge_a)).any(axis=1)
+    return ParetoFlags(jointly_dominated=dominated.reshape(A.shape),
+                       pareto_optimal=optimal.reshape(A.shape))
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,8 @@ class GameReport:
     def log(self, actor: str, operation: str, state: StateVector | None = None):
         entry = {"actor": actor, "operation": operation}
         if state is not None:
-            entry["state"] = [
-                [round(float(a.real), 10), round(float(a.imag), 10)] for a in state.amps
-            ]
+            parts = iter(state.amps.view(np.float64).tolist())  # re, im, re, im, ...
+            entry["state"] = [[round(re, 10), round(im, 10)] for re, im in zip(parts, parts)]
         self.transcript.append(entry)
 
     def to_json_dict(self) -> dict:
@@ -321,6 +320,11 @@ def newcomb_play(sb_choice: int, w: float, coherent_shorthand: bool = False) -> 
 # card game
 
 
+_H = qstate.hadamard()
+# Bob's query H U_k H on card k, U_k = phase_gate(up-face bit), built once per bit
+_CARD_QUERY = tuple((_H, qstate.phase_gate(bit), _H) for bit in (0, 1))
+
+
 def card_game_round(
     r: Sequence[int], draw: int | None = None, rng: RandomSource | None = None
 ) -> GameReport:
@@ -346,11 +350,10 @@ def card_game_round(
         raise DomainError(f"draw index {draw} out of range")
 
     report = GameReport("card", params={"deal": list(r), "draw": draw})
-    h = qstate.hadamard()
     state = qstate.basis_state([2, 2, 2], [0, 0, 0])
     report.log("Bob", "prepare query register |000>", state)
     for k in range(3):
-        for gate in (h, qstate.phase_gate(r[k]), h):
+        for gate in _CARD_QUERY[r[k]]:
             state = qstate.apply(state, gate, [k])
     report.log("Bob", "apply H U_k H per card", state)
     record = qstate.measure(state, rng=rng)
@@ -381,6 +384,9 @@ def card_game_round(
 # pseudo-telepathy
 
 
+_QUARTER = qstate.quarter_phase()
+
+
 def pseudo_telepathy_round(
     x: Sequence[int], rng: RandomSource | None = None, force: int | None = None
 ) -> tuple[tuple[int, ...], bool]:
@@ -398,13 +404,11 @@ def pseudo_telepathy_round(
     if sum(x) % 2 != 0:
         raise DomainError("promise violated: sum of inputs must be even")
     state = qstate.bell_basis(n)[0]
-    quarter = qstate.quarter_phase()
-    h = qstate.hadamard()
     for i, bit in enumerate(x):
         if bit:
-            state = qstate.apply(state, quarter, [i])
+            state = qstate.apply(state, _QUARTER, [i])
     for i in range(n):
-        state = qstate.apply(state, h, [i])
+        state = qstate.apply(state, _H, [i])
     record = qstate.measure(state, rng=rng, force=force)
     y = qstate.index_to_digits((2,) * n, record.outcome_index)
     win = (sum(y) % 2) == ((sum(x) // 2) % 2)
@@ -537,6 +541,13 @@ _PAIR_NAMES = {
     frozenset((0, 2)): ("gerald", "alice"),
 }
 _MEMBER_INDEX = {"alice": 0, "bob": 1, "gerald": 2}
+# the cyclic code's nine basis states |j, j+s, j+2s> (mod 3), as register
+# indices, and the secret digit s each one carries
+_QUTRIT_CODE = tuple(
+    (qstate.digits_to_index((3, 3, 3), (j, (j + s) % 3, (j + 2 * s) % 3)), s)
+    for s in range(3) for j in range(3)
+)
+_ADD_MOD_3 = qstate.controlled_add(3)
 
 
 def encode_qutrit_secret(secret: StateVector) -> StateVector:
@@ -545,11 +556,9 @@ def encode_qutrit_secret(secret: StateVector) -> StateVector:
         raise DomainError("the shared secret must be a single qutrit")
     amps = np.zeros(27, dtype=complex)
     scale = 1.0 / math.sqrt(3.0)
-    for s in range(3):
-        for j in range(3):
-            digits = (j, (j + s) % 3, (j + 2 * s) % 3)
-            amps[qstate.digits_to_index((3, 3, 3), digits)] = secret.amps[s] * scale
-    return StateVector((3, 3, 3), amps)
+    for index, s in _QUTRIT_CODE:
+        amps[index] = secret.amps[s] * scale
+    return StateVector._owned((3, 3, 3), amps)
 
 
 def secret_share_qutrit(secret: StateVector, pair: str | Sequence[str]) -> GameReport:
@@ -588,10 +597,9 @@ def secret_share_qutrit(secret: StateVector, pair: str | Sequence[str]) -> GameR
         share_devs.append(float(np.abs(reduced.entries - np.eye(3) / 3.0).max()))
     report.params["share_mixedness_deviation"] = share_devs
 
-    add = qstate.controlled_add(3)
-    state = qstate.apply(encoded, add, [recoverer, helper])
+    state = qstate.apply(encoded, _ADD_MOD_3, [recoverer, helper])
     report.log(helper_name, "add recoverer's qutrit to own (mod 3)", state)
-    state = qstate.apply(state, add, [helper, recoverer])
+    state = qstate.apply(state, _ADD_MOD_3, [helper, recoverer])
     report.log(recoverer_name, "add helper's new qutrit to own (mod 3)", state)
 
     rho_rec = density.partial_trace(

@@ -238,8 +238,11 @@ def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> State
 def tensor(a, b):
     """Kronecker product of two states or two unitaries; dims concatenate."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
+        check_size(a.dim * b.dim, MAX_STATE_DIM, "state dimension")
+        # the products np.kron forms, into a fresh array the result owns
+        return StateVector._owned(a.dims + b.dims, np.multiply.outer(a.amps, b.amps).reshape(-1))
     if isinstance(a, UnitaryMatrix) and isinstance(b, UnitaryMatrix):
+        check_size(a.dim * b.dim, MAX_OPERATOR_DIM, "operator dimension")
         return UnitaryMatrix(np.kron(a.entries, b.entries), check=False)
     raise DomainError("tensor requires two StateVectors or two UnitaryMatrices")
 
@@ -508,7 +511,9 @@ def measure(
     probability = float(probs[outcome])
     if basis is None:
         label = "|" + "".join(str(d) for d in index_to_digits(target_dims, outcome)) + ">"
-        vector = StateVector._owned(target_dims, np.eye(1, len(probs), outcome, dtype=complex)[0])
+        unit = np.zeros(len(probs), dtype=complex)
+        unit[outcome] = 1.0
+        vector = StateVector._owned(target_dims, unit)
     else:
         label = f"basis[{outcome}]"
         vector = basis[outcome]
