@@ -32,19 +32,21 @@ def as_index(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _size(size: int) -> str:
-    """size for a message: a short integer as is, a power of two from 2^10 or
-    any size from 2^64 as 2^k, so no message prints an unbounded integer."""
-    if size >= 1 << 64 or (size >= 1 << 10 and size & (size - 1) == 0):
-        return f"2^{math.log2(size):.6g}"
-    return str(size)
+def brief(value: int) -> str:
+    """An integer for a message: a short one as is, a power of two from 2^10 or
+    any magnitude from 2^64 as (-)2^k, so no message prints an unbounded integer."""
+    if value < 0:
+        return "-" + brief(-value)
+    if value >= 1 << 64 or (value >= 1 << 10 and value & (value - 1) == 0):
+        return f"2^{math.log2(value):.6g}"
+    return str(value)
 
 
 def check_size(size, cap: int, what: str) -> int:
     """size as an exact int, a ResourceError when it exceeds cap."""
     size = as_index(size, what)
     if size > cap:
-        raise ResourceError(f"{what} {_size(size)} exceeds cap {_size(cap)}")
+        raise ResourceError(f"{what} {brief(size)} exceeds cap {brief(cap)}")
     return size
 
 
@@ -54,5 +56,5 @@ def check_qubits(n, cap: int) -> int:
     if n < 1:
         raise DomainError("need at least one qubit")
     if n >= cap.bit_length():  # 2^n > cap
-        raise ResourceError(f"dimension 2^{_size(n)} exceeds cap {_size(cap)}")
+        raise ResourceError(f"dimension 2^{brief(n)} exceeds cap {brief(cap)}")
     return n

@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from . import qstate
-from .errors import DomainError, ResourceError, as_index, check_qubits, check_size
+from .errors import DomainError, ResourceError, as_index, brief, check_qubits, check_size
 from .qstate import StateVector, UnitaryMatrix
 from .rng import RandomSource, cumulative
 
@@ -122,7 +122,7 @@ def grover_operators(n: int, a: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     n, a = check_qubits(n, qstate.MAX_OPERATOR_DIM), as_index(a, "target")
     dim = 1 << n
     if not 0 <= a < dim:
-        raise DomainError(f"target {a} out of range for {n} qubits")
+        raise DomainError(f"target {brief(a)} out of range for {n} qubits")
     oracle = np.eye(dim, dtype=complex)
     oracle[a, a] = -1.0
     w = qstate.walsh(n).entries
@@ -147,15 +147,15 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
     """
     n, a = as_index(n, "qubit count"), as_index(a, "target")
     if n < 1:
-        raise DomainError(f"need at least one qubit, got n={n}")
+        raise DomainError(f"need at least one qubit, got n={brief(n)}")
     if n >= sys.float_info.max_exp:
-        raise ResourceError(f"N = 2^{n} does not fit a float64")
+        raise ResourceError(f"N = 2^{brief(n)} does not fit a float64")
     N = 1 << n
     if not 0 <= a < N:
-        raise DomainError(f"target {a} out of range for {n} qubits")
+        raise DomainError(f"target {brief(a)} out of range for {n} qubits")
     k = grover_iterations(N) if k is None else as_index(k, "rotation count")
     if k < 0:
-        raise DomainError(f"rotation count must be >= 0, got k={k}")
+        raise DomainError(f"rotation count must be >= 0, got k={brief(k)}")
     check_size(k + 1, qstate.MAX_STATE_DIM, "Grover states (k + 1)")
     theta = math.asin(1.0 / math.sqrt(N))
     pairs = np.empty((k + 1, 2))
@@ -204,7 +204,7 @@ def bernstein_vazirani(n: int, a: int, oracle=None) -> int:
     n, a = check_qubits(n, qstate.MAX_STATE_DIM), as_index(a, "hidden string")
     N = 1 << n
     if not 0 <= a < N:
-        raise DomainError(f"hidden string {a} out of range for {n} qubits")
+        raise DomainError(f"hidden string {brief(a)} out of range for {n} qubits")
     if oracle is None:
         phases = _parity_phases(n, a)
 
@@ -231,7 +231,7 @@ def continued_fraction_best(w: int, Q: int, bound: int) -> tuple[int, int]:
     """
     w, Q, bound = as_index(w, "w"), as_index(Q, "Q"), as_index(bound, "denominator bound")
     if not 0 <= w < Q:
-        raise DomainError(f"need 0 <= w < Q, got w={w}, Q={Q}")
+        raise DomainError(f"need 0 <= w < Q, got w={brief(w)}, Q={brief(Q)}")
     if bound < 1:
         raise DomainError("denominator bound must be >= 1")
     if w == 0:
@@ -273,7 +273,7 @@ def _register_width(N: int) -> int:
 def multiplicative_order(m: int, N: int) -> int:
     m, N = as_index(m, "base"), as_index(N, "modulus")
     if gcd(m, N) != 1:
-        raise DomainError(f"{m} is not a unit modulo {N}")
+        raise DomainError(f"{brief(m)} is not a unit modulo {brief(N)}")
     r, v = 1, m % N
     while v != 1:
         v = v * m % N
@@ -391,7 +391,7 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
         raise DomainError("modulus must be >= 3")
     if gcd(m, N) != 1:
         raise DomainError(
-            f"gcd({m}, {N}) > 1: the classical exit should have been taken"
+            f"gcd({brief(m)}, {brief(N)}) > 1: the classical exit should have been taken"
         )
     two_n = check_qubits(_register_width(N), qstate.MAX_STATE_DIM)
     Q = 1 << two_n
@@ -507,7 +507,7 @@ def shor_factor(N: int, rng: RandomSource, max_rounds: int = 25) -> ShorResult:
     """
     N, max_rounds = as_index(N, "modulus"), as_index(max_rounds, "round limit")
     if N < 4:
-        raise DomainError(f"{N} is not composite")
+        raise DomainError(f"{brief(N)} is not composite")
     if N % 2 == 0:
         return ShorResult((2, N // 2), 0, ({"event": "classical-exit", "detail": "even"},))
     root = _prime_power_root(N)
@@ -519,7 +519,7 @@ def shor_factor(N: int, rng: RandomSource, max_rounds: int = 25) -> ShorResult:
         )
     check_qubits(_register_width(N), qstate.MAX_STATE_DIM)
     if _is_prime(N):
-        raise DomainError(f"{N} is not composite")
+        raise DomainError(f"{brief(N)} is not composite")
 
     per_base = max(2, _nearest_int(math.log2(math.log2(N))))
     transcript: list[dict] = []
@@ -570,7 +570,7 @@ def rsa_demo(N: int, e: int, ciphertext: int, rng: RandomSource, max_rounds: int
     p, q = shor.factors
     phi = (p - 1) * (q - 1)
     if gcd(e, phi) != 1:
-        raise DomainError(f"public exponent {e} is not invertible mod phi={phi}")
+        raise DomainError(f"public exponent {brief(e)} is not invertible mod phi={phi}")
     d = pow(e, -1, phi)
     plaintext = pow(ciphertext, d, N)
     return RSAResult(p=p, q=q, phi=phi, d=d, plaintext=plaintext, rounds=shor.rounds)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, as_index, check_qubits, check_size
+from .errors import DomainError, as_index, brief, check_qubits, check_size
 from .rng import RandomSource
 
 # Size caps (module-level, adjustable, read by errors.check_size/check_qubits
@@ -67,7 +67,7 @@ def digits_to_index(dims: Sequence[int], digits: Sequence[int]) -> int:
     for d, digit in zip(dims, digits):
         digit = as_index(digit, "digit")
         if not 0 <= digit < d:
-            raise DomainError(f"digit {digit} out of range for dimension {d}")
+            raise DomainError(f"digit {brief(digit)} out of range for dimension {d}")
         index = index * d + digit
     return index
 
@@ -227,7 +227,7 @@ def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> State
     if isinstance(digits, (int, np.integer)):
         index = as_index(digits, "basis index")
         if not 0 <= index < total:
-            raise DomainError(f"basis index {index} out of range for dims {dims}")
+            raise DomainError(f"basis index {brief(index)} out of range for dims {dims}")
     else:
         index = digits_to_index(dims, digits)
     amps = np.zeros(total, dtype=complex)
@@ -365,7 +365,7 @@ def _resolve_targets(state: StateVector, targets: Sequence[int] | None) -> tuple
         raise DomainError(f"targets must be distinct, got {targets}")
     for t in targets:
         if not 0 <= t < len(state.dims):
-            raise DomainError(f"target {t} out of range for {len(state.dims)} subsystems")
+            raise DomainError(f"target {brief(t)} out of range for {len(state.dims)} subsystems")
     return targets
 
 
@@ -500,7 +500,7 @@ def measure(
     if force is not None:
         outcome = as_index(force, "forced outcome")
         if not 0 <= outcome < len(probs):
-            raise DomainError(f"forced outcome {outcome} out of range")
+            raise DomainError(f"forced outcome {brief(outcome)} out of range")
         if probs[outcome] <= 1e-30:
             raise DomainError(f"forced outcome {outcome} has zero probability")
     else:

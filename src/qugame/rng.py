@@ -23,7 +23,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DomainError, as_index
+from .errors import DomainError, as_index, brief
 
 DEFAULT_SEED = 0
 # Largest weight count `choice` tabulates in Python floats; at most 128, the
@@ -82,7 +82,7 @@ class RandomSource:
     def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = as_index(seed, "seed")
         if self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
+            raise DomainError(f"seed must be a non-negative integer, got {brief(self.seed)}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def __repr__(self) -> str:

@@ -689,3 +689,26 @@ class TestShorAndRSA:
     def test_rsa_non_invertible_exponent(self):
         with pytest.raises(DomainError):
             qalgo.rsa_demo(77, 10, 67, RandomSource(1))  # gcd(10, 60) > 1
+
+
+class TestHugeIntegers:
+    # Python refuses to print an integer of more than 4,300 digits
+    @pytest.mark.parametrize("call", [
+        lambda: qalgo.grover_search(10**5000, 0),
+        lambda: qalgo.grover_search(-10**5000, 0),
+        lambda: qalgo.grover_search(3, 10**5000),
+        lambda: qalgo.grover_search(3, 0, k=-10**5000),
+        lambda: qalgo.grover_operators(3, 10**5000),
+        lambda: qalgo.bernstein_vazirani(3, 10**5000),
+        lambda: qalgo.continued_fraction_best(10**5000, 8, 2),
+        lambda: qalgo.multiplicative_order(3 * 10**5000, 15),
+        lambda: qalgo.order_find(15, 3 * 10**5000, RandomSource(0)),
+        lambda: qalgo.shor_factor(-10**5000, RandomSource(0)),
+        lambda: qalgo.rsa_demo(77, 6 * 10**5000, 2, RandomSource(0)),
+    ], ids=["grover-n", "grover-negative-n", "grover-target", "grover-k", "grover-operators",
+            "bernstein-vazirani", "continued-fraction", "multiplicative-order", "order-find",
+            "shor", "rsa-exponent"])
+    def test_huge_integers_are_printed_short(self, call):
+        with pytest.raises((DomainError, ResourceError)) as exc:
+            call()
+        assert "2^166" in str(exc.value) and len(str(exc.value)) < 200

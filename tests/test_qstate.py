@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden, haar_unitary, random_state
-from qugame import density, qalgo, qstate
+from qugame import density, qalgo, qstate, rng
 from qugame.errors import DomainError, ResourceError, check_qubits, check_size
 from qugame.qstate import StateVector, UnitaryMatrix
 from qugame.rng import RandomSource, cumulative
@@ -217,8 +217,10 @@ class TestSizeGuard:
         lambda: density.DensityMatrix.maximally_mixed(2**17),
         lambda: qstate.walsh(10**9),
         lambda: qalgo.grover_operators(10**9, 0),
+        lambda: qstate.tensor(qstate.basis_state([2] * 11, 0), qstate.basis_state([2] * 10, 0)),
+        lambda: qstate.tensor(qstate.identity(64), qstate.identity(64)),
     ], ids=["basis_state-30", "basis_state-64", "identity", "controlled_add", "bell_basis",
-            "maximally_mixed", "walsh", "grover_operators"])
+            "maximally_mixed", "walsh", "grover_operators", "tensor-states", "tensor-unitaries"])
     def test_refused_before_allocation(self, call):
         tracemalloc.start()
         try:
@@ -328,6 +330,30 @@ class TestRandomSource:
         assert not cdf.flags.writeable
         assert cdf.tolist() == [0.25, 0.25, 0.25, 1.0]
         assert weights.tolist() == [2.0, -1e-18, 0.0, 6.0]
+
+
+class TestSmallTable:
+    def test_same_bits_as_cumulative(self):
+        # up to 128 weights, the most the Python-float table mirrors; 30% zeros, some
+        # tiny negative drift, magnitudes from 1e-300 to 1e300
+        gen = np.random.default_rng(31)
+        for _ in range(3000):
+            n = int(gen.integers(1, 129))
+            weights = gen.random(n) * 10.0 ** gen.integers(-300, 300, n).astype(float)
+            weights[gen.random(n) < 0.3] = 0.0
+            weights[gen.random(n) < 0.1] = -1e-18
+            if not (weights > 0).any():
+                weights[-1] = 1.0
+            table = rng._small_cumulative(weights.tolist())
+            assert np.array(table).tobytes() == cumulative(weights).tobytes()
+
+    def test_choice_matches_numpy_across_the_cutover(self):
+        gen = np.random.default_rng(32)
+        for size in (rng.SMALL_TABLE - 1, rng.SMALL_TABLE, rng.SMALL_TABLE + 1):
+            weights = gen.random(size)
+            source, ref = RandomSource(size), np.random.Generator(np.random.PCG64(size))
+            draws = [source.choice(weights) for _ in range(200)]
+            assert draws == [int(ref.choice(size, p=weights / weights.sum())) for _ in range(200)]
 
 
 class TestMeasure:
@@ -572,6 +598,19 @@ class TestIntegerInputs:
     def test_basis_index_is_an_integer_in_range(self, index):
         with pytest.raises(DomainError):
             qstate.basis_state([2, 2], index)
+
+    # Python refuses to print an integer of more than 4,300 digits
+    @pytest.mark.parametrize("call", [
+        lambda: qstate.basis_state([2], 10**5000),
+        lambda: qstate.basis_state([2], [10**5000]),
+        lambda: qstate.apply(qstate.basis_state([2], 0), qstate.hadamard(), [10**5000]),
+        lambda: qstate.measure(qstate.basis_state([2], 0), force=10**5000),
+        lambda: RandomSource(-10**5000),
+    ], ids=["basis-index", "digit", "target", "forced-outcome", "seed"])
+    def test_huge_integers_are_printed_short(self, call):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert "2^166" in str(exc.value) and len(str(exc.value)) < 200
 
     def test_numpy_integers_pass(self):
         state = qstate.basis_state(np.array([2, 2]), [np.int64(0), np.uint8(1)])
