@@ -85,9 +85,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n", ["40", "64"])
     def test_grover_refuses_a_dense_payload_before_searching(self, n):
-        # a fresh process that reports its own peak RSS (KiB) as the last stderr line
-        script = ("import resource, sys\nfrom qugame import cli\ncode = cli.main(sys.argv[1:])\n"
-                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        # a fresh process that reports VmHWM, the peak RSS (KiB) of its own image, as the
+        # last stderr line: ru_maxrss would carry the pytest parent's peak across exec
+        script = ("import sys\nfrom qugame import cli\ncode = cli.main(sys.argv[1:])\n"
+                  "print(next(line for line in open('/proc/self/status')"
+                  " if line.startswith('VmHWM')).split()[1], file=sys.stderr)\n"
                   "sys.exit(code)\n")
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", script, "grover", "--n", n, "--target", "0"],
