@@ -1,4 +1,5 @@
-"""Layer timings of qstate, qalgo, rng, verify and the CLI for two package versions, interleaved.
+"""Layer timings of qstate, qalgo, rng, cgame, qgames, verify and the CLI for two package
+versions, interleaved.
 
 Each round starts one worker process per side (the base revision's `src/`,
 extracted with `git archive`, and this checkout's `src/`), alternating which
@@ -8,7 +9,10 @@ side goes first, and every worker times the same rows:
   the middle pair, the trailing qubit and a reversed non-adjacent pair;
 * `measure` (computational basis, forced outcome 0) at n = 20 on the same
   layouts and on a single middle qubit, and the teleportation step: a
-  Bell-basis `measure` of qubits (0, 1) of a 3-qubit register;
+  Bell-basis `measure` of qubits (0, 1) of a 3-qubit register; and a sampled
+  `measure` of a whole 2-qubit register;
+* `tensor` of a 1-qubit and a 2-qubit state, and `GameReport.log` of a
+  27-amplitude state;
 * the public `StateVector` constructor at n = 2 and n = 20;
 * `grover_search` at n = 14, 16, 18, 20 and 30, and at n = 14 and 16 the
   search followed by reading every trajectory state;
@@ -17,10 +21,13 @@ side goes first, and every worker times the same rows:
   order caches cleared before each call) and a repeat on the warm cache, and
   a first build of the even order 10 at Q = 2^20, (N, m) = (1023, 2);
 * `RandomSource.choice` over 4, 2^10 and 2^20 weights;
+* `pareto_analysis` of 4x4, 16x16 and 256x256 tables;
+* `card_game_round` (sampled) and `secret_share_qutrit`;
 * the CLI's `grover --n 20 --target 0` with table output, in process.
 
 A row's time is the median per-call wall time over repeated batches inside a
-worker, and its reported figure the median over rounds. `peak_kib` is the
+worker (a call slower than SLOW_CALL_S is timed once), and its reported figure
+the median over rounds. `peak_kib` is the
 tracemalloc peak of one call, taken after the timing. Workers run with one
 BLAS thread.
 
@@ -48,6 +55,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BATCH_SECONDS = 0.05
 BATCHES = 7
+SLOW_CALL_S = 1.0
 
 
 # (N, m) per register width 2n = 14, 18, 20 (orders 30, 198 and 105)
@@ -70,6 +78,9 @@ def rows():
     for name, targets in measured.items():
         yield {"layer": "measure", "n": 20, "layout": name, "targets": list(targets)}
     yield {"layer": "measure", "n": 3, "layout": "bell", "targets": [0, 1]}
+    yield {"layer": "measure", "n": 2, "layout": "full, sampled", "targets": None}
+    yield {"layer": "tensor", "n": 3, "mode": "1 x 2 qubits"}
+    yield {"layer": "GameReport.log", "n": 27, "mode": "amplitudes"}
     for n in (2, 20):
         yield {"layer": "StateVector", "n": n}
     for n in (14, 16):
@@ -85,12 +96,16 @@ def rows():
     yield {"layer": "order_find", "n": 20, "mode": "first", "pair": [1023, 2]}  # even order 10
     for n in (2, 10, 20):
         yield {"layer": "choice", "n": n, "mode": f"{1 << n} weights"}
+    for n in (4, 16, 256):
+        yield {"layer": "pareto_analysis", "n": n, "mode": f"{n}x{n}"}
+    yield {"layer": "card_game_round", "n": 3, "mode": "sampled"}
+    yield {"layer": "secret_share_qutrit", "n": 3, "mode": "bob,gerald"}
     yield {"layer": "cli grover", "n": 20, "mode": "table"}
 
 
 def call_for(row):
     """A zero-argument callable doing one call of the row's layer."""
-    from qugame import cli, qalgo, qstate, verify  # the side's own src/, from PYTHONPATH
+    from qugame import cgame, cli, qalgo, qgames, qstate, verify  # the side's own src/
     from qugame.rng import RandomSource
 
     n = row["n"]
@@ -116,6 +131,16 @@ def call_for(row):
         weights = np.random.default_rng(n).random(1 << n)
         rng = RandomSource(0)
         return lambda: rng.choice(weights)
+    if row["layer"] == "pareto_analysis":
+        gen = np.random.default_rng(n)
+        table = cgame.Bimatrix(range(n), range(n), gen.random((n, n)), gen.random((n, n)))
+        return lambda: cgame.pareto_analysis(table)
+    if row["layer"] == "card_game_round":
+        rng = RandomSource(0)
+        return lambda: qgames.card_game_round((0, 1, 1), rng=rng)
+    if row["layer"] == "secret_share_qutrit":
+        secret = qstate.StateVector([3], [0.5, 0.5j, 0.5**0.5])
+        return lambda: qgames.secret_share_qutrit(secret, "bob,gerald")
     if row["layer"] == "cli grover":
         argv = ["grover", "--n", str(n), "--target", "0"]
 
@@ -130,6 +155,15 @@ def call_for(row):
             for _ in qalgo.grover_search(n, 3).trajectory:
                 pass
         return search_and_read
+    if row["layer"] in ("tensor", "GameReport.log"):
+        gen = np.random.default_rng(n)
+        unit = [gen.standard_normal(d) + 1j * gen.standard_normal(d) for d in (2, 4, 27)]
+        one, two, three = (qstate.StateVector(dims, v / np.linalg.norm(v))
+                           for dims, v in zip(((2,), (2, 2), (3, 3, 3)), unit))
+        if row["layer"] == "tensor":
+            return lambda: qstate.tensor(one, two)
+        report = qgames.GameReport("layers", {})
+        return lambda: (report.log("player", "move", three), report.transcript.clear())
     gen = np.random.default_rng(n)
     amps = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
@@ -137,6 +171,9 @@ def call_for(row):
     if row["layer"] == "StateVector":
         return lambda: qstate.StateVector(dims, amps)
     state = qstate.StateVector(dims, amps)
+    if row["targets"] is None:
+        rng = RandomSource(0)
+        return lambda: qstate.measure(state, rng=rng)
     targets = tuple(row["targets"])
     if row["layer"] == "measure":
         basis = qstate.bell_basis(2) if row["layout"] == "bell" else None
@@ -153,6 +190,8 @@ def time_row(fn) -> float:
     start = time.perf_counter()
     fn()
     per_call = max(time.perf_counter() - start, 1e-7)
+    if per_call > SLOW_CALL_S:
+        return per_call
     number = max(1, int(BATCH_SECONDS / per_call))
     samples = []
     for _ in range(BATCHES):
