@@ -27,9 +27,8 @@ side goes first, and every worker times the same rows:
 
 A row's time is the median per-call wall time over repeated batches inside a
 worker (a call slower than SLOW_CALL_S is timed once), and its reported figure
-the median over rounds. `peak_kib` is the
-tracemalloc peak of one call, taken after the timing. Workers run with one
-BLAS thread.
+the median over rounds. `peak_kib` is the tracemalloc peak of one call, taken
+after the timing. Workers run with one BLAS thread.
 
     python benchmarks/layers.py --base HEAD~1 --rounds 5 --out BENCH.json
 """
