@@ -3,38 +3,15 @@
 The generator is numpy's PCG64. All sampling in the package goes through an
 explicit RandomSource so that a seed fully determines every outcome sequence;
 nothing draws from global random state.
-
-`RandomSource.choice` samples the index numpy's `Generator.choice(len(p), p=p)`
-would on the same stream.  Up to SMALL_TABLE weights it builds the cumulative
-table in Python floats, with the IEEE operations `cumulative` runs in the same
-order (numpy's pairwise sum is sequential below 8 terms and uses 8 interleaved
-accumulators up to 128), and finds the index with `bisect_right`; this avoids
-numpy's per-call cost on the short tables of small registers.  Longer tables
-go through `cumulative` and `draw`.
 """
 
 from __future__ import annotations
-
-import math
-from bisect import bisect_right
-from functools import reduce
-from itertools import accumulate
-from operator import add
 
 import numpy as np
 
 from .errors import DomainError, as_index, brief
 
 DEFAULT_SEED = 0
-# Largest weight count `choice` tabulates in Python floats; at most 128, the
-# count numpy sums without splitting, which `_pairwise_sum` mirrors.
-SMALL_TABLE = 32
-
-
-def _checked(total: float) -> float:
-    if not 0.0 < total < math.inf:  # all zero, or a NaN or infinite weight
-        raise DomainError(f"cannot sample from weights summing to {total}")
-    return total
 
 
 def cumulative(probs) -> np.ndarray:
@@ -45,31 +22,14 @@ def cumulative(probs) -> np.ndarray:
     `draw(cumulative(p))` gives the index `choice` would on the same stream.
     """
     p = np.maximum(np.asarray(probs, dtype=float), 0.0)  # drop tiny negative drift
-    p /= _checked(p.sum())
+    total = p.sum()
+    if not 0.0 < total < np.inf:  # all zero, or a NaN or infinite weight
+        raise DomainError(f"cannot sample from weights summing to {total}")
+    p /= total
     cdf = np.add.accumulate(p, out=p)
     cdf /= cdf[-1]
     cdf.setflags(write=False)
     return cdf
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """The sum numpy's pairwise summation gives for at most 128 values: sequential
-    below 8, otherwise 8 strided accumulators added as a tree, then the rest."""
-    if len(values) < 8:
-        return reduce(add, values, 0.0)
-    tail = len(values) - len(values) % 8
-    r = [reduce(add, values[j:tail:8]) for j in range(8)]
-    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, values[tail:], tree)
-
-
-def _small_cumulative(values: list[float]) -> list[float]:
-    """`cumulative` of at most 128 weights, as a list of Python floats."""
-    p = [0.0 if x <= 0.0 else x for x in values]  # np.maximum(x, 0): NaN stays, -0.0 -> 0.0
-    total = _checked(_pairwise_sum(p))
-    cdf = list(accumulate([x / total for x in p]))
-    last = cdf[-1]
-    return [c / last for c in cdf]
 
 
 class RandomSource:
@@ -89,12 +49,8 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
     def choice(self, probs) -> int:
-        """Sample an index according to the probability vector `probs`: the index
-        `draw(cumulative(probs))` gives, from the same single uniform."""
-        p = np.asarray(probs, dtype=float)
-        if p.ndim == 1 and p.size <= SMALL_TABLE:
-            return bisect_right(_small_cumulative(p.tolist()), self._gen.random())
-        return self.draw(cumulative(p))
+        """Sample an index according to the probability vector `probs`."""
+        return self.draw(cumulative(probs))
 
     def draw(self, cdf: np.ndarray) -> int:
         """Sample an index from a table built by `cumulative`: one uniform, one search."""

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden, haar_unitary, random_state
-from qugame import density, qalgo, qstate, rng
+from qugame import density, qalgo, qstate
 from qugame.errors import DomainError, ResourceError, check_qubits, check_size
 from qugame.qstate import StateVector, UnitaryMatrix
 from qugame.rng import RandomSource, cumulative
@@ -330,30 +330,6 @@ class TestRandomSource:
         assert not cdf.flags.writeable
         assert cdf.tolist() == [0.25, 0.25, 0.25, 1.0]
         assert weights.tolist() == [2.0, -1e-18, 0.0, 6.0]
-
-
-class TestSmallTable:
-    def test_same_bits_as_cumulative(self):
-        # up to 128 weights, the most the Python-float table mirrors; 30% zeros, some
-        # tiny negative drift, magnitudes from 1e-300 to 1e300
-        gen = np.random.default_rng(31)
-        for _ in range(3000):
-            n = int(gen.integers(1, 129))
-            weights = gen.random(n) * 10.0 ** gen.integers(-300, 300, n).astype(float)
-            weights[gen.random(n) < 0.3] = 0.0
-            weights[gen.random(n) < 0.1] = -1e-18
-            if not (weights > 0).any():
-                weights[-1] = 1.0
-            table = rng._small_cumulative(weights.tolist())
-            assert np.array(table).tobytes() == cumulative(weights).tobytes()
-
-    def test_choice_matches_numpy_across_the_cutover(self):
-        gen = np.random.default_rng(32)
-        for size in (rng.SMALL_TABLE - 1, rng.SMALL_TABLE, rng.SMALL_TABLE + 1):
-            weights = gen.random(size)
-            source, ref = RandomSource(size), np.random.Generator(np.random.PCG64(size))
-            draws = [source.choice(weights) for _ in range(200)]
-            assert draws == [int(ref.choice(size, p=weights / weights.sum())) for _ in range(200)]
 
 
 class TestMeasure:
