@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qstate
-from .errors import DomainError, as_index, check_size
+from .errors import DomainError, as_index, brief_all, check_size
 from .qstate import StateVector
 
 HERMITIAN_TOL = 1e-10
@@ -157,10 +157,10 @@ def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) 
     """Trace out every subsystem not listed in `keep`."""
     dims = tuple(as_index(d, "dimension") for d in dims)
     if math.prod(dims) != rho.dim:
-        raise DomainError(f"dims {dims} do not factor dimension {rho.dim}")
+        raise DomainError(f"dims {brief_all(dims)} do not factor dimension {rho.dim}")
     keep = sorted(set(as_index(k, "kept subsystem") for k in keep))
     if any(not 0 <= k < len(dims) for k in keep):
-        raise DomainError(f"keep indices {keep} out of range")
+        raise DomainError(f"keep indices {brief_all(keep)} out of range")
     n = len(dims)
     tensor = rho.entries.reshape(dims + dims)
     traced = tensor

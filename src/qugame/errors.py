@@ -42,6 +42,11 @@ def brief(value: int) -> str:
     return str(value)
 
 
+def brief_all(values) -> str:
+    """A tuple of integers for a message, each through `brief`."""
+    return "(" + ", ".join(map(brief, values)) + ")"
+
+
 def check_size(size, cap: int, what: str) -> int:
     """size as an exact int, a ResourceError when it exceeds cap."""
     size = as_index(size, what)

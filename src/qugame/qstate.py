@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, as_index, brief, check_qubits, check_size
+from .errors import DomainError, as_index, brief, brief_all, check_qubits, check_size
 from .rng import RandomSource
 
 # Size caps (module-level, adjustable, read by errors.check_size/check_qubits
@@ -67,7 +67,7 @@ def digits_to_index(dims: Sequence[int], digits: Sequence[int]) -> int:
     for d, digit in zip(dims, digits):
         digit = as_index(digit, "digit")
         if not 0 <= digit < d:
-            raise DomainError(f"digit {brief(digit)} out of range for dimension {d}")
+            raise DomainError(f"digit {brief(digit)} out of range for dimension {brief(d)}")
         index = index * d + digit
     return index
 
@@ -89,7 +89,7 @@ class StateVector:
     def __init__(self, dims: Sequence[int], amps):
         dims = tuple(as_index(d, "dimension") for d in dims)
         if not dims or any(d < 2 for d in dims):
-            raise DomainError(f"every subsystem dimension must be >= 2, got {dims}")
+            raise DomainError(f"every subsystem dimension must be >= 2, got {brief_all(dims)}")
         total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
         arr = np.array(amps, dtype=complex)  # the defensive copy
         if arr.ndim != 1:
@@ -227,7 +227,7 @@ def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> State
     if isinstance(digits, (int, np.integer)):
         index = as_index(digits, "basis index")
         if not 0 <= index < total:
-            raise DomainError(f"basis index {brief(index)} out of range for dims {dims}")
+            raise DomainError(f"basis index {brief(index)} out of range for dims {brief_all(dims)}")
     else:
         index = digits_to_index(dims, digits)
     amps = np.zeros(total, dtype=complex)
@@ -362,7 +362,7 @@ def _resolve_targets(state: StateVector, targets: Sequence[int] | None) -> tuple
         return tuple(range(len(state.dims)))
     targets = tuple(as_index(t, "target") for t in targets)
     if len(set(targets)) != len(targets):
-        raise DomainError(f"targets must be distinct, got {targets}")
+        raise DomainError(f"targets must be distinct, got {brief_all(targets)}")
     for t in targets:
         if not 0 <= t < len(state.dims):
             raise DomainError(f"target {brief(t)} out of range for {len(state.dims)} subsystems")

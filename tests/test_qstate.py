@@ -582,7 +582,15 @@ class TestIntegerInputs:
         lambda: qstate.apply(qstate.basis_state([2], 0), qstate.hadamard(), [10**5000]),
         lambda: qstate.measure(qstate.basis_state([2], 0), force=10**5000),
         lambda: RandomSource(-10**5000),
-    ], ids=["basis-index", "digit", "target", "forced-outcome", "seed"])
+        lambda: qstate.apply(qstate.basis_state([2, 2], 0), qstate.pauli_x(),
+                             [10**5000, 10**5000]),
+        lambda: StateVector([1, 10**5000], [1]),
+        lambda: qstate.basis_state([0, 10**5000], 0),
+        lambda: qstate.basis_state([10**5000, 0], [10**5000 + 1, 0]),
+        lambda: density.partial_trace(density.DensityMatrix.maximally_mixed(2), [10**5000], [0]),
+        lambda: density.partial_trace(density.DensityMatrix.maximally_mixed(2), [2], [10**5000]),
+    ], ids=["basis-index", "digit", "target", "forced-outcome", "seed", "repeated-targets",
+            "state-dims", "basis-dims", "digit-dimension", "trace-dims", "trace-keep"])
     def test_huge_integers_are_printed_short(self, call):
         with pytest.raises(DomainError) as exc:
             call()
