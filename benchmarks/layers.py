@@ -17,9 +17,11 @@ side goes first, and every worker times the same rows:
 * `grover_search` at n = 14, 16, 18, 20 and 30, and at n = 14 and 16 the
   search followed by reading every trajectory state;
 * the whole golden-table sweep, `verify.run_golden_checks()`;
-* `order_find` at Q = 2^14, 2^18 and 2^20: a first build (the spectrum and
-  order caches cleared before each call) and a repeat on the warm cache, and
-  a first build of the even order 10 at Q = 2^20, (N, m) = (1023, 2);
+* `order_find` at Q = 2^14, 2^18 and 2^20: a first build (every order-finding
+  cache the side has cleared before each call: spectra, sine tables, orders)
+  and a repeat on the warm cache; at Q = 2^20 the pair (899, 7) has the odd
+  order 105, and two more first builds have g = gcd(r, Q) = 2, (1023, 2) of
+  order 10, and g = 4, (1007, 2) of order 468;
 * `RandomSource.choice` over 4, 2^10 and 2^20 weights;
 * `pareto_analysis` of 4x4, 16x16 and 256x256 tables;
 * `card_game_round` (sampled) and `secret_share_qutrit`;
@@ -92,7 +94,8 @@ def rows():
     for n, pair in ORDER_PAIRS.items():
         for mode in ("first", "repeat"):
             yield {"layer": "order_find", "n": n, "mode": mode, "pair": list(pair)}
-    yield {"layer": "order_find", "n": 20, "mode": "first", "pair": [1023, 2]}  # even order 10
+    for pair in ([1023, 2], [1007, 2]):  # g = 2 and g = 4
+        yield {"layer": "order_find", "n": 20, "mode": "first", "pair": pair}
     for n in (2, 10, 20):
         yield {"layer": "choice", "n": n, "mode": f"{1 << n} weights"}
     for n in (4, 16, 256):
@@ -116,14 +119,15 @@ def call_for(row):
         if row["mode"] == "repeat":
             qalgo.order_find(N, m, rng)
             return lambda: qalgo.order_find(N, m, rng)
-        # the spectrum cache was per (N, m) before it was per (Q, r)
-        spectra = getattr(qalgo, "_comb_spectrum", None) or qalgo._order_find_distributions
-        caches = [spectra, qalgo.multiplicative_order]
+        # the spectrum cache was per (N, m) before it was per (Q, r); sine tables per Q'
+        # came with the folded phase
+        caches = [getattr(qalgo, name) for name in ("_comb_spectrum", "_order_find_distributions",
+                                                    "_sines", "multiplicative_order")
+                  if hasattr(qalgo, name)]
 
         def first_build():
             for cache in caches:
-                if hasattr(cache, "cache_clear"):
-                    cache.cache_clear()
+                cache.cache_clear()
             qalgo.order_find(N, m, rng)
         return first_build
     if row["layer"] == "choice":

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, as_index, check_size
+from .errors import DomainError, as_index, brief, check_size
 
 # comparison slack for payoff tables produced by floating-point simulation
 PAYOFF_TOL = 1e-9
@@ -357,14 +357,15 @@ class CharacteristicGame:
     def _mask(subset, n_players: int) -> int:
         if isinstance(subset, (int, np.integer)):
             mask = as_index(subset, "coalition mask")
-        else:
-            players = [as_index(player, "player") for player in subset]
-            if any(player < 0 for player in players):
-                raise DomainError(f"subset {subset} names a negative player")
-            mask = sum(1 << player for player in set(players))
-        if not 0 <= mask < (1 << n_players):
-            raise DomainError(f"subset {subset} out of range for {n_players} players")
-        return mask
+            if not 0 <= mask < (1 << n_players):
+                raise DomainError(
+                    f"coalition mask {brief(mask)} out of range for {n_players} players")
+            return mask
+        players = {as_index(player, "player") for player in subset}
+        for player in players:  # before 1 << player, which grows with the index
+            if not 0 <= player < n_players:
+                raise DomainError(f"player {brief(player)} out of range for {n_players} players")
+        return sum(1 << player for player in players)
 
     def value(self, subset) -> float:
         return float(self.values[self._mask(subset, self.n_players)])

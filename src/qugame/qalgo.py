@@ -11,12 +11,11 @@ the 2^n-amplitude state afresh.  Order finding keeps the full left register of
 m^x mod N, collapsing it before the Fourier transform; the collapse commutes
 with the left-register QFT, so the sampled distribution is identical to the
 deferred-measurement version (tested).  That comb spectrum depends only on Q
-and the order r, and is kept by (Q, r) as the cumulative tables
-`RandomSource.draw` searches, in an LRU bounded by SPECTRUM_CACHE_BYTES.  Its
-weights come from phases reduced exactly mod Q in integers, over half the
-grid w <= Q/2 and mirrored; they are within 8e-15 of a long-double evaluation
-of the full grid, where float64 sines of the unreduced phases were up to
-1.4e-10 off at Q = 2^20.
+and the order r, and on the peak w only through the folded phase k of
+r' w mod Q' (Shor 1997, section 5); it is kept by (Q, r), as one cumulative
+table over k per comb length, in an LRU bounded by SPECTRUM_CACHE_BYTES.  Its
+weights are within 3e-15 of a long-double evaluation of the full grid, where
+float64 sines of the unreduced phases were up to 1.4e-10 off at Q = 2^20.
 """
 
 from __future__ import annotations
@@ -234,6 +233,11 @@ def continued_fraction_best(w: int, Q: int, bound: int) -> tuple[int, int]:
         raise DomainError(f"need 0 <= w < Q, got w={brief(w)}, Q={brief(Q)}")
     if bound < 1:
         raise DomainError("denominator bound must be >= 1")
+    return _best_convergent(w, Q, bound)
+
+
+def _best_convergent(w: int, Q: int, bound: int) -> tuple[int, int]:
+    """`continued_fraction_best` on arguments already checked."""
     if w == 0:
         return (0, 1)
     a, b = w, Q
@@ -282,8 +286,9 @@ def multiplicative_order(m: int, N: int) -> int:
 
 
 # Bytes of comb spectra kept between calls: 23 spectra of the largest (Q = 2^20)
-# register, each two 8 MiB w tables (two comb lengths) and a small x0 table.
-SPECTRUM_CACHE_BYTES = 384 << 20
+# register at odd order, each two 4 MiB k tables (two comb lengths) and a small
+# x0 table.  An even order's k tables are 2g times smaller, so more fit.
+SPECTRUM_CACHE_BYTES = 192 << 20
 
 
 def _fold(k: np.ndarray, Q: int) -> np.ndarray:
@@ -299,43 +304,46 @@ def _fold(k: np.ndarray, Q: int) -> np.ndarray:
     return np.abs(k, out=k)
 
 
+@lru_cache(maxsize=None)  # one per power of two Q' <= MAX_STATE_DIM: at most 8 MiB in all
+def _sines(Qp: int) -> np.ndarray:
+    """Read-only sin(pi i / Q') for i in [0, Q'/2], shared by every spectrum on Q'."""
+    sines = np.sin(np.arange((Qp >> 1) + 1) * (math.pi / Qp))
+    sines.setflags(write=False)
+    return sines
+
+
 def _build_comb_spectrum(two_n: int, r: int):
     """Sampling tables of the comb spectrum for order r on a 2n-qubit left register.
 
-    Returns (x0_cdf, {comb_length: w_cdf}) as built by `rng.cumulative`.  After
-    the right register collapses onto m^(x0) mod N, the surviving left-register
-    comb is x0, x0+r, ... with M = comb length, probability M/Q; the QFT output
-    weight is the squared geometric sum |sum_j e^(2 pi i j r w / Q)|^2
-    = sin^2(pi M u / Q) / sin^2(pi u / Q) with u = r w mod Q, and M^2 where
-    u = 0, independent of x0 except through M.  Only Q and r enter, never N
-    or m.  Both phases are reduced mod Q and folded in integers, so `np.sin`
-    only sees arguments in [0, pi/2], and w runs over [0, Q/2]: the rest of
-    the grid is the mirror image, P(Q - w) = P(w).  The weights are within
-    8e-15 of a long-double evaluation on the full grid at Q up to 2^20 (the
-    unreduced float64 phases were up to 1.4e-10 off); `cumulative`
-    normalises them.
+    Returns (x0_cdf, {comb_length: k_cdf}, Q', 2g, r'^-1 mod Q'), the tables
+    built by `rng.cumulative`.  After the collapse onto m^(x0) mod N the left
+    register holds the comb x0, x0 + r, ... of length M, with probability
+    M/Q, and its QFT puts weight |sum_j e^(2 pi i j r w / Q)|^2 on w.  With
+    g = gcd(r, Q), Q' = Q/g and r' = r/g (odd), that is the Fejer kernel
+    sin^2(pi M u / Q') / sin^2(pi u / Q') of u = r' w mod Q' (M^2 at u = 0),
+    even in u, and g values of w share each u: so the table runs over the
+    folded phase k = min(u, Q' - u) in [0, Q'/2], doubled where k != Q' - k.
+    Only Q and r enter.  Both sines come from `_sines(Q')` at phases reduced
+    and folded in integers; `cumulative` normalises the weights.
     """
     Q = 1 << two_n
-    half = Q >> 1
+    g = gcd(r, Q)
+    Qp, half = Q // g, Q // (2 * g)
     lengths = (Q - 1 - np.arange(r)) // r + 1
-    scale = math.pi / Q
-    u = _fold(np.arange(half + 1) * r, Q)
-    sin_u = np.sin(u * scale)
-    weights = np.empty(Q)
-    low = weights[:half + 1]
-    v = np.empty_like(u)
-    w_cdfs = {}
+    sines = _sines(Qp)
+    k_cdfs = {}
     for M in np.unique(lengths).tolist():
-        np.multiply(u, M, out=v)
-        np.multiply(_fold(v, Q), scale, out=low)
-        np.sin(low, out=low)
+        v = np.arange(half + 1)
+        v *= M
+        weights = sines[_fold(v, Qp)]  # sin(pi M k / Q') up to sign
+        del v
         with np.errstate(divide="ignore", invalid="ignore"):
-            low /= sin_u
-        low[::Q // gcd(r, Q)] = M  # u = 0 exactly at the multiples of Q / gcd(r, Q)
-        low **= 2
-        weights[half + 1:] = low[half - 1:0:-1]
-        w_cdfs[M] = cumulative(weights)
-    return cumulative(lengths / Q), w_cdfs
+            weights /= sines
+        weights[0] = M
+        weights **= 2
+        weights[1:half] *= 2  # k stands for u = k and u = Q' - k
+        k_cdfs[M] = cumulative(weights)
+    return cumulative(lengths / Q), k_cdfs, Qp, 2 * g, pow(r // g, -1, Qp)
 
 
 class _SpectrumCache:
@@ -369,8 +377,8 @@ class _SpectrumCache:
 
 
 def _spectrum_bytes(spectrum) -> int:
-    x0_cdf, w_cdfs = spectrum
-    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in w_cdfs.values())
+    x0_cdf, k_cdfs = spectrum[:2]
+    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in k_cdfs.values())
 
 
 _comb_spectrum = _SpectrumCache(SPECTRUM_CACHE_BYTES)
@@ -382,8 +390,11 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
     The right register is never expanded into amplitudes: it is collapsed to
     a concrete value Z = m^(x0) mod N first, which filters the left register
     down to the comb {x : m^x = Z}, and the QFT peak w is then sampled from
-    the exact comb spectrum.  The continued-fraction candidate (d', r') with
-    denominator below N is attached.  A left register Q = 2^(2n) above
+    the exact comb spectrum: x0, then the folded phase k, then one uniform
+    j in [0, 2g), exact because 2g is a power of two, whose low bit picks
+    u = +-k mod Q' and whose other bits pick the period t in
+    w = u r'^-1 mod Q' + t Q'.  The continued-fraction candidate (d', r')
+    with denominator below N is attached.  A left register Q = 2^(2n) above
     qstate.MAX_STATE_DIM is a ResourceError.
     """
     N, m = as_index(N, "modulus"), as_index(m, "base")
@@ -396,10 +407,12 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
     two_n = check_qubits(_register_width(N), qstate.MAX_STATE_DIM)
     Q = 1 << two_n
     r = multiplicative_order(m, N)
-    x0_cdf, w_cdfs = _comb_spectrum(two_n, r)
+    x0_cdf, k_cdfs, Qp, two_g, r_inverse = _comb_spectrum(two_n, r)
     x0 = rng.draw(x0_cdf)
-    w = rng.draw(w_cdfs[(Q - 1 - x0) // r + 1])
-    d, rr = continued_fraction_best(w, Q, N)
+    k = rng.draw(k_cdfs[(Q - 1 - x0) // r + 1])
+    j = int(rng.uniform() * two_g)
+    w = (-k if j & 1 else k) * r_inverse % Qp + (j >> 1) * Qp
+    d, rr = _best_convergent(w, Q, N)
     return PeriodSample(
         modulus=N,
         base=m,

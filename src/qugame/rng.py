@@ -61,4 +61,5 @@ class RandomSource:
         return int(self._gen.integers(low, high + 1))
 
     def uniform(self) -> float:
-        return float(self._gen.uniform())
+        """Uniform float in [0, 1): the double `Generator.uniform()` gives, drawn faster."""
+        return self._gen.random()

@@ -379,3 +379,19 @@ class TestCore:
     def test_players_outside_the_game_rejected(self, subset):
         with pytest.raises(DomainError):
             CharacteristicGame(2, {subset: 1.0})
+
+    @pytest.mark.parametrize("subset", [(10**8,), (0, 10**8), (10**5000,), 10**5000],
+                             ids=["player-10^8", "second-player-10^8", "player-10^5000",
+                                  "mask-10^5000"])
+    def test_huge_player_refused_before_the_shift(self, subset):
+        # 1 << 10**8 alone would take 12 MiB; the range check comes first, and
+        # the message prints a huge index short
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="out of range for 3 players") as exc:
+                CharacteristicGame(3, {subset: 1.0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(str(exc.value)) < 200

@@ -11,7 +11,7 @@ import pytest
 from conftest import golden
 from qugame import qalgo, qstate
 from qugame.errors import DomainError, ResourceError
-from qugame.rng import RandomSource, cumulative
+from qugame.rng import RandomSource
 
 
 class TestGroverIterations:
@@ -370,7 +370,7 @@ class TestOrderFind:
         # the left-register comb after collapse steps by the true order
         two_n, r = qalgo._register_width(77), qalgo.multiplicative_order(39, 77)
         assert two_n == 14 and r == 30
-        x0_cdf, _ = qalgo._comb_spectrum(two_n, r)
+        x0_cdf = qalgo._comb_spectrum(two_n, r)[0]
         x0_probs = np.diff(x0_cdf, prepend=0.0)
         assert len(x0_probs) == 30
         assert abs(sum(x0_probs) - 1.0) < 1e-12
@@ -385,7 +385,7 @@ class TestOrderFind:
         # 3 has order 5 mod 11: the surviving comb steps by 5
         two_n, r = qalgo._register_width(11), qalgo.multiplicative_order(3, 11)
         assert r == 5
-        x0_cdf, _ = qalgo._comb_spectrum(two_n, r)
+        x0_cdf = qalgo._comb_spectrum(two_n, r)[0]
         Q = 1 << two_n
         assert len(x0_cdf) == r
         for x0 in range(r):
@@ -424,26 +424,27 @@ class TestOrderFind:
             qalgo.order_find(15, 6, RandomSource(0))
 
     def test_collapse_before_qft_equals_deferred(self):
-        # joint (Z, w) distribution computed both ways for N = 15, m = 2
-        N, m = 15, 2
-        two_n, r = qalgo._register_width(N), qalgo.multiplicative_order(m, N)
-        Q = 1 << two_n
-        x0_cdf, w_cdfs = qalgo._comb_spectrum(two_n, r)
-        x0_probs = np.diff(x0_cdf, prepend=0.0)
-        w_dists = {M: np.diff(cdf, prepend=0.0) for M, cdf in w_cdfs.items()}
-        powers = [pow(m, x, N) for x in range(Q)]
-        deferred = {}
-        for z in sorted(set(powers)):
-            xs = np.array([x for x in range(Q) if powers[x] == z])
-            amps = np.exp(2j * np.pi * np.outer(np.arange(Q), xs) / Q).sum(axis=1) / Q
-            deferred[z] = np.abs(amps) ** 2
-        early = {}
-        for x0 in range(r):
-            z = powers[x0]
-            M = (Q - 1 - x0) // r + 1
-            early[z] = x0_probs[x0] * w_dists[M]
-        for z, dist in deferred.items():
-            assert np.abs(dist - early[z]).max() < 1e-12, f"value {z}"
+        # joint (Z, w) distribution computed both ways; r = 4 divides Q, r = 3 is
+        # odd, and r = 6 and 12 have g = 2 and 4
+        for N, m in ((15, 2), (21, 4), (21, 2), (35, 2)):
+            two_n, r = qalgo._register_width(N), qalgo.multiplicative_order(m, N)
+            Q = 1 << two_n
+            spectrum = qalgo._comb_spectrum(two_n, r)
+            x0_probs = np.diff(spectrum[0], prepend=0.0)
+            w_dists = peak_probabilities(spectrum, Q, r)
+            powers = [pow(m, x, N) for x in range(Q)]
+            deferred = {}
+            for z in sorted(set(powers)):
+                xs = np.array([x for x in range(Q) if powers[x] == z])
+                amps = np.exp(2j * np.pi * np.outer(np.arange(Q), xs) / Q).sum(axis=1) / Q
+                deferred[z] = np.abs(amps) ** 2
+            early = {}
+            for x0 in range(r):
+                z = powers[x0]
+                M = (Q - 1 - x0) // r + 1
+                early[z] = x0_probs[x0] * w_dists[M]
+            for z, dist in deferred.items():
+                assert np.abs(dist - early[z]).max() < 1e-12, f"N = {N}, value {z}"
 
     def test_register_cap(self):
         # Q = 2^(2 ceil(log2 N)) may not exceed MAX_STATE_DIM: N = 1023 is the largest odd N
@@ -486,6 +487,40 @@ def dense_distributions(N: int, m: int):
     return Q, two_n, r, x0_probs, w_dists
 
 
+@functools.cache
+def phase_distributions(N: int, m: int):
+    """Reference: the oracle's spectrum summed over each folded phase.
+
+    Returns (Q', 2g, {comb_length: k_probs}, peak), where k = min(u, Q' - u)
+    for u = r' w mod Q' (g = gcd(r, Q), Q' = Q/g, r' = r/g), k_probs[k] sums
+    the oracle's P(w) over the w with that phase, and peak[u] is the w in
+    [0, Q') with r' w = u mod Q', found by tabulating r' w, not by inversion.
+    """
+    Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
+    g = math.gcd(r, Q)
+    Qp = Q // g
+    u = (r // g) * np.arange(Q) % Qp
+    k = np.minimum(u, Qp - u)
+    k_probs = {M: np.bincount(k, weights=p, minlength=Qp // 2 + 1) for M, p in w_dists.items()}
+    peak = np.empty(Qp, dtype=np.int64)
+    peak[u[:Qp]] = np.arange(Qp)
+    return Qp, 2 * g, k_probs, peak
+
+
+def peak_probabilities(spectrum, Q: int, r: int) -> dict:
+    """P(w) over all Q outputs, per comb length, from a spectrum's k tables.
+
+    A phase k in (0, Q'/2) stands for the 2g outputs with u = k or Q' - k,
+    k = 0 and k = Q'/2 for g outputs each; the phase of w is taken from its
+    definition, u = r' w mod Q'.
+    """
+    _, k_cdfs, Qp, two_g, _ = spectrum
+    u = (r * 2 // two_g) * np.arange(Q) % Qp
+    k = np.minimum(u, Qp - u)
+    share = np.where((k == 0) | (k == Qp // 2), two_g // 2, two_g)
+    return {M: np.diff(cdf, prepend=0.0)[k] / share for M, cdf in k_cdfs.items()}
+
+
 def numpy_choice(gen, probs) -> int:
     """Reference sampler: clip, normalise, then numpy's own `Generator.choice`."""
     p = np.clip(probs, 0.0, None)
@@ -493,12 +528,31 @@ def numpy_choice(gen, probs) -> int:
 
 
 def dense_order_find(N: int, m: int, gen) -> qalgo.PeriodSample:
-    """Reference `order_find`: the dense spectrum sampled by `numpy_choice`."""
-    Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
+    """Reference `order_find`: x0 and the phase k drawn by `numpy_choice` from the
+    oracle, then j uniform in [0, 2g) from `gen.random()`: its low bit picks
+    u = k or -k mod Q', the rest the period t in w = peak[u] + t Q'."""
+    Q, two_n, r, x0_probs, _ = dense_distributions(N, m)
+    Qp, two_g, k_probs, peak = phase_distributions(N, m)
     x0 = numpy_choice(gen, x0_probs)
-    w = numpy_choice(gen, w_dists[(Q - 1 - x0) // r + 1])
+    k = numpy_choice(gen, k_probs[(Q - 1 - x0) // r + 1])
+    j = int(gen.random() * two_g)
+    w = int(peak[(Qp - k) % Qp if j & 1 else k]) + (j >> 1) * Qp
     d, rr = qalgo.continued_fraction_best(w, Q, N)
     return qalgo.PeriodSample(N, m, w, two_n, d, rr, pow(m, x0, N))
+
+
+class ScriptedSource:
+    """Stands in for a RandomSource: `draw` returns the scripted indices in turn,
+    `uniform` the scripted floats."""
+
+    def __init__(self, indices, uniforms):
+        self.indices, self.uniforms = list(indices), list(uniforms)
+
+    def draw(self, cdf) -> int:
+        return self.indices.pop(0)
+
+    def uniform(self) -> float:
+        return self.uniforms.pop(0)
 
 
 # (N, m): Q = 2^20 pairs, and pairs sharing (Q, r): (91, 2) and (65, 2) have
@@ -509,15 +563,23 @@ ORACLE_PAIRS = ((15, 2), (77, 39), (91, 2), (65, 2), (1023, 2), (671, 3), (525, 
 
 @pytest.fixture
 def spectrum_cache():
-    """The package's spectrum cache, emptied before and after the test."""
+    """The package's spectrum cache and sine tables, emptied before and after the test."""
     qalgo._comb_spectrum.cache_clear()
+    qalgo._sines.cache_clear()
     yield qalgo._comb_spectrum
     qalgo._comb_spectrum.cache_clear()
+    qalgo._sines.cache_clear()
 
 
 def spectrum_bytes(spectrum) -> int:
-    x0_cdf, w_cdfs = spectrum
-    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in w_cdfs.values())
+    x0_cdf, k_cdfs = spectrum[:2]
+    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in k_cdfs.values())
+
+
+def entry_bytes(Q: int, r: int) -> int:
+    """Bytes of the spectrum of order r on Q: x0 table, one k table per comb length."""
+    lengths = 1 if Q % r == 0 else 2
+    return 8 * r + lengths * 8 * (Q // (2 * math.gcd(r, Q)) + 1)
 
 
 class TestCombSpectrum:
@@ -538,22 +600,40 @@ class TestCombSpectrum:
             for N, m in ((91, 2), (65, 2), (91, 2), (65, 2)):
                 assert qalgo.order_find(N, m, rng) == dense_order_find(N, m, gen)
 
-    # (1023, 2): even r, so u = r w mod Q is 0 at w = Q/2 as well as at 0
+    # odd r: (899, 7); g = 2: (77, 39), (1023, 2); g = 4: (91, 2), (1007, 2); r | Q: (15, 2)
     @pytest.mark.parametrize("N, m", [(15, 2), (77, 39), (91, 2), (899, 7), (1023, 2), (1007, 2)])
-    def test_tables_are_the_dense_spectrum(self, N, m, spectrum_cache, monkeypatch):
+    def test_tables_are_the_dense_spectrum(self, N, m, spectrum_cache):
         Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
-        weights = []
-        monkeypatch.setattr(qalgo, "cumulative", lambda p: weights.append(np.array(p)) or cumulative(p))
-        x0_cdf, w_cdfs = qalgo._comb_spectrum(two_n, r)
-        assert len(weights) == len(w_dists) + 1  # one w table per comb length, then x0
-        assert all(np.array_equal(p[1:], p[:0:-1]) for p in weights[:-1])  # P(w) = P(Q - w)
+        spectrum = qalgo._comb_spectrum(two_n, r)
+        x0_cdf, k_cdfs, Qp, two_g, r_inverse = spectrum
+        g = math.gcd(r, Q)
+        assert (Qp, two_g) == (Q // g, 2 * g) and r // g * r_inverse % Qp == 1
         assert np.abs(np.diff(x0_cdf, prepend=0.0) - x0_probs).max() < 1e-12
-        assert sorted(w_cdfs) == sorted(w_dists)
-        for M, cdf in w_cdfs.items():
-            assert cdf.shape == (Q,) and cdf[-1] == 1.0
-            assert np.abs(np.diff(cdf, prepend=0.0) - w_dists[M]).max() < 1e-12
+        assert sorted(k_cdfs) == sorted(w_dists)
+        for M, cdf in k_cdfs.items():
+            assert cdf.shape == (Qp // 2 + 1,) and cdf[-1] == 1.0
             assert not cdf.flags.writeable
-        assert not x0_cdf.flags.writeable
+        for M, probs in peak_probabilities(spectrum, Q, r).items():
+            assert np.abs(probs - w_dists[M]).max() < 1e-12  # every w
+        assert not x0_cdf.flags.writeable and not qalgo._sines(Qp).flags.writeable
+        assert spectrum_bytes(spectrum) == entry_bytes(Q, r)
+
+    # r | Q, odd r, g = 2, g = 4
+    @pytest.mark.parametrize("N, m", [(15, 2), (21, 4), (21, 2), (35, 2)])
+    def test_every_phase_and_j_reach_their_peaks(self, N, m, spectrum_cache):
+        # order_find's own mapping, driven through every (k, j) of each comb length,
+        # puts P(k) / 2g on each output; summed, that is the oracle's P(w) for every w
+        Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
+        _, k_cdfs, Qp, two_g, _ = qalgo._comb_spectrum(two_n, r)
+        x0_of = {(Q - 1 - x0) // r + 1: x0 for x0 in range(r)}
+        for M, cdf in k_cdfs.items():
+            p_k = np.diff(cdf, prepend=0.0)
+            probs = np.zeros(Q)
+            for k in range(Qp // 2 + 1):
+                for j in range(two_g):
+                    rng = ScriptedSource([x0_of[M], k], [(j + 0.5) / two_g])
+                    probs[qalgo.order_find(N, m, rng).observed_w] += p_k[k] / two_g
+            assert np.abs(probs - w_dists[M]).max() < 1e-12, M
 
     def test_same_order_shares_one_entry(self, spectrum_cache):
         qalgo.order_find(91, 2, RandomSource(0))
@@ -565,14 +645,17 @@ class TestCombSpectrum:
         assert spectrum_cache.entries[(14, 12)] is entry
 
     def test_bytes_stay_under_budget(self, spectrum_cache):
-        # 26 distinct orders on the Q = 2^20 register, more than the budget holds
-        orders = {}
+        # distinct orders of 2 on the Q = 2^20 register until their entries
+        # take more bytes than the budget holds
+        Q, orders, total = 1 << 20, {}, 0
         for N in range(513, 1024, 2):
-            if len(orders) == 26:
-                break
-            if math.gcd(2, N) == 1:
-                orders.setdefault(qalgo.multiplicative_order(2, N), N)
-        assert len(orders) == 26
+            r = qalgo.multiplicative_order(2, N)
+            if r not in orders:
+                orders[r] = N
+                total += entry_bytes(Q, r)
+                if total > qalgo.SPECTRUM_CACHE_BYTES:
+                    break
+        assert total > qalgo.SPECTRUM_CACHE_BYTES
         rng = RandomSource(0)
         for N in orders.values():
             qalgo.order_find(N, 2, rng)
@@ -580,8 +663,9 @@ class TestCombSpectrum:
             assert spectrum_cache.nbytes == sum(
                 spectrum_bytes(e) for e in spectrum_cache.entries.values())
         keys = list(spectrum_cache.entries)
-        assert len(keys) < 26
-        assert keys == [(20, r) for r in list(orders)[26 - len(keys):]]  # oldest went first
+        assert len(keys) < len(orders)
+        # the oldest went first
+        assert keys == [(20, r) for r in list(orders)[len(orders) - len(keys):]]
 
     def test_hit_refreshes_recency(self, spectrum_cache, monkeypatch):
         sizes = {r: spectrum_bytes(qalgo._build_comb_spectrum(8, r)) for r in (3, 5, 7)}
@@ -592,13 +676,17 @@ class TestCombSpectrum:
         assert spectrum_cache.nbytes == sizes[3] + sizes[7]
 
     def test_first_build_peak(self, spectrum_cache):
-        tracemalloc.start()
-        try:
-            qalgo.order_find(1023, 2, RandomSource(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 57 << 20
+        # odd order 105 has the largest tables, Q' = Q; order 10 has Q' = Q/2
+        for N, m in ((899, 7), (1023, 2)):
+            spectrum_cache.cache_clear()
+            qalgo._sines.cache_clear()
+            tracemalloc.start()
+            try:
+                qalgo.order_find(N, m, RandomSource(0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 << 20, (N, m)
 
     def test_order_is_cached_per_pair(self):
         qalgo.multiplicative_order.cache_clear()

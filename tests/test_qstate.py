@@ -332,6 +332,14 @@ class TestRandomSource:
         assert weights.tolist() == [2.0, -1e-18, 0.0, 6.0]
 
 
+def test_uniform_stream_is_numpy_uniform():
+    for seed in range(20):
+        rng, ref = RandomSource(seed), np.random.Generator(np.random.PCG64(seed))
+        draws = [rng.uniform() for _ in range(200)]
+        assert all(type(x) is float for x in draws)
+        assert draws == [float(ref.uniform()) for _ in range(200)]
+
+
 class TestMeasure:
     def test_equal_superposition_probabilities(self):
         psi = StateVector([2], [1 / SQ2, 1 / SQ2])

@@ -8,13 +8,21 @@ digests were recorded from the program on x86-64 (numpy 2.4, OpenBLAS), so
 they are a tripwire, not an oracle: a failing row says that some output bit
 moved, not which value is right.  Editing a digest is a stream change and is
 logged in CHANGES.md with the values that moved.
+
+    PYTHONPATH=src python tests/test_streams.py
+
+prints every row's current digest in the tables' own layout, marking the rows
+that differ from the recorded ones, so that only those are re-recorded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -179,11 +187,11 @@ STREAMS = {
     "choice": (_choice,
         "b1b1aae438ddedd018975bd12f66f790a5dab8860ad23b899c4388c3d7a403e5"),
     "order_find": (_order_find,
-        "1ee2a799410fc6f210d3b0ccd7be41043fe6ca061c5bd95dd6531e89998cb903"),
+        "0de1e1a14c03787eab6ee410021c126fa299dcf43a9117855f5d1dea00614264"),
     "shor_factor": (_shor_factor,
-        "8a923a083300a5c61b0963f69b81e27d69f3c45e10ab153fcc4bed544ed40e5b"),
+        "2fd3e4e5be756dd22c0bcad9339e0a6dabce520ad5cd1de2090d11b98b6eabe7"),
     "rsa_demo": (_rsa_demo,
-        "6f47401ef98ca1e765f5514a8714adc666171de921f2fa0f8d955b52844e61dc"),
+        "4f8179d1840950c95de5d319e0ca1b539db19c472bf89a3cd31d2a466935bb57"),
     "spin_flip_play": (_spin_flip_play,
         "f2ad6e30ddb26303dcad49f889e01c4218e005b9180d9a2397687077aee87a2c"),
     "card_game_round": (_card_game_round,
@@ -205,9 +213,9 @@ CLI_COMMANDS = {
     "bv --n 5 --secret 19":
         "4bf15bfab936aaf89eb13900dc420dff395d8ef55ee2060b758e3c00db5fe7d4",
     "shor --N 77 --seed 1":
-        "962a1e4dda2544e1c683de9274f62adfa92b0901141d8a953b79ac8941bbb929",
+        "91bb86b4670b33a83795bf2be18a03c11cbe910c10a46df2c08db93cd872b146",
     "rsa --N 77 --e 11 --cipher 67 --seed 1":
-        "c0f91f513948312914458ecc60e4ecdf6d7094955d12f61706369e126e516e69",
+        "35ea492aebc5191ff261640033cb16c538fec1481c099e957a0574069cfc3979",
     "spinflip --bob1 H --alice X --bob2 H":
         "e2ebbefdff983d94b7c0152e06f0cf328c15e024c5e6fb4b80d7ae5491b2fa1d",
     "guess --variant I --n 3 --secret 5":
@@ -256,9 +264,29 @@ def test_stream_digest(name):
     assert _sha256(calls()) == expected
 
 
+def _cli_sha256(command: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(command.split() + ["--format", "json"]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("command", CLI_COMMANDS)
-def test_cli_json_digest(command, capsys, monkeypatch):
+def test_cli_json_digest(command, monkeypatch):
     monkeypatch.delenv("QUGAME_SEED", raising=False)
-    assert cli.main(command.split() + ["--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CLI_COMMANDS[command]
+    assert _cli_sha256(command) == CLI_COMMANDS[command]
+
+
+if __name__ == "__main__":
+    os.environ.pop("QUGAME_SEED", None)
+    print("STREAMS = {")
+    for name, (calls, recorded) in STREAMS.items():
+        digest = _sha256(calls())
+        print(f'    "{name}": ({calls.__name__},\n        "{digest}"),'
+              + ("  # moved" if digest != recorded else ""))
+    print("}\n\n# the 20 README commands, each with --format json\nCLI_COMMANDS = {")
+    for command, recorded in CLI_COMMANDS.items():
+        digest = _cli_sha256(command)
+        print(f'    "{command}":\n        "{digest}",'
+              + ("  # moved" if digest != recorded else ""))
+    print("}")
