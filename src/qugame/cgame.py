@@ -36,6 +36,8 @@ class Bimatrix:
             raise DomainError(
                 f"payoff matrices must have shape {expected}, got {a.shape} and {b.shape}"
             )
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise DomainError("payoffs must be finite numbers")
         a = a.copy()
         b = b.copy()
         a.setflags(write=False)
@@ -96,9 +98,9 @@ class MixedStrategy:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1:
             raise DomainError("strategy probabilities must be a vector")
-        if p.min() < -1e-12:
-            raise DomainError(f"negative probability in {p}")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if not p.min() >= -1e-12:
+            raise DomainError(f"negative or NaN probability in {p}")
+        if not abs(p.sum() - 1.0) <= 1e-10:
             raise DomainError(f"probabilities sum to {p.sum()}, expected 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
@@ -171,34 +173,33 @@ class ParetoFlags:
         return bool(self.jointly_dominated[i, j]), bool(self.pareto_optimal[i, j])
 
 
-# elements per boolean temporary of pareto_analysis: a 16x16 table takes one pass
-_PARETO_BLOCK_ELEMENTS = 1 << 16
+def _improvable(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Cells i for which some cell k has a[k] > a[i] + tol and b[k] >= b[i] - tol.
+
+    One sweep: sort by a, take the suffix maximum of b (-inf past the end), and
+    binary-search the first cell whose a exceeds a[i] + tol, so each test is the
+    same float comparison the pairwise definition makes.
+    """
+    order = a.argsort()
+    best_b = np.empty(a.size + 1)  # best_b[k]: max of b over sorted cells k, k+1, ...
+    best_b[-1] = -np.inf
+    np.maximum.accumulate(b[order[::-1]], out=best_b[-2::-1])
+    return best_b[a[order].searchsorted(a + tol, side="right")] >= b - tol
 
 
 def pareto_analysis(g: Bimatrix, tol: float = PAYOFF_TOL) -> ParetoFlags:
     """Classify each payoff point of the table.
 
     A point is jointly dominated when some other cell weakly improves both
-    payoffs and strictly improves one.  It is Pareto optimal when it is not
-    jointly dominated and no other cell raises one player's payoff without
-    lowering the other's.
+    payoffs and strictly improves one.  It is Pareto optimal when no other cell
+    raises one player's payoff without lowering the other's.  For tol >= 0 a
+    strict improvement is also a weak one, so the two flags are complements.
     """
-    A, B = g.payoff_row, g.payoff_col
-    others_a, others_b = A.reshape(-1), B.reshape(-1)
-    cells = others_a.size
-    dominated = np.empty(cells, dtype=bool)
-    optimal = np.empty(cells, dtype=bool)
-    # a block of cells against every cell: (block, m*n) temporaries, block sized
-    # by the element budget but never below one table row
-    block = max(A.shape[1], _PARETO_BLOCK_ELEMENTS // cells)
-    for start in range(0, cells, block):
-        a, b = others_a[start:start + block, None], others_b[start:start + block, None]
-        ge_a, ge_b = others_a >= a - tol, others_b >= b - tol
-        gt_a, gt_b = others_a > a + tol, others_b > b + tol
-        dominated[start:start + block] = (ge_a & ge_b & (gt_a | gt_b)).any(axis=1)
-        optimal[start:start + block] = ~((gt_a & ge_b) | (gt_b & ge_a)).any(axis=1)
-    return ParetoFlags(jointly_dominated=dominated.reshape(A.shape),
-                       pareto_optimal=optimal.reshape(A.shape))
+    if not tol >= 0.0:
+        raise DomainError(f"Pareto tolerance must be >= 0, got {tol}")
+    a, b = g.payoff_row.reshape(-1), g.payoff_col.reshape(-1)
+    dominated = (_improvable(a, b, tol) | _improvable(b, a, tol)).reshape(g.shape)
+    return ParetoFlags(jointly_dominated=dominated, pareto_optimal=~dominated)
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,10 @@ def ess_test(g: Bimatrix, incumbent: int, mutant: int, eta: float) -> ESSResult:
     if not 0.0 < eta < 1.0:
         raise DomainError(f"mutant share eta={eta} must lie in (0, 1)")
     A = g.payoff_row
-    i, j = incumbent, mutant
+    i, j = as_index(incumbent, "incumbent move"), as_index(mutant, "mutant move")
+    for move in (i, j):
+        if not 0 <= move < len(A):
+            raise DomainError(f"move {brief(move)} out of range for {len(A)} moves")
     fit_i = (1.0 - eta) * A[i, i] + eta * A[i, j]
     fit_j = (1.0 - eta) * A[j, i] + eta * A[j, j]
     d0, d1 = A[i, i] - A[j, i], A[i, j] - A[j, j]

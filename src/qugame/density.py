@@ -30,13 +30,13 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"density matrix must be square, got shape {arr.shape}")
         if check:
-            if np.abs(arr - arr.conj().T).max() > HERMITIAN_TOL:
+            if not np.abs(arr - arr.conj().T).max() <= HERMITIAN_TOL:
                 raise DomainError("density matrix is not Hermitian")
             tr = arr.trace()
-            if abs(tr - 1.0) > 1e-8:
+            if not abs(tr - 1.0) <= 1e-8:
                 raise DomainError(f"density matrix has trace {tr}, expected 1")
             eigenvalues = np.linalg.eigvalsh(arr)
-            if eigenvalues.min() < EIGENVALUE_FLOOR:
+            if not eigenvalues.min() >= EIGENVALUE_FLOOR:
                 raise DomainError(
                     f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
                 )
@@ -86,7 +86,7 @@ class BlochVector:
     r_z: float
 
     def __post_init__(self):
-        if self.norm() > 1.0 + 1e-9:
+        if not self.norm() <= 1.0 + 1e-9:
             raise DomainError(f"Bloch vector has length {self.norm()} > 1")
 
     def norm(self) -> float:
@@ -101,7 +101,7 @@ def rho_from_ensemble(states: Sequence[StateVector], probs: Sequence[float]) -> 
     p = np.asarray(probs, dtype=float)
     if len(states) != len(p):
         raise DomainError("one probability per state required")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
+    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
         raise DomainError(f"invalid ensemble probabilities {p.tolist()}")
     dim = states[0].dim
     if any(s.dim != dim for s in states):
@@ -229,14 +229,16 @@ class DiscriminationProblem:
         costs = np.asarray(costs, dtype=float).copy()
         channel = np.asarray(channel, dtype=float).copy()
         n = len(priors)
-        if priors.min() < -1e-12 or abs(priors.sum() - 1.0) > 1e-10:
+        if not (priors.min() >= -1e-12 and abs(priors.sum() - 1.0) <= 1e-10):
             raise DomainError(f"priors must form a distribution, got {priors.tolist()}")
         if costs.shape != (n, n) or channel.shape != (n, n):
             raise DomainError("cost and channel matrices must be N x N")
-        if channel.min() < -1e-12:
+        if not np.isfinite(costs).all():
+            raise DomainError("costs must be finite numbers")
+        if not channel.min() >= -1e-12:
             raise DomainError("channel probabilities must be non-negative")
         col_sums = channel.sum(axis=0)
-        if np.abs(col_sums - 1.0).max() > 1e-10:
+        if not np.abs(col_sums - 1.0).max() <= 1e-10:
             raise DomainError(f"channel columns must sum to 1, got {col_sums.tolist()}")
         for arr in (priors, costs, channel):
             arr.setflags(write=False)

@@ -1,10 +1,11 @@
 import itertools
+import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import golden
 from qugame import cgame, qgames
 from qugame.cgame import Bimatrix, CharacteristicGame, Imputation, MixedStrategy
 from qugame.errors import DomainError
@@ -117,15 +118,40 @@ def random_integer_games(gen, count=200):
         yield Bimatrix([str(i) for i in range(m)], [str(j) for j in range(n)], a, b)
 
 
-class TestPureNash:
-    def test_prisoners_dilemma(self):
-        golden("pd-classical")
+def random_tolerance_games(gen, tol, count=90):
+    """Unrounded and rounded normal payoffs, and integer payoffs offset by 0,
+    +-tol, +-tol/2 or 2 tol, so that many cells differ by exactly tol."""
+    offsets = np.array([0.0, tol, -tol, tol / 2, -tol / 2, 2 * tol])
+    for k in range(count):
+        m, n = gen.integers(1, 6, size=2)
+        if k % 3 == 0:
+            a, b = gen.normal(size=(2, m, n))
+        elif k % 3 == 1:
+            a, b = np.round(gen.normal(size=(2, m, n)), 1)
+        else:
+            a, b = gen.integers(-2, 3, size=(2, m, n)) + gen.choice(offsets, size=(2, m, n))
+        yield Bimatrix([str(i) for i in range(m)], [str(j) for j in range(n)], a, b)
 
+
+class TestRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda: MixedStrategy([math.nan, math.nan]),
+        lambda: MixedStrategy([math.nan, 1.0]),
+        lambda: Bimatrix(["a"], ["x"], [[math.nan]], [[0.0]]),
+        lambda: Bimatrix(["a"], ["x"], [[0.0]], [[math.inf]]),
+        lambda: Bimatrix.zero_sum(["a", "b"], ["x"], [[1.0], [-math.inf]]),
+        lambda: cgame.pareto_analysis(qgames.prisoners_dilemma_payoffs(), -1e-9),
+        lambda: cgame.pareto_analysis(qgames.prisoners_dilemma_payoffs(), math.nan),
+    ], ids=["strategy-nan", "strategy-nan-and-one", "payoff-nan", "payoff-inf",
+            "payoff-minus-inf", "tol-negative", "tol-nan"])
+    def test_non_finite_or_negative_input_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+
+class TestPureNash:
     def test_battle_of_sexes_two_equilibria(self):
         assert cgame.pure_nash(qgames.battle_of_sexes_payoffs()) == [(0, 0), (1, 1)]
-
-    def test_quantum_pd_four_move_grid(self):
-        golden("pd-four-move-grid")
 
     def test_matches_brute_force_oracle(self, gen):
         for _ in range(200):
@@ -149,9 +175,6 @@ class TestPureNash:
 
 
 class TestDominance:
-    def test_prisoners_dilemma(self):
-        golden("pd-classical")
-
     def test_newcomb_dominant_row(self):
         # Alice's payoffs only; the predictor column player has no own table
         alice = [[1_000_000, 0], [1_001_000, 1_000]]
@@ -172,33 +195,36 @@ class TestDominance:
 
 
 class TestPareto:
-    def test_prisoners_dilemma_cells(self):
-        golden("pd-classical")
-
     def test_single_cell_game(self):
         g = Bimatrix(["only"], ["only"], [[2.0]], [[5.0]])
         assert cgame.pareto_analysis(g).cell(0, 0) == (False, True)
 
-    def test_quantum_pd_four_move_corner(self):
-        golden("pd-four-move-grid")
-
     def test_matches_brute_force_oracle(self, gen):
-        for g in random_integer_games(gen):
-            flags = cgame.pareto_analysis(g)
-            dominated, optimal = brute_force_pareto(g)
+        cases = [(g, cgame.PAYOFF_TOL) for g in random_integer_games(gen)]
+        for tol in (0.0, 1e-9, 0.5):
+            cases += [(g, tol) for g in random_tolerance_games(gen, tol)]
+        for g, tol in cases:
+            flags = cgame.pareto_analysis(g, tol)
+            dominated, optimal = brute_force_pareto(g, tol)
             assert np.array_equal(flags.jointly_dominated, dominated)
             assert np.array_equal(flags.pareto_optimal, optimal)
 
     def test_large_table_memory_stays_small(self, gen):
-        a = gen.integers(0, 5, size=(64, 64)).astype(float)
-        g = Bimatrix([str(i) for i in range(64)], [str(j) for j in range(64)], a, a.T)
+        a = gen.integers(0, 5, size=(256, 256)).astype(float)
+        g = Bimatrix([str(i) for i in range(256)], [str(j) for j in range(256)], a, a.T)
+        start = time.perf_counter()
+        flags = cgame.pareto_analysis(g)
+        elapsed = time.perf_counter() - start
         tracemalloc.start()
         try:
             cgame.pareto_analysis(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert elapsed < 1.0
         assert peak < 8 * 2**20
+        # payoffs run 0..4, so the optimal cells are exactly those paying (4, 4)
+        assert np.array_equal(flags.pareto_optimal, (a == 4) & (a.T == 4))
 
 
 class TestMixedNash2x2:
@@ -214,9 +240,6 @@ class TestMixedNash2x2:
             assert abs(result.p - (alpha - gamma) / denom) < 1e-12
             assert abs(result.q - (beta - gamma) / denom) < 1e-12
             assert abs(result.payoffs[0] - (alpha * beta - gamma**2) / denom) < 1e-12
-
-    def test_quantum_bos_corner_submatrix(self):
-        golden("bos-four-move-grid")
 
     def test_pd_degenerate(self):
         g = qgames.prisoners_dilemma_payoffs()
@@ -300,9 +323,6 @@ class TestESS:
         assert result.stable
         assert result.invasion_barrier > 0.999
 
-    def test_quantum_invasion_sequence(self):
-        golden("ess-invasion")
-
     def test_small_eta_matches_best_response(self, gen):
         for _ in range(50):
             a = gen.integers(-3, 6, size=(3, 3)).astype(float)
@@ -316,6 +336,11 @@ class TestESS:
                         assert result.stable
                     if a[i, i] < a[j, i]:
                         assert not result.stable
+
+    @pytest.mark.parametrize("incumbent, mutant", [(-1, 0), (0, 2), (5, 0), (1.5, 0), (0, True)])
+    def test_moves_outside_the_game_rejected(self, incumbent, mutant):
+        with pytest.raises(DomainError):
+            cgame.ess_test(qgames.prisoners_dilemma_payoffs(), incumbent, mutant, eta=0.2)
 
     def test_asymmetric_rejected(self):
         g = Bimatrix(["a", "b"], ["x", "y"], [[1, 2], [3, 4]], [[0, 0], [0, 0]])

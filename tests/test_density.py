@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -281,3 +283,18 @@ class TestDensityMatrixType:
         rho = ensemble_243()
         again = DensityMatrix.from_json_dict(rho.to_json_dict())
         assert np.abs(again.entries - rho.entries).max() < 1e-15
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DensityMatrix([[math.nan, 0], [0, math.nan]]),
+    lambda: BlochVector(math.nan, 0, 0),
+    lambda: density.rho_from_ensemble([qstate.basis_state([2], [0])], [math.nan]),
+    lambda: DiscriminationProblem([math.nan, 0.5], np.zeros((2, 2)), np.eye(2)),
+    lambda: DiscriminationProblem([0.5, 0.5], np.zeros((2, 2)), [[math.nan, 0], [0, 1]]),
+    lambda: DiscriminationProblem([0.5, 0.5], [[0, math.nan], [1, 0]], np.eye(2)),
+    lambda: DiscriminationProblem([0.5, 0.5], [[0, math.inf], [1, 0]], np.eye(2)),
+], ids=["density-matrix", "bloch-vector", "ensemble-probability", "priors", "channel",
+        "cost-nan", "cost-inf"])
+def test_non_finite_input_refused(build):
+    with pytest.raises(DomainError):
+        build()
