@@ -13,13 +13,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, as_index, brief, check_size
+from .errors import (DomainError, Frozen, as_index, brief, check_distribution, check_finite,
+                     check_size)
 
 # comparison slack for payoff tables produced by floating-point simulation
 PAYOFF_TOL = 1e-9
 
 
-class Bimatrix:
+class Bimatrix(Frozen):
     """Pair of real payoff matrices with move labels; rows = Alice, cols = Bob."""
 
     __slots__ = ("row_moves", "col_moves", "payoff_row", "payoff_col")
@@ -27,8 +28,8 @@ class Bimatrix:
     def __init__(self, row_moves, col_moves, payoff_row, payoff_col):
         row_moves = tuple(str(s) for s in row_moves)
         col_moves = tuple(str(s) for s in col_moves)
-        a = np.asarray(payoff_row, dtype=float)
-        b = np.asarray(payoff_col, dtype=float)
+        a = np.array(payoff_row, dtype=float)  # the defensive copies
+        b = np.array(payoff_col, dtype=float)
         if not row_moves or not col_moves:
             raise DomainError("each player needs at least one move")
         expected = (len(row_moves), len(col_moves))
@@ -36,19 +37,9 @@ class Bimatrix:
             raise DomainError(
                 f"payoff matrices must have shape {expected}, got {a.shape} and {b.shape}"
             )
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise DomainError("payoffs must be finite numbers")
-        a = a.copy()
-        b = b.copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "row_moves", row_moves)
-        object.__setattr__(self, "col_moves", col_moves)
-        object.__setattr__(self, "payoff_row", a)
-        object.__setattr__(self, "payoff_col", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Bimatrix is immutable")
+        check_finite(a, "payoffs")
+        check_finite(b, "payoffs")
+        self._freeze(row_moves=row_moves, col_moves=col_moves, payoff_row=a, payoff_col=b)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -75,12 +66,6 @@ class Bimatrix:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Bimatrix":
-        return cls(
-            data["row_moves"], data["col_moves"], data["payoff_row"], data["payoff_col"]
-        )
-
-    @classmethod
     def zero_sum(cls, row_moves, col_moves, payoff_row) -> "Bimatrix":
         a = np.asarray(payoff_row, dtype=float)
         return cls(row_moves, col_moves, a, -a)
@@ -89,7 +74,7 @@ class Bimatrix:
         return f"Bimatrix({self.row_moves} x {self.col_moves})"
 
 
-class MixedStrategy:
+class MixedStrategy(Frozen):
     """Probability vector over a player's moves."""
 
     __slots__ = ("probs",)
@@ -98,32 +83,36 @@ class MixedStrategy:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1:
             raise DomainError("strategy probabilities must be a vector")
-        if not p.min() >= -1e-12:
-            raise DomainError(f"negative or NaN probability in {p}")
-        if not abs(p.sum() - 1.0) <= 1e-10:
-            raise DomainError(f"probabilities sum to {p.sum()}, expected 1")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedStrategy is immutable")
+        check_distribution(p, "strategy probabilities")
+        self._freeze(probs=np.clip(p, 0.0, None))
 
     def __len__(self) -> int:
         return len(self.probs)
 
     @classmethod
     def pure(cls, index: int, size: int) -> "MixedStrategy":
+        index = _move(index, size, "move")  # no move is in range when size < 1
         p = np.zeros(size)
         p[index] = 1.0
         return cls(p)
 
     @classmethod
     def uniform(cls, size: int) -> "MixedStrategy":
+        size = as_index(size, "move count")
+        if size < 1:
+            raise DomainError("a strategy needs at least one move")
         return cls(np.full(size, 1.0 / size))
 
     def __repr__(self) -> str:
         return f"MixedStrategy({self.probs.tolist()})"
+
+
+def _move(index, size, what: str) -> int:
+    """index as a move of a game with size moves, both exact integers."""
+    index, size = as_index(index, what), as_index(size, "move count")
+    if not 0 <= index < size:
+        raise DomainError(f"{what} {brief(index)} out of range for {size} moves")
+    return index
 
 
 def _coerce_strategy(s, size: int) -> MixedStrategy:
@@ -275,6 +264,7 @@ def repeated_payoff_distribution(N: int, p: float) -> list[tuple[int, float]]:
 
     x wins in N games pay 2x - N, with binomial weight C(N, x) p^x (1-p)^(N-x).
     """
+    N = as_index(N, "game count")
     if N < 1:
         raise DomainError("need at least one game")
     if not 0.0 <= p <= 1.0:
@@ -307,10 +297,7 @@ def ess_test(g: Bimatrix, incumbent: int, mutant: int, eta: float) -> ESSResult:
     if not 0.0 < eta < 1.0:
         raise DomainError(f"mutant share eta={eta} must lie in (0, 1)")
     A = g.payoff_row
-    i, j = as_index(incumbent, "incumbent move"), as_index(mutant, "mutant move")
-    for move in (i, j):
-        if not 0 <= move < len(A):
-            raise DomainError(f"move {brief(move)} out of range for {len(A)} moves")
+    i, j = _move(incumbent, len(A), "incumbent move"), _move(mutant, len(A), "mutant move")
     fit_i = (1.0 - eta) * A[i, i] + eta * A[i, j]
     fit_j = (1.0 - eta) * A[j, i] + eta * A[j, j]
     d0, d1 = A[i, i] - A[j, i], A[i, j] - A[j, j]
@@ -335,7 +322,7 @@ def ess_test(g: Bimatrix, incumbent: int, mutant: int, eta: float) -> ESSResult:
 MAX_PLAYERS = 16
 
 
-class CharacteristicGame:
+class CharacteristicGame(Frozen):
     """Coalition-value table v(S) over all subsets of n players."""
 
     __slots__ = ("n_players", "values")
@@ -348,14 +335,10 @@ class CharacteristicGame:
         values = np.zeros(1 << n_players)
         for subset, value in v.items():
             values[self._mask(subset, n_players)] = float(value)
+        check_finite(values, "coalition values")
         if values[0] != 0.0:
             raise DomainError("v(empty set) must be 0")
-        values.setflags(write=False)
-        object.__setattr__(self, "n_players", n_players)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacteristicGame is immutable")
+        self._freeze(n_players=n_players, values=values)
 
     @staticmethod
     def _mask(subset, n_players: int) -> int:
@@ -375,20 +358,17 @@ class CharacteristicGame:
         return float(self.values[self._mask(subset, self.n_players)])
 
 
-class Imputation:
+class Imputation(Frozen):
     """Per-player allocation vector."""
 
     __slots__ = ("allocations",)
 
     def __init__(self, allocations: Sequence[float]):
-        arr = np.asarray(allocations, dtype=float).copy()
+        arr = np.array(allocations, dtype=float)  # the defensive copy
         if arr.ndim != 1:
             raise DomainError("allocations must be a vector")
-        arr.setflags(write=False)
-        object.__setattr__(self, "allocations", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Imputation is immutable")
+        check_finite(arr, "allocations")
+        self._freeze(allocations=arr)
 
     def __len__(self) -> int:
         return len(self.allocations)

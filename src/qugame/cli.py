@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import cgame, density, qalgo, qgames, qstate, verify
-from .errors import DomainError, QugameError, ResourceError, check_qubits
+from .errors import DomainError, QugameError, ResourceError, check_finite, check_qubits
 from .qstate import StateVector
 from .rng import RandomSource
 
@@ -44,8 +44,7 @@ def _parse_state(text: str, dim_hint: int | None = None) -> StateVector:
         amps = [complex(part.strip().replace(" ", "")) for part in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"cannot parse state {text!r}: {exc}")
-    if not np.isfinite(amps).all():
-        raise DomainError(f"state amplitudes must be finite, got {text!r}")
+    check_finite(np.array(amps), "state amplitudes")
     if dim_hint is not None and len(amps) != dim_hint:
         raise DomainError(f"expected {dim_hint} amplitudes, got {len(amps)}")
     norm = float(np.linalg.norm(amps))

@@ -13,49 +13,48 @@ from typing import Sequence
 import numpy as np
 
 from . import qstate
-from .errors import DomainError, as_index, brief_all, check_size
+from .errors import (DomainError, Frozen, as_index, brief_all, check_distribution, check_finite,
+                     check_size)
 from .qstate import StateVector
 
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
 
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Hermitian, positive-semidefinite, trace-1 operator."""
 
     __slots__ = ("dim", "entries")
 
-    def __init__(self, entries, *, check: bool = True):
-        arr = np.asarray(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError(f"density matrix must be square, got shape {arr.shape}")
-        if check:
-            if not np.abs(arr - arr.conj().T).max() <= HERMITIAN_TOL:
-                raise DomainError("density matrix is not Hermitian")
-            tr = arr.trace()
-            if not abs(tr - 1.0) <= 1e-8:
-                raise DomainError(f"density matrix has trace {tr}, expected 1")
-            eigenvalues = np.linalg.eigvalsh(arr)
-            if not eigenvalues.min() >= EIGENVALUE_FLOOR:
-                raise DomainError(
-                    f"density matrix has negative eigenvalue {eigenvalues.min():.3e}"
-                )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "dim", arr.shape[0])
-        object.__setattr__(self, "entries", arr)
+    def __init__(self, entries):
+        arr = np.array(entries, dtype=complex)  # the defensive copy
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise DomainError(f"density matrix must be square and non-empty, got shape {arr.shape}")
+        if not np.abs(arr - arr.conj().T).max() <= HERMITIAN_TOL:
+            raise DomainError("density matrix is not Hermitian")
+        tr = arr.trace()
+        if not abs(tr - 1.0) <= 1e-8:
+            raise DomainError(f"density matrix has trace {tr}, expected 1")
+        eigenvalues = np.linalg.eigvalsh(arr)
+        if not eigenvalues.min() >= EIGENVALUE_FLOOR:
+            raise DomainError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
+        self._freeze(dim=len(arr), entries=arr)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
+    @classmethod
+    def _owned(cls, entries) -> "DensityMatrix":
+        """Trusted constructor for a density matrix the package has just built,
+        on the terms of `UnitaryMatrix._owned`: not checked, and fresh."""
+        arr = np.ascontiguousarray(entries, dtype=complex)
+        return object.__new__(cls)._freeze(dim=len(arr), entries=arr)
 
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        return cls(np.outer(psi.amps, psi.amps.conj()), check=False)
+        return cls._owned(np.outer(psi.amps, psi.amps.conj()))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         dim = check_size(dim, qstate.MAX_OPERATOR_DIM, "density matrix dimension")
-        return cls(np.eye(dim, dtype=complex) / dim, check=False)
+        return cls._owned(np.eye(dim, dtype=complex) / dim)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
@@ -99,10 +98,9 @@ class BlochVector:
 def rho_from_ensemble(states: Sequence[StateVector], probs: Sequence[float]) -> DensityMatrix:
     """Probability-weighted sum of the pure-state projectors."""
     p = np.asarray(probs, dtype=float)
-    if len(states) != len(p):
+    if p.shape != (len(states),):
         raise DomainError("one probability per state required")
-    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
-        raise DomainError(f"invalid ensemble probabilities {p.tolist()}")
+    check_distribution(p, "ensemble probabilities")
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise DomainError("ensemble states must share a dimension")
@@ -125,7 +123,7 @@ def expectation(rho: DensityMatrix, observable) -> float:
     a = np.asarray(observable, dtype=complex)
     if a.shape != (rho.dim, rho.dim):
         raise DomainError(f"observable shape {a.shape} does not match dim {rho.dim}")
-    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
+    if not np.abs(a - a.conj().T).max() <= HERMITIAN_TOL:  # NaN fails too
         raise DomainError("observable is not Hermitian")
     return float((a @ rho.entries).trace().real)
 
@@ -190,6 +188,7 @@ def mle_bernoulli(n_a: int, n_b: int) -> MLEstimate:
     p_hat = n_b / n maximizes the Bernoulli likelihood; r_z = (n_a - n_b)/n
     maximizes the Bloch-form likelihood [ (1+r)/2 ]^(n_a/n) [ (1-r)/2 ]^(n_b/n).
     """
+    n_a, n_b = as_index(n_a, "count"), as_index(n_b, "count")
     if n_a < 0 or n_b < 0:
         raise DomainError("counts must be non-negative")
     n = n_a + n_b
@@ -197,12 +196,14 @@ def mle_bernoulli(n_a: int, n_b: int) -> MLEstimate:
         raise DomainError("need at least one observation")
     p_hat = n_b / n
     r_z = (n_a - n_b) / n
-    rho = DensityMatrix(np.diag([n_a / n, n_b / n]).astype(complex), check=False)
+    rho = DensityMatrix._owned(np.diag([n_a / n, n_b / n]))
     return MLEstimate(p_hat=float(p_hat), r_z=float(r_z), rho=rho)
 
 
 def bloch_likelihood(r_z: float, n_a: int, n_b: int) -> float:
     """Likelihood of z-spin counts under rho = (1 + r_z sigma_z)/2 (frequency exponents)."""
+    if not -1.0 <= r_z <= 1.0:
+        raise DomainError(f"Bloch component r_z={r_z} outside [-1, 1]")
     n = n_a + n_b
     up = 0.5 * (1.0 + r_z)
     down = 0.5 * (1.0 - r_z)
@@ -215,7 +216,7 @@ def bloch_likelihood(r_z: float, n_a: int, n_b: int) -> float:
     return lik
 
 
-class DiscriminationProblem:
+class DiscriminationProblem(Frozen):
     """Bayesian state-discrimination setup: priors, costs and a channel matrix.
 
     ``channel[m, k]`` is the probability of hypothesis a_m given that state k
@@ -225,33 +226,15 @@ class DiscriminationProblem:
     __slots__ = ("priors", "costs", "channel")
 
     def __init__(self, priors, costs, channel):
-        priors = np.asarray(priors, dtype=float).copy()
-        costs = np.asarray(costs, dtype=float).copy()
-        channel = np.asarray(channel, dtype=float).copy()
-        n = len(priors)
-        if not (priors.min() >= -1e-12 and abs(priors.sum() - 1.0) <= 1e-10):
-            raise DomainError(f"priors must form a distribution, got {priors.tolist()}")
-        if costs.shape != (n, n) or channel.shape != (n, n):
-            raise DomainError("cost and channel matrices must be N x N")
-        if not np.isfinite(costs).all():
-            raise DomainError("costs must be finite numbers")
-        if not channel.min() >= -1e-12:
-            raise DomainError("channel probabilities must be non-negative")
-        col_sums = channel.sum(axis=0)
-        if not np.abs(col_sums - 1.0).max() <= 1e-10:
-            raise DomainError(f"channel columns must sum to 1, got {col_sums.tolist()}")
-        for arr in (priors, costs, channel):
-            arr.setflags(write=False)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "channel", channel)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscriminationProblem is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.priors)
+        priors = np.array(priors, dtype=float)  # the defensive copies
+        costs = np.array(costs, dtype=float)
+        channel = np.array(channel, dtype=float)
+        if priors.ndim != 1 or not costs.shape == channel.shape == priors.shape * 2:
+            raise DomainError("priors must be a vector of N, the cost and channel matrices N x N")
+        check_distribution(priors, "priors")
+        check_finite(costs, "costs")
+        check_distribution(channel, "channel columns")
+        self._freeze(priors=priors, costs=costs, channel=channel)
 
 
 def discrimination_cost(problem: DiscriminationProblem) -> tuple[float, float]:
@@ -302,7 +285,7 @@ def uqcm_clone(psi: StateVector) -> CloneResult:
         raise DomainError("uqcm_clone expects a single qubit")
     a, b = psi.amps
     out = a * _CLONE_ZERO + b * _CLONE_ONE
-    full = DensityMatrix(np.outer(out, out.conj()), check=False)
+    full = DensityMatrix._owned(np.outer(out, out.conj()))
     pair = partial_trace(full, (2, 2, 2), keep=(0, 1))
     clone_first = partial_trace(pair, (2, 2), keep=(0,))
     clone_second = partial_trace(pair, (2, 2), keep=(1,))

@@ -1,5 +1,6 @@
 """Error types shared across the package, the integer check of its entry points,
-and the one size guard that runs before every dense allocation.
+the one size guard that runs before every dense allocation, and how a value
+type is built: the `Frozen` base and the distribution and finiteness checks.
 
 The CLI maps these onto process exit codes: DomainError -> 2,
 ResourceError -> 3.
@@ -7,6 +8,8 @@ ResourceError -> 3.
 
 import math
 import operator
+
+import numpy as np
 
 
 class QugameError(Exception):
@@ -63,3 +66,36 @@ def check_qubits(n, cap: int) -> int:
     if n >= cap.bit_length():  # 2^n > cap
         raise ResourceError(f"dimension 2^{brief(n)} exceeds cap {brief(cap)}")
     return n
+
+
+def check_finite(x: np.ndarray, what: str) -> None:
+    """A DomainError when the float array x holds a NaN or an infinity."""
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} must be finite numbers")
+
+
+def check_distribution(p: np.ndarray, what: str) -> None:
+    """A DomainError unless the float array p (one axis or more) holds probability
+    vectors along axis 0: non-empty, entries >= -1e-12 and each sum within 1e-10 of
+    1 (NaN fails).  The message shows the largest |sum - 1|, never the entries."""
+    off = np.abs(p.sum(axis=0) - 1.0).max(initial=0.0)
+    if not (p.size and p.min() >= -1e-12 and off <= 1e-10):
+        raise DomainError(f"{what} must be non-negative and sum to 1 (|sum - 1| = {off:.3g})")
+
+
+class Frozen:
+    """Base of the package's value types: `_freeze` sets each field once, and no
+    attribute can be assigned after that."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _freeze(self, **fields):
+        """self, with the fields set and each numpy array among them made read-only."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self

@@ -128,7 +128,7 @@ def grover_operators(n: int, a: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     zero_reflect = np.eye(dim, dtype=complex)
     zero_reflect[0, 0] = -1.0
     diffusion = -(w @ zero_reflect @ w)
-    return UnitaryMatrix(oracle, check=False), UnitaryMatrix(diffusion, check=False)
+    return UnitaryMatrix._owned(oracle), UnitaryMatrix._owned(diffusion)
 
 
 def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:

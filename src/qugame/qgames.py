@@ -86,8 +86,8 @@ def prisoners_dilemma_payoffs() -> Bimatrix:
 
 def battle_of_sexes_payoffs(alpha: float = 3.0, beta: float = 2.0, gamma: float = 1.0) -> Bimatrix:
     """Opera/TV coordination table; requires alpha > beta > gamma."""
-    if not (alpha > beta > gamma and math.isfinite(alpha) and math.isfinite(gamma)):
-        raise DomainError(f"need finite alpha > beta > gamma, got ({alpha}, {beta}, {gamma})")
+    if not alpha > beta > gamma:  # Bimatrix refuses an infinite one
+        raise DomainError(f"need alpha > beta > gamma, got ({alpha}, {beta}, {gamma})")
     return Bimatrix(
         ["O", "T"],
         ["O", "T"],
@@ -204,7 +204,7 @@ def ewl_entangler(n: int = 2) -> UnitaryMatrix:
         raise DomainError("the entangler is defined for exactly 2 players")
     x = qstate.pauli_x().entries
     u = (np.eye(4, dtype=complex) + 1j * np.kron(x, x)) / math.sqrt(2.0)
-    return UnitaryMatrix(u, check=False)
+    return UnitaryMatrix._owned(u)
 
 
 # J|00> as a 2x2 amplitude array, and J^dag with its input index split per qubit
@@ -428,10 +428,10 @@ def pseudo_telepathy_game(n: int) -> CharacteristicGame:
 _BELL = tuple(qstate.bell_basis(2))
 _GHZ = qstate.bell_basis(3)[0]
 _CORRECTION_GATES = (
-    UnitaryMatrix([[0, 1], [-1, 0]], check=False),
-    UnitaryMatrix([[-1, 0], [0, 1]], check=False),
+    UnitaryMatrix._owned([[0, 1], [-1, 0]]),
+    UnitaryMatrix._owned([[-1, 0], [0, 1]]),
     qstate.pauli_x(),
-    UnitaryMatrix([[-1, 0], [0, -1]], check=False),
+    UnitaryMatrix._owned([[-1, 0], [0, -1]]),
 )
 
 
@@ -469,7 +469,7 @@ _X, _Z = qstate.pauli_x().entries, qstate.pauli_z().entries
 # Gerald's correction, indexed [bell outcome][bob outcome]; bob outcome 0 is
 # |x+>, 1 is |x-> (the columns of the Hadamard).
 _SHARING_CORRECTIONS = tuple(
-    tuple(UnitaryMatrix(m, check=False) for m in pair)
+    tuple(UnitaryMatrix(m) for m in pair)
     for pair in ((np.eye(2), _Z), (_X, _X @ _Z), (_Z, np.eye(2)), (_Z @ _X, -_X))
 )
 _X_BASIS = tuple(StateVector([2], column) for column in qstate.hadamard().entries.T)

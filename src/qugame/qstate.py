@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, as_index, brief, brief_all, check_qubits, check_size
+from .errors import DomainError, Frozen, as_index, brief, brief_all, check_qubits, check_size
 from .rng import RandomSource
 
 # Size caps (module-level, adjustable, read by errors.check_size/check_qubits
@@ -81,7 +81,7 @@ def index_to_digits(dims: Sequence[int], index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-class StateVector:
+class StateVector(Frozen):
     """Normalized complex amplitude vector over a list of subsystem dimensions."""
 
     __slots__ = ("dims", "amps")
@@ -92,11 +92,9 @@ class StateVector:
             raise DomainError(f"every subsystem dimension must be >= 2, got {brief_all(dims)}")
         total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
         arr = np.array(amps, dtype=complex)  # the defensive copy
-        if arr.ndim != 1:
-            raise DomainError(f"amplitudes must be one-dimensional, got shape {arr.shape}")
-        if arr.size != total:
-            raise DomainError(f"expected {total} amplitudes for dims {dims}, got {arr.size}")
-        self._fill(dims, arr)
+        if arr.shape != (total,):
+            raise DomainError(f"expected {total} amplitudes for dims {dims}, got shape {arr.shape}")
+        self._freeze(dims=dims, amps=_unit(arr))
 
     @classmethod
     def _owned(cls, dims: tuple[int, ...], arr: np.ndarray) -> "StateVector":
@@ -106,18 +104,7 @@ class StateVector:
         matching size that no one else holds; it is neither re-validated nor
         copied.  The norm check and the renorm on drift still run.
         """
-        state = object.__new__(cls)
-        state._fill(dims, arr)
-        return state
-
-    def _fill(self, dims: tuple[int, ...], arr: np.ndarray) -> None:
-        arr = _unit(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amps", arr)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("StateVector is immutable")
+        return object.__new__(cls)._freeze(dims=dims, amps=_unit(arr))
 
     @property
     def dim(self) -> int:
@@ -150,34 +137,34 @@ class StateVector:
         return cls(tuple(data["dims"]), amps)
 
 
-class UnitaryMatrix:
+class UnitaryMatrix(Frozen):
     """Dense complex square matrix with a unitarity certificate (U+U = 1)."""
 
     __slots__ = ("dim", "entries")
 
-    def __init__(self, entries, *, check: bool = True):
-        arr = np.asarray(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError(f"matrix must be square, got shape {arr.shape}")
-        if check:
-            deviation = np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max()
-            if not deviation <= UNITARY_TOL:  # NaN fails too
-                raise DomainError(f"matrix is not unitary (max deviation {deviation:.3e})")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "dim", arr.shape[0])
-        object.__setattr__(self, "entries", arr)
+    def __init__(self, entries):
+        arr = np.array(entries, dtype=complex)  # the defensive copy
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise DomainError(f"matrix must be square and non-empty, got shape {arr.shape}")
+        deviation = np.abs(arr.conj().T @ arr - np.eye(len(arr))).max()
+        if not deviation <= UNITARY_TOL:  # NaN fails too
+            raise DomainError(f"matrix is not unitary (max deviation {deviation:.3e})")
+        self._freeze(dim=len(arr), entries=arr)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryMatrix is immutable")
+    @classmethod
+    def _owned(cls, entries) -> "UnitaryMatrix":
+        """Trusted constructor for a unitary the package has just built: entries is not
+        checked and is copied only into C-order complex, so an array must be fresh."""
+        arr = np.ascontiguousarray(entries, dtype=complex)
+        return object.__new__(cls)._freeze(dim=len(arr), entries=arr)
 
     def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.entries.conj().T, check=False)
+        return UnitaryMatrix._owned(self.entries.conj().T)
 
     def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
         if self.dim != other.dim:
             raise DomainError("dimension mismatch in matrix product")
-        return UnitaryMatrix(self.entries @ other.entries, check=False)
+        return UnitaryMatrix._owned(self.entries @ other.entries)
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
@@ -243,7 +230,7 @@ def tensor(a, b):
         return StateVector._owned(a.dims + b.dims, np.multiply.outer(a.amps, b.amps).reshape(-1))
     if isinstance(a, UnitaryMatrix) and isinstance(b, UnitaryMatrix):
         check_size(a.dim * b.dim, MAX_OPERATOR_DIM, "operator dimension")
-        return UnitaryMatrix(np.kron(a.entries, b.entries), check=False)
+        return UnitaryMatrix._owned(np.kron(a.entries, b.entries))
     raise DomainError("tensor requires two StateVectors or two UnitaryMatrices")
 
 
@@ -255,40 +242,42 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 def identity(dim: int = 2) -> UnitaryMatrix:
     dim = check_size(dim, MAX_OPERATOR_DIM, "operator dimension")
-    return UnitaryMatrix(np.eye(dim, dtype=complex), check=False)
+    return UnitaryMatrix._owned(np.eye(dim, dtype=complex))
 
 
 def pauli_x() -> UnitaryMatrix:
-    return UnitaryMatrix([[0, 1], [1, 0]], check=False)
+    return UnitaryMatrix._owned([[0, 1], [1, 0]])
 
 
 def pauli_y() -> UnitaryMatrix:
-    return UnitaryMatrix([[0, -1j], [1j, 0]], check=False)
+    return UnitaryMatrix._owned([[0, -1j], [1j, 0]])
 
 
 def pauli_z() -> UnitaryMatrix:
-    return UnitaryMatrix([[1, 0], [0, -1]], check=False)
+    return UnitaryMatrix._owned([[1, 0], [0, -1]])
 
 
 def hadamard() -> UnitaryMatrix:
-    return UnitaryMatrix([[_SQ2, _SQ2], [_SQ2, -_SQ2]], check=False)
+    return UnitaryMatrix._owned([[_SQ2, _SQ2], [_SQ2, -_SQ2]])
 
 
 def cnot() -> UnitaryMatrix:
     """Controlled NOT on two qubits; left (most significant) qubit controls."""
     m = np.eye(4, dtype=complex)
     m[[2, 3]] = m[[3, 2]]
-    return UnitaryMatrix(m, check=False)
+    return UnitaryMatrix._owned(m)
 
 
 def phase_gate(r: float) -> UnitaryMatrix:
     """diag(1, e^{i pi r}): identity at r=0, pauli_z at r=1."""
-    return UnitaryMatrix([[1, 0], [0, np.exp(1j * math.pi * r)]], check=False)
+    if not math.isfinite(r):
+        raise DomainError(f"phase {r} must be a finite number")
+    return UnitaryMatrix._owned([[1, 0], [0, np.exp(1j * math.pi * r)]])
 
 
 def quarter_phase() -> UnitaryMatrix:
     """diag(1, i); applying it twice to |1> gives -|1>."""
-    return UnitaryMatrix([[1, 0], [0, 1j]], check=False)
+    return UnitaryMatrix._owned([[1, 0], [0, 1j]])
 
 
 def controlled_add(dim: int = 3) -> UnitaryMatrix:
@@ -299,7 +288,7 @@ def controlled_add(dim: int = 3) -> UnitaryMatrix:
     for c in range(dim):
         for t in range(dim):
             m[c * dim + (t + c) % dim, c * dim + t] = 1.0
-    return UnitaryMatrix(m, check=False)
+    return UnitaryMatrix._owned(m)
 
 
 # lower-case gate names; the short ones are the move labels of the games and the CLI
@@ -341,7 +330,7 @@ def walsh(n: int) -> UnitaryMatrix:
     m = np.array([[1.0]], dtype=complex)
     for _ in range(n):
         m = np.kron(m, h)
-    return UnitaryMatrix(m, check=False)
+    return UnitaryMatrix._owned(m)
 
 
 def qft(n: int, inverse: bool = False) -> UnitaryMatrix:
@@ -350,7 +339,7 @@ def qft(n: int, inverse: bool = False) -> UnitaryMatrix:
     sign = -1.0 if inverse else 1.0
     exponent = np.outer(np.arange(dim), np.arange(dim))
     m = np.exp(sign * 2j * math.pi * exponent / dim) / math.sqrt(dim)
-    return UnitaryMatrix(m, check=False)
+    return UnitaryMatrix._owned(m)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,26 @@ class TestRefusals:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: MixedStrategy([]),
+        lambda: MixedStrategy.uniform(0),
+        lambda: MixedStrategy.uniform(1.5),
+        lambda: MixedStrategy.pure(5, 2),
+        lambda: MixedStrategy.pure(-1, 2),
+        lambda: MixedStrategy.pure(0, 0),
+        lambda: CharacteristicGame(1, {(0,): math.nan}),
+        lambda: CharacteristicGame(2, {(0, 1): math.inf}),
+        lambda: Imputation([math.nan]),
+        lambda: Imputation([1.0, -math.inf]),
+        lambda: cgame.repeated_payoff_distribution(1.5, 0.5),
+        lambda: cgame.repeated_payoff_distribution(True, 0.5),
+    ], ids=["strategy-empty", "uniform-0", "uniform-float", "pure-index-5-of-2",
+            "pure-index-minus-1", "pure-size-0", "coalition-nan", "coalition-inf",
+            "allocation-nan", "allocation-minus-inf", "games-float", "games-bool"])
+    def test_empty_nan_or_non_integer_input_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
 
 class TestPureNash:
     def test_battle_of_sexes_two_equilibria(self):

@@ -544,8 +544,18 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             UnitaryMatrix([[math.nan, 0], [0, 1]])
 
+    @pytest.mark.parametrize("build", [
+        lambda: UnitaryMatrix(np.zeros((0, 0))),
+        lambda: qstate.phase_gate(math.nan),
+        lambda: qstate.phase_gate(math.inf),
+        lambda: qstate.standard_gate("phase", math.nan),
+    ], ids=["unitary-empty", "phase-nan", "phase-inf", "named-phase-nan"])
+    def test_empty_or_nan_gate_refused(self, build):
+        with pytest.raises(DomainError):
+            build()
+
     def test_apply_of_unchecked_nan_operator_rejected(self):
-        bad = UnitaryMatrix([[math.nan, 0], [0, 1]], check=False)
+        bad = UnitaryMatrix._owned([[math.nan, 0], [0, 1]])
         with pytest.raises(DomainError):
             qstate.apply(qstate.basis_state([2, 2], [0, 0]), bad, [0])
 
