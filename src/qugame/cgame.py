@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DomainError, Frozen, as_index, brief, check_distribution, check_finite,
                      check_size)
 
-# comparison slack for payoff tables produced by floating-point simulation
+# comparison slack for simulated payoff tables, read at each call by the analyses below
 PAYOFF_TOL = 1e-9
 
 
@@ -45,13 +45,13 @@ class Bimatrix(Frozen):
     def shape(self) -> tuple[int, int]:
         return self.payoff_row.shape
 
-    def is_zero_sum(self, tol: float = PAYOFF_TOL) -> bool:
-        return bool(np.abs(self.payoff_row + self.payoff_col).max() <= tol)
+    def is_zero_sum(self) -> bool:
+        return bool(np.abs(self.payoff_row + self.payoff_col).max() <= PAYOFF_TOL)
 
-    def is_symmetric(self, tol: float = PAYOFF_TOL) -> bool:
+    def is_symmetric(self) -> bool:
         return (
             self.shape[0] == self.shape[1]
-            and bool(np.abs(self.payoff_row - self.payoff_col.T).max() <= tol)
+            and bool(np.abs(self.payoff_row - self.payoff_col.T).max() <= PAYOFF_TOL)
         )
 
     def cell(self, i: int, j: int) -> tuple[float, float]:
@@ -132,22 +132,22 @@ def expected_payoff(g: Bimatrix, pA, pB) -> tuple[float, float]:
     return a, b
 
 
-def _best_responses(g: Bimatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _best_responses(g: Bimatrix) -> tuple[np.ndarray, np.ndarray]:
     """Cells where the row (column) player's move is a weak best response."""
-    rows = g.payoff_row >= g.payoff_row.max(axis=0) - tol
-    cols = g.payoff_col >= g.payoff_col.max(axis=1, keepdims=True) - tol
+    rows = g.payoff_row >= g.payoff_row.max(axis=0) - PAYOFF_TOL
+    cols = g.payoff_col >= g.payoff_col.max(axis=1, keepdims=True) - PAYOFF_TOL
     return rows, cols
 
 
-def pure_nash(g: Bimatrix, tol: float = PAYOFF_TOL) -> list[tuple[int, int]]:
+def pure_nash(g: Bimatrix) -> list[tuple[int, int]]:
     """All cells where neither player gains by a unilateral deviation (weak)."""
-    rows, cols = _best_responses(g, tol)
+    rows, cols = _best_responses(g)
     return [tuple(cell) for cell in np.argwhere(rows & cols).tolist()]
 
 
-def dominant_moves(g: Bimatrix, tol: float = PAYOFF_TOL) -> tuple[list[int], list[int]]:
+def dominant_moves(g: Bimatrix) -> tuple[list[int], list[int]]:
     """Weakly dominant moves for the row and the column player (may be empty)."""
-    rows, cols = _best_responses(g, tol)
+    rows, cols = _best_responses(g)
     return np.flatnonzero(rows.all(axis=1)).tolist(), np.flatnonzero(cols.all(axis=0)).tolist()
 
 
@@ -176,18 +176,17 @@ def _improvable(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return best_b[a[order].searchsorted(a + tol, side="right")] >= b - tol
 
 
-def pareto_analysis(g: Bimatrix, tol: float = PAYOFF_TOL) -> ParetoFlags:
-    """Classify each payoff point of the table.
+def pareto_analysis(g: Bimatrix) -> ParetoFlags:
+    """Classify each payoff point of the table, comparing payoffs to PAYOFF_TOL.
 
     A point is jointly dominated when some other cell weakly improves both
-    payoffs and strictly improves one.  It is Pareto optimal when no other cell
-    raises one player's payoff without lowering the other's.  For tol >= 0 a
-    strict improvement is also a weak one, so the two flags are complements.
+    payoffs and strictly improves one: one payoff rises by more than
+    PAYOFF_TOL and the other falls by at most PAYOFF_TOL.  It is Pareto
+    optimal when no other cell does that.  A strict improvement is also a weak
+    one, so the two flags are complements.
     """
-    if not tol >= 0.0:
-        raise DomainError(f"Pareto tolerance must be >= 0, got {tol}")
     a, b = g.payoff_row.reshape(-1), g.payoff_col.reshape(-1)
-    dominated = (_improvable(a, b, tol) | _improvable(b, a, tol)).reshape(g.shape)
+    dominated = (_improvable(a, b, PAYOFF_TOL) | _improvable(b, a, PAYOFF_TOL)).reshape(g.shape)
     return ParetoFlags(jointly_dominated=dominated, pareto_optimal=~dominated)
 
 
@@ -374,7 +373,7 @@ class Imputation(Frozen):
         return len(self.allocations)
 
 
-def core_check(g: CharacteristicGame, imp: Imputation, tol: float = 1e-9) -> bool:
+def core_check(g: CharacteristicGame, imp: Imputation) -> bool:
     """True when every coalition receives at least v(S) and v(N) is fully split."""
     if len(imp) != g.n_players:
         raise DomainError(
@@ -386,6 +385,6 @@ def core_check(g: CharacteristicGame, imp: Imputation, tol: float = 1e-9) -> boo
     for mask in range(1, 1 << n):
         low = mask & -mask
         totals[mask] = totals[mask ^ low] + imp.allocations[low.bit_length() - 1]
-    if abs(totals[full] - g.values[full]) > tol:
+    if abs(totals[full] - g.values[full]) > PAYOFF_TOL:
         return False
-    return bool(np.all(totals >= g.values - tol))
+    return bool(np.all(totals >= g.values - PAYOFF_TOL))

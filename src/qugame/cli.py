@@ -3,7 +3,8 @@
 Output is dual: a human table (probabilities at 4 decimals) or canonical
 JSON (sorted keys, full precision).  `--seed` fully determines stochastic
 output; QUGAME_SEED overrides the default seed 0.  Exit codes: 0 success,
-2 domain error, 3 resource error, 64 usage error.
+2 domain error, 3 resource error, 64 usage error (including a manifest that
+cannot be read and an --output that cannot be written).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -38,25 +38,19 @@ def _default_seed() -> int:
         raise DomainError(f"QUGAME_SEED must be an integer, got {raw!r}")
 
 
-def _parse_state(text: str, dim_hint: int | None = None) -> StateVector:
-    """Parse comma-separated complex amplitudes like '0.6,0.8j'."""
+def _parse_state(text: str, dim: int) -> StateVector:
+    """Parse dim comma-separated complex amplitudes like '0.6,0.8j' into one qudit."""
     try:
         amps = [complex(part.strip().replace(" ", "")) for part in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"cannot parse state {text!r}: {exc}")
     check_finite(np.array(amps), "state amplitudes")
-    if dim_hint is not None and len(amps) != dim_hint:
-        raise DomainError(f"expected {dim_hint} amplitudes, got {len(amps)}")
+    if len(amps) != dim:
+        raise DomainError(f"expected {dim} amplitudes, got {len(amps)}")
     norm = float(np.linalg.norm(amps))
     if norm < 1e-12:
         raise DomainError("state amplitudes are all zero")
-    if len(amps) == 2:
-        dims = (2,)
-    elif len(amps) == 3:
-        dims = (3,)
-    else:
-        raise DomainError(f"expected 2 or 3 amplitudes, got {len(amps)}")
-    return StateVector(dims, np.asarray(amps) / norm)
+    return StateVector((dim,), np.asarray(amps) / norm)
 
 
 # argparse `type=` converters: a malformed list is a usage error (exit 64)
@@ -368,9 +362,6 @@ def _run_verify(args, rng):
     return payload, lines
 
 
-_HANDLERS: dict[str, Callable] = {}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qugame", description=__doc__)
     parser.add_argument("--manifest", help="JSON manifest with subcommand, parameters, seed")
@@ -382,7 +373,7 @@ def _build_parser() -> _Parser:
 
     def cmd(name, handler, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
-        _HANDLERS[name] = handler
+        p.set_defaults(run=handler)
         return p
 
     p = cmd("grover", _run_grover, help="Grover search demo")
@@ -498,19 +489,14 @@ def main(argv=None) -> int:
             print('qugame: a manifest is an object with a string "subcommand" and an '
                   'object "parameters"', file=sys.stderr)
             return USAGE_EXIT
+        common = {key: manifest[key] for key in ("seed", "format", "output") if key in manifest}
+        options = {**manifest.get("parameters", {}), **common}
         argv2 = [manifest["subcommand"]]
-        for key, value in manifest.get("parameters", {}).items():
-            if isinstance(value, bool):
-                if value:
-                    argv2.append(f"--{key}")
-            else:
-                argv2.extend([f"--{key}", str(value)])
-        if "seed" in manifest:
-            argv2.extend(["--seed", str(manifest["seed"])])
-        if "format" in manifest:
-            argv2.extend(["--format", str(manifest["format"])])
-        if "output" in manifest:
-            argv2.extend(["--output", str(manifest["output"])])
+        for key, value in options.items():
+            if value is True:
+                argv2.append(f"--{key}")
+            elif value is not False:  # one token, so a value may start with '-'
+                argv2.append(f"--{key}={value}")
         args = parser.parse_args(argv2)
 
     if not args.command:
@@ -519,15 +505,19 @@ def main(argv=None) -> int:
     try:
         seed = args.seed if args.seed is not None else _default_seed()
         rng = RandomSource(seed)
-        payload, lines = _HANDLERS[args.command](args, rng)
+        payload, lines = args.run(args, rng)
         payload = {"subcommand": args.command, "seed": seed, **payload}
         if args.format == "json":
             sys.stdout.write(_canonical_json(payload))
         else:
             print("\n".join(lines))
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(_canonical_json(payload))
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(_canonical_json(payload))
+            except OSError as exc:
+                print(f"qugame: cannot write output: {exc}", file=sys.stderr)
+                return USAGE_EXIT
         if args.command == "verify" and payload["failures"]:
             return 1
         return 0

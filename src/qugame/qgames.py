@@ -198,18 +198,16 @@ def guess_number_game(variant: str, n: int, a: int) -> GameReport:
 # EWL protocol
 
 
-def ewl_entangler(n: int = 2) -> UnitaryMatrix:
-    """The symmetric entangling operator (1 + i X^n)/sqrt(2) for two players."""
-    if n != 2:
-        raise DomainError("the entangler is defined for exactly 2 players")
+def ewl_entangler() -> UnitaryMatrix:
+    """The two-player symmetric entangling operator (1 + i X x X)/sqrt(2)."""
     x = qstate.pauli_x().entries
     u = (np.eye(4, dtype=complex) + 1j * np.kron(x, x)) / math.sqrt(2.0)
     return UnitaryMatrix._owned(u)
 
 
 # J|00> as a 2x2 amplitude array, and J^dag with its input index split per qubit
-_EWL_START = ewl_entangler(2).entries[:, 0].reshape(2, 2)
-_EWL_UNDO = ewl_entangler(2).dagger().entries.reshape(4, 2, 2)
+_EWL_START = ewl_entangler().entries[:, 0].reshape(2, 2)
+_EWL_UNDO = ewl_entangler().dagger().entries.reshape(4, 2, 2)
 
 
 def _ewl_kernel(ua: np.ndarray, ub: np.ndarray, payoffs: Bimatrix):
@@ -289,7 +287,7 @@ def newcomb_play(sb_choice: int, w: float, coherent_shorthand: bool = False) -> 
         h_mat = np.kron(h.entries, np.eye(2))
         coefficient = complex((h_mat @ mixed)[target])
         report.params["coherent_coefficient"] = [coefficient.real, coefficient.imag]
-        report.outcome = "|" + format(target, "02b") + ">"
+        report.outcome = qstate.basis_label((2, 2), target)
         report.log("SB", "Hadamard on Alice's qubit (coherent shorthand)")
         report.probabilities = {"target_weight": abs(coefficient) ** 2}
         return report
@@ -305,12 +303,9 @@ def newcomb_play(sb_choice: int, w: float, coherent_shorthand: bool = False) -> 
         dists.append(weight * branch.probabilities())
     probs = np.sum(dists, axis=0)
     report.probabilities = {
-        qstate.basis_state([2, 2], k).label_of(k): float(p)
-        for k, p in enumerate(probs)
-        if p > 1e-15
+        qstate.basis_label((2, 2), k): float(p) for k, p in enumerate(probs) if p > 1e-15
     }
-    outcome = int(np.argmax(probs))
-    report.outcome = "|" + format(outcome, "02b") + ">"
+    report.outcome = qstate.basis_label((2, 2), int(np.argmax(probs)))
     dollars = float(sum(NEWCOMB_PAYOFFS[k] * probs[k] for k in range(4)))
     report.payoffs = {"Alice": dollars}
     return report

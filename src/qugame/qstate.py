@@ -81,6 +81,11 @@ def index_to_digits(dims: Sequence[int], index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def basis_label(dims: Sequence[int], index: int) -> str:
+    """Ket label of a basis index, e.g. '|011>' for index 3 over (2, 2, 2)."""
+    return "|" + "".join(map(str, index_to_digits(dims, index))) + ">"
+
+
 class StateVector(Frozen):
     """Normalized complex amplitude vector over a list of subsystem dimensions."""
 
@@ -115,12 +120,6 @@ class StateVector(Frozen):
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
-
-    def digits_of(self, index: int) -> tuple[int, ...]:
-        return index_to_digits(self.dims, index)
-
-    def label_of(self, index: int) -> str:
-        return "|" + "".join(str(d) for d in self.digits_of(index)) + ">"
 
     def __repr__(self) -> str:
         return f"StateVector(dims={self.dims}, dim={self.dim})"
@@ -440,11 +439,11 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOL) -> bool:
-    """True when a and b differ only by a unit-modulus scalar."""
+def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
+    """True when a and b differ only by a unit-modulus scalar, to PHASE_TOL."""
     if a.dims != b.dims:
         return False
-    return abs(abs(inner(a, b)) - 1.0) <= tol
+    return abs(abs(inner(a, b)) - 1.0) <= PHASE_TOL
 
 
 def measure(
@@ -499,7 +498,7 @@ def measure(
 
     probability = float(probs[outcome])
     if basis is None:
-        label = "|" + "".join(str(d) for d in index_to_digits(target_dims, outcome)) + ">"
+        label = basis_label(target_dims, outcome)
         unit = np.zeros(len(probs), dtype=complex)
         unit[outcome] = 1.0
         vector = StateVector._owned(target_dims, unit)

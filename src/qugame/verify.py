@@ -196,7 +196,7 @@ def _bell_states(pd):
 
 
 def _ewl_entangler(pd):
-    u = qgames.ewl_entangler(2)
+    u = qgames.ewl_entangler()
     state = qstate.apply(qstate.basis_state([2, 2], [0, 0]), u)
     xx = qstate.tensor(qstate.pauli_x(), qstate.pauli_x())
     final = qstate.apply(qstate.apply(state, xx), u.dagger())

