@@ -1,4 +1,4 @@
-"""Layer timings of qstate, qalgo, rng, cgame, qgames, verify and the CLI for two package
+"""Layer timings of qstate, qalgo, rng, cgame, qgames, density, verify and the CLI for two package
 versions, interleaved.
 
 Each round starts one worker process per side (the base revision's `src/`,
@@ -24,7 +24,9 @@ side goes first, and every worker times the same rows:
   order 10, and g = 4, (1007, 2) of order 468;
 * `RandomSource.choice` over 4, 2^10 and 2^20 weights;
 * `pareto_analysis` of 4x4, 16x16 and 256x256 tables;
-* `card_game_round` (sampled) and `secret_share_qutrit`;
+* `card_game_round` (sampled), `pseudo_telepathy_round` (sampled) at N = 4, 10
+  and 16 players, `secret_share_qubit` (sampled), `secret_share_qutrit` and
+  `uqcm_clone`;
 * the CLI's `grover --n 20 --target 0` with table output, in process.
 
 A row's time is the median per-call wall time over repeated batches inside a
@@ -101,13 +103,17 @@ def rows():
     for n in (4, 16, 256):
         yield {"layer": "pareto_analysis", "n": n, "mode": f"{n}x{n}"}
     yield {"layer": "card_game_round", "n": 3, "mode": "sampled"}
+    for n in (4, 10, 16):
+        yield {"layer": "pseudo_telepathy_round", "n": n, "mode": "sampled"}
+    yield {"layer": "secret_share_qubit", "n": 4, "mode": "sampled"}
     yield {"layer": "secret_share_qutrit", "n": 3, "mode": "bob,gerald"}
+    yield {"layer": "uqcm_clone", "n": 3, "mode": "complex qubit"}
     yield {"layer": "cli grover", "n": 20, "mode": "table"}
 
 
 def call_for(row):
     """A zero-argument callable doing one call of the row's layer."""
-    from qugame import cgame, cli, qalgo, qgames, qstate, verify  # the side's own src/
+    from qugame import cgame, cli, density, qalgo, qgames, qstate, verify  # the side's own src/
     from qugame.rng import RandomSource
 
     n = row["n"]
@@ -141,6 +147,17 @@ def call_for(row):
     if row["layer"] == "card_game_round":
         rng = RandomSource(0)
         return lambda: qgames.card_game_round((0, 1, 1), rng=rng)
+    if row["layer"] == "pseudo_telepathy_round":
+        rng = RandomSource(0)
+        x = (1, 1) + (0,) * (n - 2)
+        return lambda: qgames.pseudo_telepathy_round(x, rng=rng)
+    if row["layer"] == "secret_share_qubit":
+        rng = RandomSource(0)
+        secret = qstate.StateVector([2], [0.6, 0.8j])
+        return lambda: qgames.secret_share_qubit(secret, rng=rng)
+    if row["layer"] == "uqcm_clone":
+        psi = qstate.StateVector([2], [0.6, 0.8j])
+        return lambda: density.uqcm_clone(psi)
     if row["layer"] == "secret_share_qutrit":
         secret = qstate.StateVector([3], [0.5, 0.5j, 0.5**0.5])
         return lambda: qgames.secret_share_qutrit(secret, "bob,gerald")
@@ -283,7 +300,8 @@ def main() -> int:
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           capture_output=True, text=True).stdout.strip()
     report = {
-        "what": "qstate, qalgo, rng, verify and cli layer timings, parent vs change, interleaved worker processes",
+        "what": "qstate, qalgo, rng, cgame, qgames, density, verify and cli layer timings, "
+                "parent vs change, interleaved worker processes",
         "parent": f"src/ of {base}",
         "change": "src/ of the checkout's working tree",
         "rounds": args.rounds,

@@ -73,6 +73,13 @@ def _float_rows(text: str) -> np.ndarray:
     return np.array([_floats(row) for row in text.split(";")])
 
 
+def _option_text(value) -> str:
+    """A manifest value as option text: a list as a comma list, a list of lists as rows."""
+    if not isinstance(value, list):
+        return str(value)
+    return (";" if any(isinstance(v, list) for v in value) else ",").join(map(_option_text, value))
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
@@ -231,11 +238,7 @@ def _run_bos(args, rng):
 
 
 def _run_tables(args, rng):
-    if args.game == "pd":
-        return _run_pd(args, rng)
-    if args.game == "bos":
-        return _run_bos(args, rng)
-    raise DomainError(f"unknown table game {args.game!r}")
+    return (_run_pd if args.game == "pd" else _run_bos)(args, rng)  # argparse admits no other
 
 
 def _run_newcomb(args, rng):
@@ -496,7 +499,7 @@ def main(argv=None) -> int:
             if value is True:
                 argv2.append(f"--{key}")
             elif value is not False:  # one token, so a value may start with '-'
-                argv2.append(f"--{key}={value}")
+                argv2.append(f"--{key}={_option_text(value)}")
         args = parser.parse_args(argv2)
 
     if not args.command:
@@ -511,7 +514,7 @@ def main(argv=None) -> int:
             sys.stdout.write(_canonical_json(payload))
         else:
             print("\n".join(lines))
-        if args.output:
+        if args.output is not None:  # "" is a path that cannot be written, not no path
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(_canonical_json(payload))

@@ -15,11 +15,11 @@ import numpy as np
 
 from . import density, qalgo, qstate
 from .cgame import Bimatrix, CharacteristicGame, MixedStrategy
-from .errors import DomainError, as_index, check_size
+from .errors import DomainError, as_index, brief, check_size
 from .qstate import StateVector, UnitaryMatrix
 from .rng import RandomSource
 
-PSEUDO_TELEPATHY_CAP = 16
+PSEUDO_TELEPATHY_CAP = 54  # one 53-bit uniform picks among 2^(N-1) outputs evenly
 
 
 @dataclass
@@ -379,9 +379,6 @@ def card_game_round(
 # pseudo-telepathy
 
 
-_QUARTER = qstate.quarter_phase()
-
-
 def pseudo_telepathy_round(
     x: Sequence[int], rng: RandomSource | None = None, force: int | None = None
 ) -> tuple[tuple[int, ...], bool]:
@@ -389,6 +386,10 @@ def pseudo_telepathy_round(
 
     Players holding x_i = 1 phase their qubit by i, everyone Hadamards and
     measures; the promise requires sum(x) even and the players always win.
+    The outcome law is closed (Mermin 1990; Brassard, Broadbent & Tapp 2003):
+    each y with sum(y) = sum(x)/2 mod 2 has probability 2/2^N.  One uniform u
+    picks the k-th of them in index order, k = floor(u 2^(N-1)), as a search of
+    the dense cumulative table would.  ``force`` selects an outcome index.
     """
     n = check_size(len(x), PSEUDO_TELEPATHY_CAP, "player count")
     if n < 2:
@@ -398,16 +399,16 @@ def pseudo_telepathy_round(
         raise DomainError(f"inputs must be bits, got {x}")
     if sum(x) % 2 != 0:
         raise DomainError("promise violated: sum of inputs must be even")
-    state = qstate.bell_basis(n)[0]
-    for i, bit in enumerate(x):
-        if bit:
-            state = qstate.apply(state, _QUARTER, [i])
-    for i in range(n):
-        state = qstate.apply(state, _H, [i])
-    record = qstate.measure(state, rng=rng, force=force)
-    y = qstate.index_to_digits((2,) * n, record.outcome_index)
-    win = (sum(y) % 2) == ((sum(x) // 2) % 2)
-    return y, win
+    parity = (sum(x) // 2) % 2
+    if force is None:
+        k = int((rng or RandomSource()).uniform() * (1 << (n - 1)))
+        index = 2 * k + (k.bit_count() + parity) % 2  # k's N-1 bits, then the parity bit
+    else:
+        index = as_index(force, "forced outcome")
+        if not 0 <= index < 1 << n or index.bit_count() % 2 != parity:
+            raise DomainError(f"forced outcome {brief(index)} is not a possible outcome")
+    y = qstate.index_to_digits((2,) * n, index)
+    return y, sum(y) % 2 == parity
 
 
 def pseudo_telepathy_game(n: int) -> CharacteristicGame:
@@ -508,13 +509,9 @@ def secret_share_qubit(
     # Alice's alone: Gerald's state given only the Bell outcome is diagonal
     # (phases lost); Bob's alone: his x outcome leaves Gerald, once Alice's
     # two qubits are traced out (summed over her Bell basis), fully mixed.
-    rho_given_alice = density.partial_trace(
-        density.DensityMatrix.from_state(bob_gerald), (2, 2), keep=(1,)
-    )
+    rho_given_alice = density.reduced(bob_gerald, (1,))
     given_bob = qstate.measure(state, basis=_X_BASIS, targets=(2,), force=s).residual
-    mix = density.partial_trace(
-        density.DensityMatrix.from_state(given_bob), (2, 2, 2), keep=(2,)
-    ).entries
+    mix = density.reduced(given_bob, (2,)).entries
     off_diag = float(np.abs(rho_given_alice.entries[0, 1]))
     mixed_dev = float(np.abs(mix - np.eye(2) / 2.0).max())
 
@@ -585,21 +582,17 @@ def secret_share_qutrit(secret: StateVector, pair: str | Sequence[str]) -> GameR
     encoded = encode_qutrit_secret(secret)
     report.log("Alice", "encode secret into three shares", encoded)
 
-    shares_rho = density.DensityMatrix.from_state(encoded)
-    share_devs = []
-    for share in range(3):
-        reduced = density.partial_trace(shares_rho, (3, 3, 3), keep=(share,))
-        share_devs.append(float(np.abs(reduced.entries - np.eye(3) / 3.0).max()))
-    report.params["share_mixedness_deviation"] = share_devs
+    report.params["share_mixedness_deviation"] = [
+        float(np.abs(density.reduced(encoded, (share,)).entries - np.eye(3) / 3.0).max())
+        for share in range(3)
+    ]
 
     state = qstate.apply(encoded, _ADD_MOD_3, [recoverer, helper])
     report.log(helper_name, "add recoverer's qutrit to own (mod 3)", state)
     state = qstate.apply(state, _ADD_MOD_3, [helper, recoverer])
     report.log(recoverer_name, "add helper's new qutrit to own (mod 3)", state)
 
-    rho_rec = density.partial_trace(
-        density.DensityMatrix.from_state(state), (3, 3, 3), keep=(recoverer,)
-    )
+    rho_rec = density.reduced(state, (recoverer,))
     fidelity = density.fidelity(rho_rec, secret)
     purity = float((rho_rec.entries @ rho_rec.entries).trace().real)
     report.outcome = f"{recoverer_name} holds the secret"

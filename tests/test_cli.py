@@ -55,6 +55,9 @@ BAD_INPUTS = [
     (("discriminate", "--priors", ",".join(["0"] * 3000)), 2),
     (("grover", "--n", "3", "--target", "5", "--output", "/nonexistent/x.json"), 64),
     (("grover", "--n", "3", "--target", "5", "--output", "."), 64),  # a directory
+    (("grover", "--n", "3", "--target", "5", "--output", ""), 64),  # an empty path
+    (("--manifest", '{"subcommand": "grover", "parameters": {"n": 3, "target": 5}, '
+                    '"output": ""}'), 64),
 ]
 
 
@@ -291,6 +294,23 @@ class TestDeterminism:
             ({"subcommand": "newcomb", "parameters": {"sb": 1, "w": 0.25, "coherent": True,
                                                       "unused": False}, "format": "json"},
              ["newcomb", "--sb", "1", "--w", "0.25", "--coherent", "--format", "json"]),
+        ]:
+            path.write_text(json.dumps(manifest))
+            from_manifest = run_cli(capsys, "--manifest", str(path))
+            assert from_manifest[0] == 0
+            assert from_manifest == run_cli(capsys, *argv)
+
+    def test_manifest_lists_are_comma_lists(self, capsys, tmp_path):
+        # a JSON list joins with ',' and a list of rows with ';', as typed on the command line
+        path = tmp_path / "manifest.json"
+        for manifest, argv in [
+            ({"subcommand": "telepathy", "parameters": {"inputs": [1, 1]}},
+             ["telepathy", "--inputs", "1,1"]),
+            ({"subcommand": "discriminate",
+              "parameters": {"priors": [0.25, 0.75], "channel": [[0.9, 0.2], [0.1, 0.8]]}},
+             ["discriminate", "--priors", "0.25,0.75", "--channel", "0.9,0.2;0.1,0.8"]),
+            ({"subcommand": "pd", "parameters": {"moves": ["I", "X", "H"]}, "format": "json"},
+             ["pd", "--moves", "I,X,H", "--format", "json"]),
         ]:
             path.write_text(json.dumps(manifest))
             from_manifest = run_cli(capsys, "--manifest", str(path))

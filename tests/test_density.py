@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import GOLDEN, random_state
 from qugame import density, qstate
 from qugame.density import BlochVector, DensityMatrix, DiscriminationProblem
-from qugame.errors import DomainError
+from qugame.errors import DomainError, ResourceError
 from qugame.qstate import StateVector
 
 
@@ -135,6 +136,42 @@ class TestPartialTrace:
     def test_dims_mismatch(self):
         with pytest.raises(DomainError):
             density.partial_trace(DensityMatrix.maximally_mixed(4), (2, 3), keep=(0,))
+
+
+class TestReduced:
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2, 2, 3)])
+    def test_matches_partial_trace_of_the_projector(self, gen, dims):
+        # every keep set, contiguous or not, and each also given in reverse order
+        for _ in range(3):
+            psi = random_state(dims, gen)
+            rho = DensityMatrix.from_state(psi)
+            for size in range(len(dims) + 1):
+                for keep in itertools.combinations(range(len(dims)), size):
+                    want = density.partial_trace(rho, dims, keep).entries
+                    for order in (keep, keep[::-1]):
+                        got = density.reduced(psi, order).entries
+                        assert np.abs(got - want).max() <= 1e-12
+
+    def test_product_state_of_a_wide_register(self, gen):
+        # 16 qubits, where the dim x dim projector is past the operator cap
+        a, b = random_state((2,), gen), random_state((2,) * 15, gen)
+        rho = density.reduced(qstate.tensor(b, a), (15,))
+        assert np.abs(rho.entries - np.outer(a.amps, a.amps.conj())).max() < 1e-12
+
+    def test_kept_dimension_capped(self, gen):
+        psi = random_state((2,) * 12, gen)
+        assert density.reduced(psi, range(0, 12, 3)).dim == 16
+        with pytest.raises(ResourceError):
+            density.reduced(psi, range(12))
+
+    @pytest.mark.parametrize("keep", [(0, 0), (2,), (-1,), (0.5,)])
+    def test_bad_keep(self, keep):
+        with pytest.raises(DomainError):
+            density.reduced(qstate.bell_basis(2)[0], keep)
+
+    def test_from_state_capped(self, gen):
+        with pytest.raises(ResourceError):
+            DensityMatrix.from_state(random_state((2,) * 12, gen))
 
 
 class TestMLE:

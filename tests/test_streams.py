@@ -201,9 +201,9 @@ STREAMS = {
     "teleport": (_teleport,
         "8bddef96db05fdb2a8ad4911dddecdf301a584c3cfaf666d2c62ef47283bb6ee"),
     "secret_share_qubit": (_secret_share_qubit,
-        "087856ae305928ec9d26b1cbc1fd2be00f484fc85a5d59a7d7819f62e6fd558c"),
+        "ae74ab711baddbfd55b7bd883414a9990f5f227485037714709253661596c3ca"),
     "secret_share_qutrit": (_secret_share_qutrit,
-        "ecf3f209196b1af93b614cf32c48d1deeaf129320f364ed87a7a3defc52adc7b"),
+        "53a109c6d01e5ab701e3a5625f8f0592a277bf33796ed2dcc8c0dc1dade85419"),
 }
 
 # the 20 README commands, each with --format json
