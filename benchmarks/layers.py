@@ -27,6 +27,7 @@ side goes first, and every worker times the same rows:
 * `card_game_round` (sampled), `pseudo_telepathy_round` (sampled) at N = 4, 10
   and 16 players, `secret_share_qubit` (sampled), `secret_share_qutrit` and
   `uqcm_clone`;
+* `density.reduced` of a 20-qubit state onto its 10 middle qubits (5..14);
 * the CLI's `grover --n 20 --target 0` with table output, in process.
 
 A row's time is the median per-call wall time over repeated batches inside a
@@ -108,6 +109,7 @@ def rows():
     yield {"layer": "secret_share_qubit", "n": 4, "mode": "sampled"}
     yield {"layer": "secret_share_qutrit", "n": 3, "mode": "bob,gerald"}
     yield {"layer": "uqcm_clone", "n": 3, "mode": "complex qubit"}
+    yield {"layer": "reduced", "n": 20, "mode": "keep 5..14", "keep": list(range(5, 15))}
     yield {"layer": "cli grover", "n": 20, "mode": "table"}
 
 
@@ -161,6 +163,11 @@ def call_for(row):
     if row["layer"] == "secret_share_qutrit":
         secret = qstate.StateVector([3], [0.5, 0.5j, 0.5**0.5])
         return lambda: qgames.secret_share_qutrit(secret, "bob,gerald")
+    if row["layer"] == "reduced":
+        gen = np.random.default_rng(n)
+        amps = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
+        psi = qstate.StateVector((2,) * n, amps / np.linalg.norm(amps))
+        return lambda: density.reduced(psi, row["keep"])
     if row["layer"] == "cli grover":
         argv = ["grover", "--n", str(n), "--target", "0"]
 

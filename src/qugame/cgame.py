@@ -7,6 +7,7 @@ tables into these functions unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -190,72 +191,56 @@ def pareto_analysis(g: Bimatrix) -> ParetoFlags:
     return ParetoFlags(jointly_dominated=dominated, pareto_optimal=~dominated)
 
 
-@dataclass(frozen=True)
-class MixedNash2x2:
-    """Interior indifference solution of a 2x2 game, or a degenerate report."""
-
-    interior: bool
-    p: float | None          # probability the row player puts on move 0
-    q: float | None          # probability the column player puts on move 0
-    payoffs: tuple[float, float] | None
-    pure_equilibria: tuple[tuple[int, int], ...]
+# support pairs nash_equilibria may enumerate: 9x9 tables (48,619 pairs) fit, 10x10 do not
+MAX_SUPPORT_PAIRS = 1 << 16
 
 
-def mixed_nash_2x2(g: Bimatrix) -> MixedNash2x2:
-    """Solve the indifference conditions of a 2x2 bimatrix game.
+def nash_equilibria(g: Bimatrix) -> list[tuple[MixedStrategy, MixedStrategy]]:
+    """Nash equilibria whose two supports have equal size, as (row, column) strategies.
 
-    q makes the row player indifferent (d pi_A / d p = 0) and p makes the
-    column player indifferent; the pair is reported only when both lie
-    strictly inside (0, 1), otherwise the pure equilibria are returned.
+    Support enumeration (Avis, Rosenberg, Savani & von Stengel, Econ. Theory 42,
+    9, 2010).  Size 1 is `pure_nash`.  For each size k >= 2 and k-move supports
+    I, J, the column mix y on J solves A[I, J] y = u, sum(y) = 1, and the row mix
+    x on I solves B[I, J]^T x = v, sum(x) = 1: two (k+1)x(k+1) systems per pair,
+    all pairs of one size in one batched solve, singular systems skipped.  A pair
+    is kept when x and y are strictly positive and no pure move beats either
+    player's payoff by more than PAYOFF_TOL.  Order: by support size, then by
+    the supports' lexicographic order.
+
+    For a nondegenerate game the list is complete.  For a degenerate game it
+    holds every pure equilibrium plus each equal-support equilibrium whose
+    systems are nonsingular; a set of equilibria appears as some of its extreme
+    points.  The sum_k C(m, k) C(n, k) = C(m + n, m) - 1 support pairs are
+    checked against MAX_SUPPORT_PAIRS (a ResourceError) before any is built.
     """
-    if g.shape != (2, 2):
-        raise DomainError(f"mixed_nash_2x2 requires a 2x2 game, got {g.shape}")
+    m, n = g.shape
+    check_size(math.comb(m + n, m) - 1, MAX_SUPPORT_PAIRS, "support pairs")
     A, B = g.payoff_row, g.payoff_col
-    pure = tuple(pure_nash(g))
-    denom_a = A[0, 0] - A[0, 1] - A[1, 0] + A[1, 1]
-    denom_b = B[0, 0] - B[0, 1] - B[1, 0] + B[1, 1]
-    if abs(denom_a) < 1e-14 or abs(denom_b) < 1e-14:
-        return MixedNash2x2(False, None, None, None, pure)
-    q = (A[1, 1] - A[0, 1]) / denom_a
-    p = (B[1, 1] - B[1, 0]) / denom_b
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        return MixedNash2x2(False, None, None, None, pure)
-    pA = MixedStrategy([p, 1.0 - p])
-    pB = MixedStrategy([q, 1.0 - q])
-    return MixedNash2x2(True, float(p), float(q), expected_payoff(g, pA, pB), pure)
-
-
-def zero_sum_value_2x2(g: Bimatrix) -> tuple[float, MixedStrategy, MixedStrategy]:
-    """Value and maximin strategies of a 2x2 zero-sum game.
-
-    Returns (value, row strategy, column strategy) and verifies the minimax
-    identity max_p min_q = min_q max_p on the returned strategies.
-    """
-    if g.shape != (2, 2):
-        raise DomainError(f"zero_sum_value_2x2 requires a 2x2 game, got {g.shape}")
-    if not g.is_zero_sum():
-        raise DomainError("payoff_col must equal -payoff_row for a zero-sum game")
-    A = g.payoff_row
-    # saddle point in pure strategies?
-    maximin_row = int(np.argmax(A.min(axis=1)))
-    minimax_col = int(np.argmin(A.max(axis=0)))
-    if abs(A.min(axis=1)[maximin_row] - A.max(axis=0)[minimax_col]) <= PAYOFF_TOL:
-        value = float(A[maximin_row, minimax_col])
-        pA = MixedStrategy.pure(maximin_row, 2)
-        pB = MixedStrategy.pure(minimax_col, 2)
-    else:
-        denom = A[0, 0] - A[0, 1] - A[1, 0] + A[1, 1]
-        p = (A[1, 1] - A[1, 0]) / denom
-        q = (A[1, 1] - A[0, 1]) / denom
-        value = float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) / denom)
-        pA = MixedStrategy([p, 1.0 - p])
-        pB = MixedStrategy([q, 1.0 - q])
-    # evaluate both orders of play at the returned strategies (minimax identity)
-    worst_for_row = min(float(pA.probs @ A[:, j]) for j in range(2))
-    best_against_col = max(float(A[i, :] @ pB.probs) for i in range(2))
-    if abs(worst_for_row - best_against_col) > 1e-9:
-        raise DomainError("minimax identity failed on the computed strategies")
-    return value, pA, pB
+    found = [(MixedStrategy.pure(i, m), MixedStrategy.pure(j, n)) for i, j in pure_nash(g)]
+    for k in range(2, min(m, n) + 1):
+        rows = np.array(list(itertools.combinations(range(m), k)))
+        cols = np.array(list(itertools.combinations(range(n), k)))
+        cells = rows[:, None, :, None], cols[None, :, None, :]
+        # [M -1; 1 0] [mix; value] = [0; 1], M = A[I, J] for y and B[I, J]^T for x
+        systems = np.zeros((2, len(rows) * len(cols), k + 1, k + 1))
+        systems[0, :, :k, :k] = A[cells].reshape(-1, k, k)
+        systems[1, :, :k, :k] = B[cells].swapaxes(-1, -2).reshape(-1, k, k)
+        systems[..., :k, k] = -1.0
+        systems[..., k, :k] = 1.0
+        # det is 0 where the LU factorization meets a zero pivot, on which solve would raise
+        pairs = np.flatnonzero((np.linalg.det(systems) != 0).all(axis=0))
+        y, x = np.linalg.solve(systems[:, pairs], np.eye(k + 1)[:, k:])[:, :, :k, 0]
+        positive = (x > 0).all(axis=1) & (y > 0).all(axis=1)
+        pairs, x, y = pairs[positive], x[positive], y[positive]
+        at = np.arange(len(pairs))[:, None]
+        X, Y = np.zeros((len(pairs), m)), np.zeros((len(pairs), n))
+        X[at, rows[pairs // len(cols)]] = x
+        Y[at, cols[pairs % len(cols)]] = y
+        row_pay, col_pay = Y @ A.T, X @ B  # every pure move against the other's mix
+        stable = ((row_pay.max(axis=1) <= (X * row_pay).sum(axis=1) + PAYOFF_TOL)
+                  & (col_pay.max(axis=1) <= (col_pay * Y).sum(axis=1) + PAYOFF_TOL))
+        found += [(MixedStrategy(a), MixedStrategy(b)) for a, b in zip(X[stable], Y[stable])]
+    return found
 
 
 def repeated_payoff_distribution(N: int, p: float) -> list[tuple[int, float]]:

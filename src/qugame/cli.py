@@ -228,12 +228,12 @@ def _run_bos(args, rng):
     payload, lines = _analyzed_table(
         table, f"Quantum battle of the sexes ({args.alpha},{args.beta},{args.gamma})"
     )
-    mixed = cgame.mixed_nash_2x2(payoffs)
-    payload["classical_mixed_nash"] = {
-        "p": mixed.p,
-        "q": mixed.q,
-        "payoffs": list(mixed.payoffs) if mixed.payoffs else None,
-    }
+    mixed = {"p": None, "q": None, "payoffs": None}
+    for a, b in cgame.nash_equilibria(payoffs):
+        if (a.probs > 0).all() and (b.probs > 0).all():  # the full-support mix
+            mixed = {"p": float(a.probs[0]), "q": float(b.probs[0]),
+                     "payoffs": list(cgame.expected_payoff(payoffs, a, b))}
+    payload["classical_mixed_nash"] = mixed
     return payload, lines
 
 

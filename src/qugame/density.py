@@ -187,18 +187,23 @@ class MLEstimate:
     rho: DensityMatrix    # statistical density matrix diag(n_a/n, n_b/n)
 
 
+def _counts(n_a, n_b) -> tuple[int, int, int]:
+    """The |0> and |1> counts as exact integers >= 0, and their total n >= 1."""
+    n_a, n_b = as_index(n_a, "count"), as_index(n_b, "count")
+    if n_a < 0 or n_b < 0:
+        raise DomainError("counts must be non-negative")
+    if n_a + n_b < 1:
+        raise DomainError("need at least one observation")
+    return n_a, n_b, n_a + n_b
+
+
 def mle_bernoulli(n_a: int, n_b: int) -> MLEstimate:
     """Estimate a qubit's z-axis statistics from |0>/|1> counts.
 
     p_hat = n_b / n maximizes the Bernoulli likelihood; r_z = (n_a - n_b)/n
     maximizes the Bloch-form likelihood [ (1+r)/2 ]^(n_a/n) [ (1-r)/2 ]^(n_b/n).
     """
-    n_a, n_b = as_index(n_a, "count"), as_index(n_b, "count")
-    if n_a < 0 or n_b < 0:
-        raise DomainError("counts must be non-negative")
-    n = n_a + n_b
-    if n < 1:
-        raise DomainError("need at least one observation")
+    n_a, n_b, n = _counts(n_a, n_b)
     p_hat = n_b / n
     r_z = (n_a - n_b) / n
     rho = DensityMatrix._owned(np.diag([n_a / n, n_b / n]))
@@ -209,7 +214,7 @@ def bloch_likelihood(r_z: float, n_a: int, n_b: int) -> float:
     """Likelihood of z-spin counts under rho = (1 + r_z sigma_z)/2 (frequency exponents)."""
     if not -1.0 <= r_z <= 1.0:
         raise DomainError(f"Bloch component r_z={r_z} outside [-1, 1]")
-    n = n_a + n_b
+    n_a, n_b, n = _counts(n_a, n_b)
     up = 0.5 * (1.0 + r_z)
     down = 0.5 * (1.0 - r_z)
     # 0^0 = 1 keeps the boundary r_z = +-1 well-defined

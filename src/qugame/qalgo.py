@@ -273,9 +273,17 @@ def _register_width(N: int) -> int:
     return 2 * math.ceil(math.log2(N))
 
 
+def _modulus(N) -> int:
+    """N as an exact integer modulus >= 2."""
+    N = as_index(N, "modulus")
+    if N < 2:
+        raise DomainError(f"modulus {brief(N)} must be at least 2")
+    return N
+
+
 @lru_cache(maxsize=1024, typed=True)  # typed: a cached (2, 15) must not answer (2.0, 15)
 def multiplicative_order(m: int, N: int) -> int:
-    m, N = as_index(m, "base"), as_index(N, "modulus")
+    m, N = as_index(m, "base"), _modulus(N)
     if gcd(m, N) != 1:
         raise DomainError(f"{brief(m)} is not a unit modulo {brief(N)}")
     r, v = 1, m % N
@@ -446,7 +454,7 @@ def factor_from_order(N: int, m: int, r: int) -> FactorOutcome:
     Requires m^r = 1 mod N and even r; computes gcd(N, m^(r/2) +- 1) and,
     when m^(r/2) = 1, keeps halving the exponent while it stays even.
     """
-    N, m, r = as_index(N, "modulus"), as_index(m, "base"), as_index(r, "order candidate")
+    N, m, r = _modulus(N), as_index(m, "base"), as_index(r, "order candidate")
     if r < 1:
         raise DomainError("order candidate must be >= 1")
     if pow(m, r, N) != 1:

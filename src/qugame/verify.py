@@ -236,18 +236,19 @@ def _pd_classical(pd):
 
 def _bos_mixed_equilibrium(pd):
     game = qgames.battle_of_sexes_payoffs(*BOS)
-    mixed = cgame.mixed_nash_2x2(game)
-    return {"pure Nash": len(cgame.pure_nash(game)), "p": mixed.p, "q": mixed.q,
-            "payoff": mixed.payoffs[0]}
+    a, b = cgame.nash_equilibria(game)[-1]  # the full-support mix comes last
+    return {"pure Nash": len(cgame.pure_nash(game)), "p": a.probs[0], "q": b.probs[0],
+            "payoff": cgame.expected_payoff(game, a, b)[0]}
 
 
 def _bos_four_move_grid(pd):
     table = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.battle_of_sexes_payoffs(*BOS))
     pick = np.ix_((0, 3), (0, 3))  # the {1, sigma_z} corner
-    mixed = cgame.mixed_nash_2x2(
-        Bimatrix(["I", "Z"], ["I", "Z"], table.payoff_row[pick], table.payoff_col[pick]))
+    corner = Bimatrix(["I", "Z"], ["I", "Z"], table.payoff_row[pick], table.payoff_col[pick])
+    a, b = cgame.nash_equilibria(corner)[-1]  # the full-support mix comes last
     return {"Nash": cgame.pure_nash(table), "(X, X)": table.cell(1, 1), "row": table.payoff_row,
-            "corner p, q": (mixed.p, mixed.q), "corner payoffs": mixed.payoffs}
+            "corner p, q": (a.probs[0], b.probs[0]),
+            "corner payoffs": cgame.expected_payoff(corner, a, b)}
 
 
 def _newcomb(pd):

@@ -126,12 +126,13 @@ def test_criterion_5_classical_tables():
         beta = gamma + float(gen.uniform(0.05, 3))
         alpha = beta + float(gen.uniform(0.05, 3))
         game = qgames.battle_of_sexes_payoffs(alpha, beta, gamma)
-        mixed = cgame.mixed_nash_2x2(game)
+        a, b = cgame.nash_equilibria(game)[-1]  # the full-support mix comes last
+        payoffs = cgame.expected_payoff(game, a, b)
         denom = alpha + beta - 2 * gamma
-        assert abs(mixed.p - (alpha - gamma) / denom) <= 1e-12
-        assert abs(mixed.q - (beta - gamma) / denom) <= 1e-12
-        assert abs(mixed.payoffs[0] - (alpha * beta - gamma**2) / denom) <= 1e-12
-        assert abs(mixed.payoffs[1] - mixed.payoffs[0]) <= 1e-12
+        assert abs(a.probs[0] - (alpha - gamma) / denom) <= 1e-12
+        assert abs(b.probs[0] - (beta - gamma) / denom) <= 1e-12
+        assert abs(payoffs[0] - (alpha * beta - gamma**2) / denom) <= 1e-12
+        assert abs(payoffs[1] - payoffs[0]) <= 1e-12
 
 
 def test_criterion_8_pseudo_telepathy():
@@ -291,6 +292,7 @@ NON_INTEGER_CALLS = {
     "factor_from_order": lambda: qalgo.factor_from_order(15, 2, 4.0),
     "shor_factor": lambda: qalgo.shor_factor(15.0, RandomSource(0)),
     "rsa_demo": lambda: qalgo.rsa_demo(77, 11.0, 67, RandomSource(1)),
+    "bloch_likelihood": lambda: density.bloch_likelihood(0.0, 1.5, 0),
 }
 
 
@@ -298,6 +300,21 @@ NON_INTEGER_CALLS = {
 def test_non_integer_arguments_are_domain_errors(call):
     qalgo.multiplicative_order(2, 15)  # a cached int pair must not answer a float one
     with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+# a modulus below 2 or a negative count is refused, not looped on or divided by
+OUT_OF_DOMAIN_CALLS = {
+    "multiplicative_order-modulus-1": lambda: qalgo.multiplicative_order(2, 1),
+    "multiplicative_order-modulus-minus-5": lambda: qalgo.multiplicative_order(2, -5),
+    "factor_from_order-modulus-0": lambda: qalgo.factor_from_order(0, 2, 2),
+    "bloch_likelihood-negative-count": lambda: density.bloch_likelihood(0.0, -1, 1),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_DOMAIN_CALLS.values(), ids=OUT_OF_DOMAIN_CALLS.keys())
+def test_out_of_domain_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError, match="modulus .* must be at least 2|non-negative"):
         call()
 
 
@@ -317,6 +334,7 @@ def test_numpy_integers_pass_every_entry_point():
     assert qalgo.bernstein_vazirani(i(3), i(5)) == 5
     assert qalgo.continued_fraction_best(i(1), i(4), i(5)) == (1, 4)
     assert qalgo.multiplicative_order(i(2), i(15)) == 4
+    assert density.bloch_likelihood(0.0, i(1), i(0)) == 0.5
     assert qalgo.order_find(i(15), i(2), RandomSource(0)).modulus == 15
     assert qalgo.factor_from_order(i(15), i(2), i(4)).factors == (3, 5)
     rsa = qalgo.rsa_demo(i(77), i(11), i(67), RandomSource(1))

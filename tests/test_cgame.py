@@ -8,7 +8,7 @@ import pytest
 
 from qugame import cgame, qgames
 from qugame.cgame import Bimatrix, CharacteristicGame, Imputation, MixedStrategy
-from qugame.errors import DomainError
+from qugame.errors import DomainError, ResourceError
 
 
 def spin_flip_payoff_table() -> Bimatrix:
@@ -246,25 +246,47 @@ class TestPareto:
         assert np.array_equal(flags.pareto_optimal, (a == 4) & (a.T == 4))
 
 
-class TestMixedNash2x2:
+def assert_no_pure_deviation(g: Bimatrix, a: MixedStrategy, b: MixedStrategy, tol=1e-9):
+    """Oracle: no player gains more than tol by switching to any one pure move."""
+    m, n = g.shape
+    pay_a, pay_b = cgame.expected_payoff(g, a, b)
+    for i in range(m):
+        assert cgame.expected_payoff(g, MixedStrategy.pure(i, m), b)[0] <= pay_a + tol
+    for j in range(n):
+        assert cgame.expected_payoff(g, a, MixedStrategy.pure(j, n))[1] <= pay_b + tol
+
+
+def equilibrium_table(g: Bimatrix) -> list[tuple[list[float], list[float], tuple]]:
+    """nash_equilibria as (row mix, column mix, payoffs), for comparing with literals."""
+    return [(a.probs.tolist(), b.probs.tolist(), cgame.expected_payoff(g, a, b))
+            for a, b in cgame.nash_equilibria(g)]
+
+
+def assert_equilibria(g: Bimatrix, expected, tol=1e-12):
+    found = equilibrium_table(g)
+    assert len(found) == len(expected)
+    for (a, b, pay), (a0, b0, pay0) in zip(found, expected):
+        assert np.allclose(a, a0, rtol=0, atol=tol) and np.allclose(b, b0, rtol=0, atol=tol)
+        assert np.allclose(pay, pay0, rtol=0, atol=tol)
+
+
+class TestNashEquilibria:
     def test_bos_formulas_random_triples(self, gen):
+        # the closed forms of the 2x2 indifference conditions are the oracle
         for _ in range(20):
             gamma = float(gen.uniform(0, 2))
             beta = gamma + float(gen.uniform(0.1, 2))
             alpha = beta + float(gen.uniform(0.1, 2))
             g = qgames.battle_of_sexes_payoffs(alpha, beta, gamma)
-            result = cgame.mixed_nash_2x2(g)
             denom = alpha + beta - 2 * gamma
-            assert result.interior
-            assert abs(result.p - (alpha - gamma) / denom) < 1e-12
-            assert abs(result.q - (beta - gamma) / denom) < 1e-12
-            assert abs(result.payoffs[0] - (alpha * beta - gamma**2) / denom) < 1e-12
+            p, q = (alpha - gamma) / denom, (beta - gamma) / denom
+            value = (alpha * beta - gamma**2) / denom
+            assert_equilibria(g, [([1, 0], [1, 0], (alpha, beta)), ([0, 1], [0, 1], (beta, alpha)),
+                                  ([p, 1 - p], [q, 1 - q], (value, value))])
 
-    def test_pd_degenerate(self):
+    def test_pd_only_mutual_defection(self):
         g = qgames.prisoners_dilemma_payoffs()
-        result = cgame.mixed_nash_2x2(g)
-        assert not result.interior
-        assert result.pure_equilibria == ((1, 1),)
+        assert equilibrium_table(g) == [([0.0, 1.0], [0.0, 1.0], (1.0, 1.0))]
         # grid-search oracle: no interior profile is a joint best response
         grid = np.linspace(0.05, 0.95, 19)
         for p, q in itertools.product(grid, grid):
@@ -275,30 +297,102 @@ class TestMixedNash2x2:
             best_b = max(cgame.expected_payoff(g, pa, MixedStrategy.pure(j, 2))[1] for j in range(2))
             assert best_a > base_a + 1e-9 or best_b > base_b + 1e-9
 
+    def test_pure_profiles_are_pure_nash(self, gen):
+        for g in random_integer_games(gen, count=100):
+            pure = [(a.probs.argmax(), b.probs.argmax()) for a, b in cgame.nash_equilibria(g)
+                    if a.probs.max() == 1 and b.probs.max() == 1]
+            assert pure == cgame.pure_nash(g)
+
+    def test_every_profile_survives_pure_deviations(self, gen):
+        tables = list(random_integer_games(gen, count=100))
+        for _ in range(100):
+            m, n = gen.integers(1, 6, size=2)
+            tables.append(Bimatrix(range(m), range(n), gen.normal(size=(m, n)),
+                                   gen.normal(size=(m, n))))
+        for g in tables:
+            for a, b in cgame.nash_equilibria(g):
+                assert len(a) == g.shape[0] and len(b) == g.shape[1]
+                assert np.count_nonzero(a.probs) == np.count_nonzero(b.probs)
+                assert_no_pure_deviation(g, a, b)
+
+    def test_generic_tables_have_an_odd_count(self, gen):
+        # Wilson's oddness theorem: a nondegenerate game has an odd number of equilibria
+        for _ in range(300):
+            m, n = gen.integers(1, 6, size=2)
+            g = Bimatrix(range(m), range(n), gen.random((m, n)), gen.random((m, n)))
+            assert len(cgame.nash_equilibria(g)) % 2 == 1
+
+    def test_ewl_prisoners_dilemma_over_ixyz(self):
+        # no pure equilibrium; two 2-move mixes paying 5/2 each and the uniform mix paying 9/4
+        g = qgames.ewl_table(qgames.move_set("I,X,Y,Z"), qgames.prisoners_dilemma_payoffs())
+        assert cgame.pure_nash(g) == []
+        half, cross, uniform = [0.5, 0, 0, 0.5], [0, 0.5, 0.5, 0], [0.25] * 4
+        assert_equilibria(g, [(half, cross, (2.5, 2.5)), (cross, half, (2.5, 2.5)),
+                              (uniform, uniform, (2.25, 2.25))])
+
+    def test_degenerate_ewl_battle_of_sexes_gives_extreme_points(self):
+        # over I,X,H,Z the (3, 2, 1) table is degenerate: the support-3 profiles are the
+        # four corners of a product of two segments, every point of which pays (8/5, 13/7)
+        g = qgames.ewl_table(qgames.move_set("I,X,H,Z"), qgames.battle_of_sexes_payoffs(3, 2, 1))
+        rows = [[2 / 7, 1 / 7, 4 / 7, 0], [2 / 7, 3 / 7, 0, 2 / 7]]
+        cols = [[1 / 5, 2 / 5, 2 / 5, 0], [1 / 5, 3 / 5, 0, 1 / 5]]
+        corners = [(a, b, (8 / 5, 13 / 7)) for a in rows for b in cols]
+        assert_equilibria(g, [([0, 1, 0, 0], [0, 1, 0, 0], (2, 3)),
+                              ([0.5, 0, 0, 0.5], [0.5, 0, 0, 0.5], (2.5, 2.5))] + corners)
+        middle = MixedStrategy(np.mean(rows, axis=0)), MixedStrategy(np.mean(cols, axis=0))
+        assert_no_pure_deviation(g, *middle)  # an equilibrium of the set, not in the list
+        assert np.allclose(cgame.expected_payoff(g, *middle), (8 / 5, 13 / 7), rtol=0, atol=1e-12)
+
+    def test_support_pairs_are_capped_before_enumerating(self, monkeypatch):
+        # a 4x4 table has C(8, 4) - 1 = 69 equal-size support pairs
+        g = Bimatrix(range(4), range(4), np.eye(4), np.eye(4))
+        monkeypatch.setattr(cgame, "MAX_SUPPORT_PAIRS", 69)
+        assert len(cgame.nash_equilibria(g)) == 15  # every nonempty common support
+        monkeypatch.setattr(cgame, "MAX_SUPPORT_PAIRS", 68)
+        monkeypatch.setattr(cgame, "pure_nash", lambda g: pytest.fail("enumerated past the cap"))
+        with pytest.raises(ResourceError, match="support pairs 69 exceeds cap 68"):
+            cgame.nash_equilibria(g)
+
+    def test_ten_by_ten_table_refused(self):
+        g = Bimatrix(range(10), range(10), np.zeros((10, 10)), np.zeros((10, 10)))
+        with pytest.raises(ResourceError, match="support pairs 184755 exceeds cap"):
+            cgame.nash_equilibria(g)
+
+
+def assert_minimax(g: Bimatrix, value: float) -> None:
+    """Every equilibrium of the zero-sum g pays value, and on its strategies the row
+    player's guaranteed payoff (max-min) equals the column player's cap (min-max)."""
+    equilibria = cgame.nash_equilibria(g)
+    assert equilibria
+    A = g.payoff_row
+    for a, b in equilibria:
+        assert abs(cgame.expected_payoff(g, a, b)[0] - value) <= 1e-12
+        assert abs((a.probs @ A).min() - value) <= 1e-12  # max-min
+        assert abs((A @ b.probs).max() - value) <= 1e-12  # min-max
+
 
 class TestZeroSum:
     def test_matching_pennies(self):
         g = Bimatrix.zero_sum(["H", "T"], ["H", "T"], [[1, -1], [-1, 1]])
-        value, pa, pb = cgame.zero_sum_value_2x2(g)
-        assert abs(value) < 1e-12
-        assert np.allclose(pa.probs, [0.5, 0.5])
-        assert np.allclose(pb.probs, [0.5, 0.5])
+        assert_minimax(g, 0.0)
+        (a, b), = cgame.nash_equilibria(g)
+        assert np.allclose(a.probs, [0.5, 0.5]) and np.allclose(b.probs, [0.5, 0.5])
 
     def test_asymmetric_game(self):
         g = Bimatrix.zero_sum(["a", "b"], ["x", "y"], [[2, 0], [0, 1]])
-        value, pa, pb = cgame.zero_sum_value_2x2(g)
-        assert abs(value - 2 / 3) < 1e-12
-        assert np.allclose(pa.probs, [1 / 3, 2 / 3])
+        assert_minimax(g, 2 / 3)
+        (a, b), = cgame.nash_equilibria(g)
+        assert np.allclose(a.probs, [1 / 3, 2 / 3])
         # independent check: fine-grid maximin
         grid = np.linspace(0, 1, 2001)
         payoff = np.minimum(2 * grid, 0 * grid + (1 - grid))
-        assert abs(payoff.max() - value) < 1e-3
+        assert abs(payoff.max() - 2 / 3) < 1e-3
 
     def test_saddle_point(self):
         g = Bimatrix.zero_sum(["a", "b"], ["x", "y"], [[2, 1], [0, -1]])
-        value, pa, pb = cgame.zero_sum_value_2x2(g)
-        assert value == 1.0
-        assert np.allclose(pa.probs, [1, 0]) and np.allclose(pb.probs, [0, 1])
+        assert_minimax(g, 1.0)
+        (a, b), = cgame.nash_equilibria(g)
+        assert a.probs.tolist() == [1, 0] and b.probs.tolist() == [0, 1]
 
     def test_spin_flip_reduction(self):
         # the four Bob move-pair columns collapse to the two distinct ones
@@ -306,13 +400,16 @@ class TestZeroSum:
         assert np.array_equal(full.payoff_row[:, 0], full.payoff_row[:, 3])
         assert np.array_equal(full.payoff_row[:, 1], full.payoff_row[:, 2])
         reduced = Bimatrix.zero_sum(["1", "X"], ["keep", "flip"], full.payoff_row[:, :2])
-        value, pa, pb = cgame.zero_sum_value_2x2(reduced)
-        assert abs(value) < 1e-12
-        assert np.allclose(pa.probs, [0.5, 0.5]) and np.allclose(pb.probs, [0.5, 0.5])
+        assert_minimax(reduced, 0.0)
+        (a, b), = cgame.nash_equilibria(reduced)
+        assert np.allclose(a.probs, [0.5, 0.5]) and np.allclose(b.probs, [0.5, 0.5])
+        assert_minimax(full, 0.0)  # degenerate: duplicate columns
 
     def test_non_zero_sum_rejected(self):
-        with pytest.raises(DomainError):
-            cgame.zero_sum_value_2x2(qgames.prisoners_dilemma_payoffs())
+        # the minimax reading above needs payoff_col = -payoff_row
+        assert not qgames.prisoners_dilemma_payoffs().is_zero_sum()
+        assert not qgames.battle_of_sexes_payoffs().is_zero_sum()
+        assert spin_flip_payoff_table().is_zero_sum()
 
 
 class TestRepeatedPayoffs:

@@ -8,19 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import golden
 from qugame import qalgo, qstate
 from qugame.errors import DomainError, ResourceError
 from qugame.rng import RandomSource
 
 
 class TestGroverIterations:
-    def test_n8(self):
-        golden("grover-amplitudes")
-
-    def test_guess_a_number_size(self):
-        golden("grover-large-k")
-
     def test_n4_exact_rotation(self):
         assert qalgo.grover_iterations(4) == 1
         run = qalgo.grover_search(2, 3)
@@ -46,12 +39,6 @@ class TestGroverIterations:
 
 
 class TestGroverOperators:
-    def test_oracle_diagonal(self):
-        golden("grover-operators")
-
-    def test_rotation_matches_quarter_matrix(self):
-        golden("grover-operators")
-
     def test_oracle_is_reflection(self):
         oracle, diffusion = qalgo.grover_operators(2, 1)
         assert np.allclose((oracle @ oracle).entries, np.eye(4), atol=1e-12)
@@ -72,9 +59,6 @@ class TestGroverOperators:
 
 
 class TestGroverSearch:
-    def test_worked_example_amplitudes(self):
-        golden("grover-amplitudes")
-
     def test_sin_theta_invariant(self):
         for n in range(1, 9):
             run = qalgo.grover_search(n, 0)
@@ -246,12 +230,6 @@ class TestGroverTrajectory:
 
 
 class TestBernsteinVazirani:
-    def test_three_bit_string(self):
-        golden("bernstein-vazirani")
-
-    def test_identity_oracle(self):
-        golden("bernstein-vazirani")
-
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_recovery(self, n):
         for a in range(1 << n):
@@ -698,12 +676,6 @@ class TestCombSpectrum:
 
 
 class TestFactorExtraction:
-    def test_rsa_worked_order(self):
-        golden("rsa-game")
-
-    def test_euler_halving_example(self):
-        golden("euler-halving")
-
     def test_odd_order(self):
         outcome = qalgo.factor_from_order(77, 23, 15)
         assert not outcome.ok and outcome.reason == "odd-order"
@@ -763,9 +735,6 @@ class TestShorAndRSA:
         b = qalgo.shor_factor(77, RandomSource(9))
         assert a.factors == b.factors and a.rounds == b.rounds
         assert a.transcript == b.transcript
-
-    def test_rsa_game(self):
-        golden("rsa-game")
 
     def test_rsa_small(self):
         result = qalgo.rsa_demo(15, 3, 8, RandomSource(4))

@@ -223,7 +223,7 @@ CLI_COMMANDS = {
     "pd --moves I,X,H,Z":
         "d7a7ffecaf6656b07f2a13dd3ad8cef3d1606bdff429e400d0fb774c755d0562",
     "bos --alpha 3 --beta 2 --gamma 1":
-        "a5d1b5e420f91cc830906723c80f119d01c0b24b583f302f77299a2ad24f4977",
+        "7124509cbfab578b4ef8a3a2c890c92b10c3cce0ec765021192f7f96bd605c1d",
     "newcomb --sb 1 --w 0.25 --coherent":
         "8341d3c0ab5cbfdc279b806981b76eb82b35161bbd1214c3d2d79e2cb6b32f4a",
     "ess --incumbent X --mutant H --eta 0.01":
@@ -245,7 +245,7 @@ CLI_COMMANDS = {
     "clone --state 1,0":
         "495435ca7d0250b136ee8ab4ee95886c25daf631f7b699bcfa501042e9c61506",
     "tables --game bos --moves I,X,H,Z":
-        "a0762a814a0306dd9499d380431396651ea279b1f78a5148ce8f9618c9a8cb44",
+        "2439ae20f017afdb2c2dd4bc2ec92b3e069de16cb4874ab4233d65480212407e",
     "verify":
         "d0d8a77de90451a62e6f5401f23988e4e1d96c25f894ddbf2901e7ac3c48b634",
 }
