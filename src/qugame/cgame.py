@@ -46,9 +46,6 @@ class Bimatrix(Frozen):
     def shape(self) -> tuple[int, int]:
         return self.payoff_row.shape
 
-    def is_zero_sum(self) -> bool:
-        return bool(np.abs(self.payoff_row + self.payoff_col).max() <= PAYOFF_TOL)
-
     def is_symmetric(self) -> bool:
         return (
             self.shape[0] == self.shape[1]
@@ -65,11 +62,6 @@ class Bimatrix(Frozen):
             "payoff_row": self.payoff_row.tolist(),
             "payoff_col": self.payoff_col.tolist(),
         }
-
-    @classmethod
-    def zero_sum(cls, row_moves, col_moves, payoff_row) -> "Bimatrix":
-        a = np.asarray(payoff_row, dtype=float)
-        return cls(row_moves, col_moves, a, -a)
 
     def __repr__(self) -> str:
         return f"Bimatrix({self.row_moves} x {self.col_moves})"
@@ -96,13 +88,6 @@ class MixedStrategy(Frozen):
         p = np.zeros(size)
         p[index] = 1.0
         return cls(p)
-
-    @classmethod
-    def uniform(cls, size: int) -> "MixedStrategy":
-        size = as_index(size, "move count")
-        if size < 1:
-            raise DomainError("a strategy needs at least one move")
-        return cls(np.full(size, 1.0 / size))
 
     def __repr__(self) -> str:
         return f"MixedStrategy({self.probs.tolist()})"

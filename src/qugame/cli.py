@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import cgame, density, qalgo, qgames, qstate, verify
-from .errors import DomainError, QugameError, ResourceError, check_finite, check_qubits
+from .errors import DomainError, ResourceError, check_finite, check_qubits
 from .qstate import StateVector
 from .rng import RandomSource
 
@@ -129,8 +129,7 @@ def _run_grover(args, rng):
     }
     if args.format == "json" or args.output:
         # one [re, im] row per amplitude, only when the payload is written out
-        amps = run.trajectory[-1].amps
-        payload["final_amplitudes"] = amps.view(float).reshape(-1, 2).tolist()
+        payload["final_amplitudes"] = run.trajectory[-1].to_json_dict()["amps"]
     lines = [
         f"Grover search over {1 << run.n} items for target {run.target}",
         f"  k = {run.k}",
@@ -529,9 +528,6 @@ def main(argv=None) -> int:
         return 3
     except DomainError as exc:
         print(f"qugame: domain error: {exc}", file=sys.stderr)
-        return 2
-    except QugameError as exc:
-        print(f"qugame: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -27,7 +27,7 @@ class DensityMatrix(Frozen):
     __slots__ = ("dim", "entries")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=complex)  # the defensive copy
+        arr = np.array(entries, dtype=complex, order="C")  # the defensive copy
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
             raise DomainError(f"density matrix must be square and non-empty, got shape {arr.shape}")
         if not np.abs(arr - arr.conj().T).max() <= HERMITIAN_TOL:
@@ -57,21 +57,9 @@ class DensityMatrix(Frozen):
         dim = check_size(dim, qstate.MAX_OPERATOR_DIM, "density matrix dimension")
         return cls._owned(np.eye(dim, dtype=complex) / dim)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
     def to_json_dict(self) -> dict:
-        flat = self.entries.reshape(-1)
-        return {
-            "dim": self.dim,
-            "entries": [[float(z.real), float(z.imag)] for z in flat],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        dim = int(data["dim"])
-        flat = np.array([complex(re, im) for re, im in data["entries"]])
-        return cls(flat.reshape(dim, dim))
+        """dim, and one [re, im] row per entry in row-major order."""
+        return {"dim": self.dim, "entries": self.entries.view(np.float64).reshape(-1, 2).tolist()}
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -129,11 +117,7 @@ def expectation(rho: DensityMatrix, observable) -> float:
     return float((a @ rho.entries).trace().real)
 
 
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULIS = tuple(sigma().entries for sigma in (qstate.pauli_x, qstate.pauli_y, qstate.pauli_z))
 
 
 def to_bloch(rho: DensityMatrix) -> BlochVector:

@@ -184,12 +184,7 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
 
 
 def _parity_phases(n: int, a: int) -> np.ndarray:
-    x = np.arange(1 << n)
-    masked = x & a
-    parity = np.zeros(1 << n, dtype=np.int64)
-    for bit in range(n):
-        parity ^= (masked >> bit) & 1
-    return 1.0 - 2.0 * parity  # (-1)^(x.a)
+    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n) & a) & 1)  # (-1)^(x.a)
 
 
 def bernstein_vazirani(n: int, a: int, oracle=None) -> int:

@@ -115,9 +115,6 @@ class StateVector(Frozen):
     def dim(self) -> int:
         return self.amps.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
@@ -125,15 +122,8 @@ class StateVector(Frozen):
         return f"StateVector(dims={self.dims}, dim={self.dim})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StateVector":
-        amps = [complex(re, im) for re, im in data["amps"]]
-        return cls(tuple(data["dims"]), amps)
+        """dims, and one [re, im] row per amplitude."""
+        return {"dims": list(self.dims), "amps": self.amps.view(np.float64).reshape(-1, 2).tolist()}
 
 
 class UnitaryMatrix(Frozen):
@@ -298,23 +288,17 @@ _GATES = {
     "pauli_z": pauli_z, "z": pauli_z,
     "hadamard": hadamard, "h": hadamard,
     "cnot": cnot,
-    "phase": phase_gate,
     "quarter_phase": quarter_phase,
 }
 
 
-def standard_gate(name: str, param: float | int | None = None) -> UnitaryMatrix:
-    """Case-insensitive named gate lookup: identity(d) (short I or 1), pauli_x/y/z
-    (X, Y, Z), hadamard (H), cnot, phase(r), quarter_phase."""
+def standard_gate(name: str) -> UnitaryMatrix:
+    """Case-insensitive named gate lookup: identity (short I or 1, the qubit one),
+    pauli_x/y/z (X, Y, Z), hadamard (H), cnot, quarter_phase.  phase_gate(r) and
+    identity(d) take their parameter by call, not by name."""
     builder = _GATES.get(name.strip().lower())
     if builder is None:
         raise DomainError(f"unknown gate {name!r}")
-    if builder is phase_gate:
-        return phase_gate(0.0 if param is None else param)
-    if builder is identity:
-        return identity(2 if param is None else param)
-    if param is not None:
-        raise DomainError(f"gate {name!r} takes no parameter")
     return builder()
 
 
@@ -332,12 +316,12 @@ def walsh(n: int) -> UnitaryMatrix:
     return UnitaryMatrix._owned(m)
 
 
-def qft(n: int, inverse: bool = False) -> UnitaryMatrix:
-    """Quantum Fourier transform on n qubits: entry (x,y) = e^{+-2 pi i xy/2^n}/sqrt(2^n)."""
+def qft(n: int) -> UnitaryMatrix:
+    """Quantum Fourier transform on n qubits: entry (x,y) = e^{2 pi i xy/2^n}/sqrt(2^n).
+    Its inverse is qft(n).dagger()."""
     dim = 1 << check_qubits(n, MAX_OPERATOR_DIM)
-    sign = -1.0 if inverse else 1.0
     exponent = np.outer(np.arange(dim), np.arange(dim))
-    m = np.exp(sign * 2j * math.pi * exponent / dim) / math.sqrt(dim)
+    m = np.exp(2j * math.pi * exponent / dim) / math.sqrt(dim)
     return UnitaryMatrix._owned(m)
 
 
@@ -524,20 +508,9 @@ def bell_basis(n: int) -> list[StateVector]:
         raise DomainError("bell_basis requires n >= 2")
     dims = (2,) * n
     dim = 1 << n
-    if n == 2:
-        vecs = []
-        for plus, flipped in (
-            (True, False),   # b0 = (|00> + |11>)/sqrt2
-            (True, True),    # b1 = (|01> + |10>)/sqrt2
-            (False, False),  # b2 = (|00> - |11>)/sqrt2
-            (False, True),   # b3 = (|01> - |10>)/sqrt2
-        ):
-            amps = np.zeros(4, dtype=complex)
-            i, j = (1, 2) if flipped else (0, 3)
-            amps[i] = _SQ2
-            amps[j] = _SQ2 if plus else -_SQ2
-            vecs.append(StateVector(dims, amps))
-        return vecs
+    if n == 2:  # rows b0..b3: |00> + |11>, |01> + |10>, |00> - |11>, |01> - |10>
+        signs = [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]
+        return [StateVector(dims, row) for row in np.array(signs) * _SQ2]
     top = np.zeros(dim, dtype=complex)
     bottom = np.zeros(dim, dtype=complex)
     top[0] = top[-1] = _SQ2

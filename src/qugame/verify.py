@@ -183,7 +183,7 @@ def _rsa_game(pd):
 def _qft(pd):
     out = {"qft(1)": qstate.qft(1).entries, "qft(2)": qstate.qft(2).entries}
     for n in (1, 2, 3):
-        out[f"qft({n}) qft({n})^-1"] = (qstate.qft(n) @ qstate.qft(n, inverse=True)).entries
+        out[f"qft({n}) qft({n})^-1"] = (qstate.qft(n) @ qstate.qft(n).dagger()).entries
     return out
 
 

@@ -13,14 +13,14 @@ from qugame.errors import DomainError, ResourceError
 
 def spin_flip_payoff_table() -> Bimatrix:
     # Alice rows {1, sigma_x}, Bob columns are his four move pairs
-    payoffs = [[-1, 1, 1, -1], [1, -1, -1, 1]]
-    return Bimatrix.zero_sum(["1", "X"], ["11", "1X", "X1", "XX"], payoffs)
+    payoffs = np.array([[-1, 1, 1, -1], [1, -1, -1, 1]])
+    return Bimatrix(["1", "X"], ["11", "1X", "X1", "XX"], payoffs, -payoffs)
 
 
 class TestExpectedPayoff:
     def test_spin_flip_uniform_is_fair(self):
         g = spin_flip_payoff_table()
-        value = cgame.expected_payoff(g, MixedStrategy.uniform(2), MixedStrategy.uniform(4))
+        value = cgame.expected_payoff(g, MixedStrategy([0.5] * 2), MixedStrategy([0.25] * 4))
         assert value == (0.0, 0.0)
 
     def test_pd_defect_defect(self):
@@ -64,7 +64,7 @@ class TestExpectedPayoff:
     def test_length_mismatch(self):
         g = qgames.prisoners_dilemma_payoffs()
         with pytest.raises(DomainError):
-            cgame.expected_payoff(g, MixedStrategy([1.0]), MixedStrategy.uniform(2))
+            cgame.expected_payoff(g, MixedStrategy([1.0]), MixedStrategy([0.5, 0.5]))
 
 
 def brute_force_nash(g: Bimatrix, tol=1e-9):
@@ -139,7 +139,7 @@ class TestRefusals:
         lambda: MixedStrategy([math.nan, 1.0]),
         lambda: Bimatrix(["a"], ["x"], [[math.nan]], [[0.0]]),
         lambda: Bimatrix(["a"], ["x"], [[0.0]], [[math.inf]]),
-        lambda: Bimatrix.zero_sum(["a", "b"], ["x"], [[1.0], [-math.inf]]),
+        lambda: Bimatrix(["a", "b"], ["x"], [[1.0], [-math.inf]], [[-1.0], [math.inf]]),
     ], ids=["strategy-nan", "strategy-nan-and-one", "payoff-nan", "payoff-inf",
             "payoff-minus-inf"])
     def test_non_finite_or_negative_input_refused(self, call):
@@ -148,8 +148,6 @@ class TestRefusals:
 
     @pytest.mark.parametrize("call", [
         lambda: MixedStrategy([]),
-        lambda: MixedStrategy.uniform(0),
-        lambda: MixedStrategy.uniform(1.5),
         lambda: MixedStrategy.pure(5, 2),
         lambda: MixedStrategy.pure(-1, 2),
         lambda: MixedStrategy.pure(0, 0),
@@ -159,9 +157,9 @@ class TestRefusals:
         lambda: Imputation([1.0, -math.inf]),
         lambda: cgame.repeated_payoff_distribution(1.5, 0.5),
         lambda: cgame.repeated_payoff_distribution(True, 0.5),
-    ], ids=["strategy-empty", "uniform-0", "uniform-float", "pure-index-5-of-2",
-            "pure-index-minus-1", "pure-size-0", "coalition-nan", "coalition-inf",
-            "allocation-nan", "allocation-minus-inf", "games-float", "games-bool"])
+    ], ids=["strategy-empty", "pure-index-5-of-2", "pure-index-minus-1", "pure-size-0",
+            "coalition-nan", "coalition-inf", "allocation-nan", "allocation-minus-inf",
+            "games-float", "games-bool"])
     def test_empty_nan_or_non_integer_input_refused(self, call):
         with pytest.raises(DomainError):
             call()
@@ -362,9 +360,10 @@ class TestNashEquilibria:
 def assert_minimax(g: Bimatrix, value: float) -> None:
     """Every equilibrium of the zero-sum g pays value, and on its strategies the row
     player's guaranteed payoff (max-min) equals the column player's cap (min-max)."""
+    A = g.payoff_row
+    assert np.array_equal(g.payoff_col, -A)  # the minimax reading needs a zero-sum table
     equilibria = cgame.nash_equilibria(g)
     assert equilibria
-    A = g.payoff_row
     for a, b in equilibria:
         assert abs(cgame.expected_payoff(g, a, b)[0] - value) <= 1e-12
         assert abs((a.probs @ A).min() - value) <= 1e-12  # max-min
@@ -373,13 +372,15 @@ def assert_minimax(g: Bimatrix, value: float) -> None:
 
 class TestZeroSum:
     def test_matching_pennies(self):
-        g = Bimatrix.zero_sum(["H", "T"], ["H", "T"], [[1, -1], [-1, 1]])
+        a = np.array([[1, -1], [-1, 1]])
+        g = Bimatrix(["H", "T"], ["H", "T"], a, -a)
         assert_minimax(g, 0.0)
         (a, b), = cgame.nash_equilibria(g)
         assert np.allclose(a.probs, [0.5, 0.5]) and np.allclose(b.probs, [0.5, 0.5])
 
     def test_asymmetric_game(self):
-        g = Bimatrix.zero_sum(["a", "b"], ["x", "y"], [[2, 0], [0, 1]])
+        a = np.array([[2, 0], [0, 1]])
+        g = Bimatrix(["a", "b"], ["x", "y"], a, -a)
         assert_minimax(g, 2 / 3)
         (a, b), = cgame.nash_equilibria(g)
         assert np.allclose(a.probs, [1 / 3, 2 / 3])
@@ -389,7 +390,8 @@ class TestZeroSum:
         assert abs(payoff.max() - 2 / 3) < 1e-3
 
     def test_saddle_point(self):
-        g = Bimatrix.zero_sum(["a", "b"], ["x", "y"], [[2, 1], [0, -1]])
+        a = np.array([[2, 1], [0, -1]])
+        g = Bimatrix(["a", "b"], ["x", "y"], a, -a)
         assert_minimax(g, 1.0)
         (a, b), = cgame.nash_equilibria(g)
         assert a.probs.tolist() == [1, 0] and b.probs.tolist() == [0, 1]
@@ -399,17 +401,12 @@ class TestZeroSum:
         full = spin_flip_payoff_table()
         assert np.array_equal(full.payoff_row[:, 0], full.payoff_row[:, 3])
         assert np.array_equal(full.payoff_row[:, 1], full.payoff_row[:, 2])
-        reduced = Bimatrix.zero_sum(["1", "X"], ["keep", "flip"], full.payoff_row[:, :2])
+        a = full.payoff_row[:, :2]
+        reduced = Bimatrix(["1", "X"], ["keep", "flip"], a, -a)
         assert_minimax(reduced, 0.0)
         (a, b), = cgame.nash_equilibria(reduced)
         assert np.allclose(a.probs, [0.5, 0.5]) and np.allclose(b.probs, [0.5, 0.5])
         assert_minimax(full, 0.0)  # degenerate: duplicate columns
-
-    def test_non_zero_sum_rejected(self):
-        # the minimax reading above needs payoff_col = -payoff_row
-        assert not qgames.prisoners_dilemma_payoffs().is_zero_sum()
-        assert not qgames.battle_of_sexes_payoffs().is_zero_sum()
-        assert spin_flip_payoff_table().is_zero_sum()
 
 
 class TestRepeatedPayoffs:

@@ -10,6 +10,7 @@ import pytest
 from conftest import GOLDEN
 from qugame import cli, qalgo, qgames, verify
 from qugame.cgame import Bimatrix
+from qugame.errors import DomainError, QugameError, ResourceError
 
 GROVER = GOLDEN["grover-amplitudes"].expected
 
@@ -35,6 +36,7 @@ BAD_INPUTS = [
     (("guess", "--variant", "II", "--n", "-1", "--secret", "0"), 2),
     (("spinflip", "--bob1", "cnot"), 2),
     (("pd", "--moves", "I,cnot"), 2),
+    (("pd", "--moves", "I,phase"), 2),
     (("pd", "--moves", ","), 2),
     (("pd", "--moves", ""), 2),
     (("card", "--seed", "-1"), 2),
@@ -87,6 +89,10 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "grover", "--n", "21", "--target", "0")
         assert code == 3
         assert "resource error" in err
+
+    def test_every_package_error_has_an_exit_code(self):
+        # main maps these two onto exit codes 2 and 3 and has no arm for any other error
+        assert QugameError.__subclasses__() == [DomainError, ResourceError]
 
     @pytest.mark.parametrize("n", ["40", "64"])
     def test_grover_refuses_a_dense_payload_before_searching(self, n):
