@@ -7,9 +7,9 @@ side goes first, and every worker times the same rows:
 
 * `apply` of a Haar gate at n = 2, 10, 16, 20 qubits on the leading qubit,
   the middle pair, the trailing qubit and a reversed non-adjacent pair;
-* `measure` (computational basis, forced outcome 0) at n = 20 on the same
-  layouts and on a single middle qubit, and the teleportation step: a
-  Bell-basis `measure` of qubits (0, 1) of a 3-qubit register; and a sampled
+* `measure` (forced outcome 0) at n = 20 on the same layouts and on a single
+  middle qubit; the teleportation step on a 3-qubit register: the Bell-readout
+  `apply` on qubits (0, 1) followed by their `measure`; and a sampled
   `measure` of a whole 2-qubit register;
 * `tensor` of a 1-qubit and a 2-qubit state, and `GameReport.log` of a
   27-amplitude state;
@@ -202,9 +202,12 @@ def call_for(row):
         rng = RandomSource(0)
         return lambda: qstate.measure(state, rng=rng)
     targets = tuple(row["targets"])
+    if row["layout"] == "bell":  # rows of the readout are the conjugated Bell states
+        readout = qstate.UnitaryMatrix(np.array([b.amps for b in qstate.bell_basis(2)]).conj())
+        return lambda: qstate.measure(qstate.apply(state, readout, targets), targets=targets,
+                                      force=0)
     if row["layer"] == "measure":
-        basis = qstate.bell_basis(2) if row["layout"] == "bell" else None
-        return lambda: qstate.measure(state, basis=basis, targets=targets, force=0)
+        return lambda: qstate.measure(state, targets=targets, force=0)
     z = gen.standard_normal((2, 2 ** len(targets), 2 ** len(targets)))
     q, r = np.linalg.qr(z[0] + 1j * z[1])
     u = qstate.UnitaryMatrix(q * (np.diag(r) / np.abs(np.diag(r))))

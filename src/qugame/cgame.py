@@ -236,6 +236,7 @@ def repeated_payoff_distribution(N: int, p: float) -> list[tuple[int, float]]:
     N = as_index(N, "game count")
     if N < 1:
         raise DomainError("need at least one game")
+    check_size(N, 1029, "game count")  # the largest N whose every C(N, x) fits a float64
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"win probability {p} outside [0, 1]")
     q = 1.0 - p

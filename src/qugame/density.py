@@ -243,11 +243,6 @@ def discrimination_cost(problem: DiscriminationProblem) -> tuple[float, float]:
     return c_b, p_e
 
 
-def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
-    """Overlap <psi|rho|psi> of a mixed state with a pure reference."""
-    return measure_prob(rho, psi)
-
-
 @dataclass(frozen=True)
 class CloneResult:
     clone: DensityMatrix          # single-clone reduced state (both clones equal)
@@ -284,7 +279,7 @@ def uqcm_clone(psi: StateVector) -> CloneResult:
     clone_second = reduced(out, (1,))
     if np.abs(clone_first.entries - clone_second.entries).max() > 1e-10:
         raise DomainError("cloner symmetry violated")
-    fid = fidelity(clone_first, psi)
+    fid = measure_prob(clone_first, psi)
     r_in = to_bloch(DensityMatrix.from_state(psi)).as_array()
     r_out = to_bloch(clone_first).as_array()
     eta = float(r_out @ r_in)  # |r_in| = 1 for pure inputs

@@ -420,8 +420,10 @@ def pseudo_telepathy_game(n: int) -> CharacteristicGame:
 # teleportation
 
 
-# the fixed bases and Bob's corrections (i sigma_y, -sigma_z, sigma_x, -1), built once
-_BELL = tuple(qstate.bell_basis(2))
+# the fixed states, the Bell readout (row k is <b_k|, so outcome k reads b_k) and
+# Bob's corrections (i sigma_y, -sigma_z, sigma_x, -1), built once
+_BELL = qstate.bell_basis(2)
+_BELL_READOUT = UnitaryMatrix(np.array([b.amps for b in _BELL]).conj())
 _GHZ = qstate.bell_basis(3)[0]
 _CORRECTION_GATES = (
     UnitaryMatrix._owned([[0, 1], [-1, 0]]),
@@ -445,7 +447,8 @@ def teleport(
     state = qstate.tensor(psi, _BELL[3])
     report = GameReport("teleport", params={})
     report.log("Alice", "compose psi with shared |b3>", state)
-    record = qstate.measure(state, basis=_BELL, targets=(0, 1), rng=rng, force=force)
+    record = qstate.measure(qstate.apply(state, _BELL_READOUT, (0, 1)), targets=(0, 1),
+                            rng=rng, force=force)
     k = record.outcome_index
     report.log("Alice", f"Bell measurement -> b{k} (prob {record.probability:.4f})")
     recovered = qstate.apply(record.residual, _CORRECTION_GATES[k])
@@ -463,12 +466,11 @@ def teleport(
 
 _X, _Z = qstate.pauli_x().entries, qstate.pauli_z().entries
 # Gerald's correction, indexed [bell outcome][bob outcome]; bob outcome 0 is
-# |x+>, 1 is |x-> (the columns of the Hadamard).
+# |x+>, 1 is |x-> (the Hadamard is the x-basis readout).
 _SHARING_CORRECTIONS = tuple(
     tuple(UnitaryMatrix(m) for m in pair)
     for pair in ((np.eye(2), _Z), (_X, _X @ _Z), (_Z, np.eye(2)), (_Z @ _X, -_X))
 )
-_X_BASIS = tuple(StateVector([2], column) for column in qstate.hadamard().entries.T)
 
 
 def secret_share_qubit(
@@ -491,13 +493,15 @@ def secret_share_qubit(
     report.log("Alice", "compose secret with GHZ", state)
 
     force_bell = force[0] if force is not None else None
-    record = qstate.measure(state, basis=_BELL, targets=(0, 1), rng=rng, force=force_bell)
+    record = qstate.measure(qstate.apply(state, _BELL_READOUT, (0, 1)), targets=(0, 1),
+                            rng=rng, force=force_bell)
     k = record.outcome_index
     bob_gerald = record.residual
     report.log("Alice", f"Bell measurement -> b{k} (prob {record.probability:.4f})")
 
     force_bob = force[1] if force is not None else None
-    bob_record = qstate.measure(bob_gerald, basis=_X_BASIS, targets=(0,), rng=rng, force=force_bob)
+    bob_record = qstate.measure(qstate.apply(bob_gerald, _H, (0,)), targets=(0,),
+                                rng=rng, force=force_bob)
     s = bob_record.outcome_index
     report.log("Bob", f"x-basis measurement -> x{'+' if s == 0 else '-'}")
 
@@ -510,7 +514,7 @@ def secret_share_qubit(
     # (phases lost); Bob's alone: his x outcome leaves Gerald, once Alice's
     # two qubits are traced out (summed over her Bell basis), fully mixed.
     rho_given_alice = density.reduced(bob_gerald, (1,))
-    given_bob = qstate.measure(state, basis=_X_BASIS, targets=(2,), force=s).residual
+    given_bob = qstate.measure(qstate.apply(state, _H, (2,)), targets=(2,), force=s).residual
     mix = density.reduced(given_bob, (2,)).entries
     off_diag = float(np.abs(rho_given_alice.entries[0, 1]))
     mixed_dev = float(np.abs(mix - np.eye(2) / 2.0).max())
@@ -593,7 +597,7 @@ def secret_share_qutrit(secret: StateVector, pair: str | Sequence[str]) -> GameR
     report.log(recoverer_name, "add helper's new qutrit to own (mod 3)", state)
 
     rho_rec = density.reduced(state, (recoverer,))
-    fidelity = density.fidelity(rho_rec, secret)
+    fidelity = density.measure_prob(rho_rec, secret)
     purity = float((rho_rec.entries @ rho_rec.entries).trace().real)
     report.outcome = f"{recoverer_name} holds the secret"
     report.params["recovery_fidelity"] = float(fidelity)

@@ -14,9 +14,9 @@ Conventions used throughout the package:
   ascending targets, one transposed copy with the targets in front
   otherwise.  ``_split`` and ``_join`` are the only code that picks this
   layout; ``_contract`` runs one kernel on the block.
-* ``measure`` is the one measurement primitive: its record carries the
-  normalized residual state of the unmeasured subsystems, which is what a
-  receiver holds after a Bell measurement (teleportation, secret sharing).
+* ``measure`` is the one measurement primitive and reads the computational basis;
+  a basis {b_k} is read by applying first the readout ``UnitaryMatrix`` with rows
+  <b_k|.  Its record's residual is what a receiver holds after a Bell measurement.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ MAX_OPERATOR_DIM = 1 << 11
 # Construction-time checks run at 1e-8; equality assertions in tests use 1e-10.
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-8
-ORTHO_TOL = 1e-8
 PHASE_TOL = 1e-8
 
 
@@ -161,31 +160,17 @@ class UnitaryMatrix(Frozen):
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One projective measurement outcome.
+    """One computational-basis measurement outcome.
 
-    ``probability`` is the Born weight of ``vector``, the selected basis
-    vector over ``targets`` (in target order).  ``residual`` is the
+    ``probability`` is the Born weight of outcome ``outcome_index`` over the
+    measured subsystems (mixed-radix, in target order).  ``residual`` is the
     normalized state of the unmeasured subsystems in register order, None
     when every subsystem was measured.
     """
 
     outcome_index: int
-    outcome_label: str
     probability: float
-    targets: tuple[int, ...]
-    vector: StateVector
     residual: StateVector | None
-
-    @property
-    def post_state(self) -> StateVector:
-        """The collapsed register, vector (x) residual in register order, built on each read."""
-        if self.residual is None:
-            return self.vector
-        n = len(self.targets) + len(self.residual.dims)
-        order = self.targets + tuple(i for i in range(n) if i not in self.targets)
-        dims = tuple(d for _, d in sorted(zip(order, self.vector.dims + self.residual.dims)))
-        amps = np.multiply.outer(self.vector.amps, self.residual.amps)
-        return StateVector._owned(dims, _join(amps, dims, order))
 
 
 # ---------------------------------------------------------------------------
@@ -432,38 +417,18 @@ def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
 
 def measure(
     state: StateVector,
-    basis: Sequence[StateVector] | None = None,
     targets: Sequence[int] | None = None,
     rng: RandomSource | None = None,
     force: int | None = None,
 ) -> MeasurementRecord:
-    """Projective measurement of the addressed subsystems.
+    """Computational-basis measurement of the addressed subsystems.
 
-    ``basis`` defaults to the computational basis of the targets and must be
-    orthonormal and complete otherwise.  Outcome k is sampled with the Born
-    probability; pass ``force`` to select a branch deterministically (the
-    recorded probability is still the true branch weight, and a zero-weight
-    branch is a DomainError).  The residual comes from the same contraction.
+    Outcome k is sampled with the Born probability; pass ``force`` to select
+    a branch deterministically (the recorded probability is still the true
+    branch weight, and a zero-weight branch is a DomainError).  The residual
+    comes from the same block.
     """
-    targets, block, _ = _split(state, targets)
-    target_dims = tuple(state.dims[t] for t in targets)
-
-    if basis is None:
-        rows = block  # middle index k is already <k|psi>
-    else:
-        for bv in basis:
-            if bv.dims != target_dims:
-                raise DomainError(
-                    f"basis vector dims {bv.dims} do not match measured subsystems {target_dims}"
-                )
-        if len(basis) != block.shape[1]:
-            raise DomainError(f"basis with {len(basis)} vectors does not span the measured "
-                              f"subsystems (dim {block.shape[1]})")
-        vectors = np.array([bv.amps for bv in basis])
-        if not np.abs(vectors.conj() @ vectors.T - np.eye(len(basis))).max() <= ORTHO_TOL:
-            raise DomainError("measurement basis is not orthonormal")
-        rows = _contract(vectors.conj(), block)
-
+    targets, rows, _ = _split(state, targets)  # middle index k is already <k|psi>
     probs = _weights(rows)
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-6:  # NaN fails too
@@ -481,20 +446,12 @@ def measure(
         outcome = rng.choice(probs)
 
     probability = float(probs[outcome])
-    if basis is None:
-        label = basis_label(target_dims, outcome)
-        unit = np.zeros(len(probs), dtype=complex)
-        unit[outcome] = 1.0
-        vector = StateVector._owned(target_dims, unit)
-    else:
-        label = f"basis[{outcome}]"
-        vector = basis[outcome]
     residual = None
     if len(targets) < len(state.dims):  # the block's (L, R) pair is the rest in register order
         rest_dims = tuple(d for i, d in enumerate(state.dims) if i not in targets)
         amps = rows[:, outcome, :] / math.sqrt(probability)
         residual = StateVector._owned(rest_dims, amps.reshape(-1))
-    return MeasurementRecord(outcome, label, probability, targets, vector, residual)
+    return MeasurementRecord(outcome, probability, residual)
 
 
 def bell_basis(n: int) -> list[StateVector]:

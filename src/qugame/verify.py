@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cgame, density, qalgo, qgames, qstate
 from .cgame import Bimatrix
-from .qstate import StateVector
+from .qstate import StateVector, UnitaryMatrix
 from .rng import RandomSource
 
 
@@ -316,7 +316,9 @@ def _pseudo_telepathy_core(pd):
 def _teleport(pd):
     psi = StateVector([2], [0.6, 0.8])
     bell = qstate.bell_basis(2)
-    record = qstate.measure(qstate.tensor(psi, bell[3]), basis=bell, targets=(0, 1), force=0)
+    readout = UnitaryMatrix(np.array([b.amps for b in bell]).conj())  # row k is <b_k|
+    state = qstate.apply(qstate.tensor(psi, bell[3]), readout, (0, 1))
+    record = qstate.measure(state, targets=(0, 1), force=0)
     return {"B0 branch": record.probability, "B0 branch residual": record.residual.amps,
             "fidelities": [qgames.teleport(psi, force=k).params["recovery_fidelity"]
                            for k in range(4)]}

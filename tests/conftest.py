@@ -9,11 +9,6 @@ from qugame.qstate import StateVector, UnitaryMatrix
 GOLDEN = {g.name: g for g in verify.GOLDENS}
 
 
-def golden(name: str) -> None:
-    """Check one row of the golden table, where its expected numbers are stated."""
-    verify.check(GOLDEN[name])
-
-
 def random_state(dims, gen: np.random.Generator) -> StateVector:
     dim = math.prod(dims)
     amps = gen.normal(size=dim) + 1j * gen.normal(size=dim)

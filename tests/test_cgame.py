@@ -428,6 +428,16 @@ class TestRepeatedPayoffs:
             dist = cgame.repeated_payoff_distribution(n, 0.37)
             assert abs(sum(p for _, p in dist) - 1.0) < 1e-12
 
+    # 1029 is the largest N whose every C(N, x) is a finite float64
+    @pytest.mark.parametrize("n,fits", [(1029, True), (1030, False)])
+    def test_game_count_cap(self, n, fits):
+        if fits:
+            dist = cgame.repeated_payoff_distribution(n, 0.5)
+            assert abs(sum(p for _, p in dist) - 1.0) < 1e-9
+        else:
+            with pytest.raises(ResourceError, match="exceeds cap"):
+                cgame.repeated_payoff_distribution(n, 0.5)
+
 
 class TestESS:
     def test_pd_defect_is_ess(self):

@@ -272,15 +272,15 @@ class TestCloning:
 class TestFidelity:
     def test_pure_match(self, gen):
         psi = random_state((2,), gen)
-        assert abs(density.fidelity(DensityMatrix.from_state(psi), psi) - 1.0) < 1e-12
+        assert abs(density.measure_prob(DensityMatrix.from_state(psi), psi) - 1.0) < 1e-12
 
     def test_orthogonal(self):
         rho = DensityMatrix.from_state(qstate.basis_state([2], [0]))
-        assert density.fidelity(rho, qstate.basis_state([2], [1])) == 0.0
+        assert density.measure_prob(rho, qstate.basis_state([2], [1])) == 0.0
 
     def test_clone_value(self, gen):
         psi = random_state((2,), gen)
-        assert abs(density.fidelity(density.uqcm_clone(psi).clone, psi) - FIDELITY) < 1e-9
+        assert abs(density.measure_prob(density.uqcm_clone(psi).clone, psi) - FIDELITY) < 1e-9
 
 
 class TestDensityMatrixType:

@@ -46,8 +46,8 @@ def _json(obj) -> bytes:
 
 
 def _record(record) -> bytes:
-    return b"|".join((str(record.outcome_index).encode(), record.outcome_label.encode(),
-                      _float(record.probability), _amps(record.vector), _amps(record.residual)))
+    return b"|".join((str(record.outcome_index).encode(), _float(record.probability),
+                      _amps(record.residual)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +65,16 @@ def _measure():
         for _ in range(4):
             yield _record(qstate.measure(state, targets=targets, rng=rng))
         yield _record(qstate.measure(state, targets=targets, force=0))
+    # a basis measurement is its readout (rows: the conjugated basis vectors), then measure
     bell = qstate.bell_basis(2)
+    bell_readout = qstate.UnitaryMatrix(np.array([b.amps for b in bell]).conj())
     for _ in range(6):
         state = qstate.tensor(random_state((2,), gen), bell[3])
-        yield _record(qstate.measure(state, basis=bell, targets=(0, 1), rng=rng))
-        u = haar_unitary(3, gen)
-        basis = [qstate.StateVector([3], column) for column in u.entries.T]
-        state = random_state((2, 3), gen)
-        yield _record(qstate.measure(state, basis=basis, targets=(1,), rng=rng))
+        state = qstate.apply(state, bell_readout, (0, 1))
+        yield _record(qstate.measure(state, targets=(0, 1), rng=rng))
+        u = haar_unitary(3, gen)  # the basis is u's columns, so its readout is u^dagger
+        state = qstate.apply(random_state((2, 3), gen), u.dagger(), (1,))
+        yield _record(qstate.measure(state, targets=(1,), rng=rng))
 
 
 def _choice():
@@ -183,7 +185,7 @@ def _secret_share_qutrit():
 
 STREAMS = {
     "measure": (_measure,
-        "5f6424f4e77b4fa4e0a14b7f348903299e381dae4fe780230bfe70dc75eed155"),
+        "7f3e83ec263fd860d9c224bb1a2c21df781dce57f8b6af317243e30eeaeb8683"),
     "choice": (_choice,
         "b1b1aae438ddedd018975bd12f66f790a5dab8860ad23b899c4388c3d7a403e5"),
     "order_find": (_order_find,
