@@ -18,8 +18,8 @@ side goes first, and every worker times the same rows:
   search followed by reading every trajectory state;
 * the whole golden-table sweep, `verify.run_golden_checks()`;
 * `order_find` at Q = 2^14, 2^18 and 2^20: a first build (every order-finding
-  cache the side has cleared before each call: spectra, sine tables, orders)
-  and a repeat on the warm cache; at Q = 2^20 the pair (899, 7) has the odd
+  cache the side has cleared before each call: spectrum tables, sine tables,
+  orders) and a repeat on the warm cache; at Q = 2^20 the pair (899, 7) has the odd
   order 105, and two more first builds have g = gcd(r, Q) = 2, (1023, 2) of
   order 10, and g = 4, (1007, 2) of order 468;
 * `RandomSource.choice` over 4, 2^10 and 2^20 weights;
@@ -127,11 +127,7 @@ def call_for(row):
         if row["mode"] == "repeat":
             qalgo.order_find(N, m, rng)
             return lambda: qalgo.order_find(N, m, rng)
-        # the spectrum cache was per (N, m) before it was per (Q, r); sine tables per Q'
-        # came with the folded phase
-        caches = [getattr(qalgo, name) for name in ("_comb_spectrum", "_order_find_distributions",
-                                                    "_sines", "multiplicative_order")
-                  if hasattr(qalgo, name)]
+        caches = [qalgo._comb_spectrum, qalgo._sines, qalgo.multiplicative_order]
 
         def first_build():
             for cache in caches:

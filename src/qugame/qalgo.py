@@ -10,12 +10,12 @@ the 2^n-amplitude state afresh.  Order finding keeps the full left register of
 2n qubits but represents the right register symbolically as the integer
 m^x mod N, collapsing it before the Fourier transform; the collapse commutes
 with the left-register QFT, so the sampled distribution is identical to the
-deferred-measurement version (tested).  That comb spectrum depends only on Q
-and the order r, and on the peak w only through the folded phase k of
-r' w mod Q' (Shor 1997, section 5); it is kept by (Q, r), as one cumulative
-table over k per comb length, in an LRU bounded by SPECTRUM_CACHE_BYTES.  Its
-weights are within 3e-15 of a long-double evaluation of the full grid, where
-float64 sines of the unreduced phases were up to 1.4e-10 off at Q = 2^20.
+deferred-measurement version (tested).  A comb's spectrum is the Fejer kernel
+of its length M on Z_Q', Q' = Q/gcd(r, Q), read at the folded phase k of
+r' w mod Q' (Shor 1997, section 5); one cumulative table over k per (Q', M)
+is kept in an LRU bounded by SPECTRUM_CACHE_BYTES.  Its weights are within
+3e-15 of a long-double evaluation of the full grid, where float64 sines of
+the unreduced phases were up to 1.4e-10 off at Q = 2^20.
 """
 
 from __future__ import annotations
@@ -288,9 +288,9 @@ def multiplicative_order(m: int, N: int) -> int:
     return r
 
 
-# Bytes of comb spectra kept between calls: 23 spectra of the largest (Q = 2^20)
-# register at odd order, each two 4 MiB k tables (two comb lengths) and a small
-# x0 table.  An even order's k tables are 2g times smaller, so more fit.
+# Bytes of Fejer tables kept between calls: 47 tables of the largest phase
+# domain, Q' = 2^20 (odd order on the Q = 2^20 register), at 4 MiB each.  An
+# even order's Q' is gcd(r, Q) times smaller, so more fit.
 SPECTRUM_CACHE_BYTES = 192 << 20
 
 
@@ -315,76 +315,63 @@ def _sines(Qp: int) -> np.ndarray:
     return sines
 
 
-def _build_comb_spectrum(two_n: int, r: int):
-    """Sampling tables of the comb spectrum for order r on a 2n-qubit left register.
+def _fejer_cdf(Qp: int, M: int) -> np.ndarray:
+    """`rng.cumulative` table of the folded phase k of a comb of M points on Z_Q'.
 
-    Returns (x0_cdf, {comb_length: k_cdf}, Q', 2g, r'^-1 mod Q'), the tables
-    built by `rng.cumulative`.  After the collapse onto m^(x0) mod N the left
-    register holds the comb x0, x0 + r, ... of length M, with probability
-    M/Q, and its QFT puts weight |sum_j e^(2 pi i j r w / Q)|^2 on w.  With
-    g = gcd(r, Q), Q' = Q/g and r' = r/g (odd), that is the Fejer kernel
-    sin^2(pi M u / Q') / sin^2(pi u / Q') of u = r' w mod Q' (M^2 at u = 0),
-    even in u, and g values of w share each u: so the table runs over the
-    folded phase k = min(u, Q' - u) in [0, Q'/2], doubled where k != Q' - k.
-    Only Q and r enter.  Both sines come from `_sines(Q')` at phases reduced
-    and folded in integers; `cumulative` normalises the weights.
+    The QFT of the comb x0, x0 + r, ... puts the Fejer kernel
+    sin^2(pi M u / Q') / sin^2(pi u / Q') of u = r' w mod Q' on w (M^2 at u = 0;
+    g = gcd(r, Q), Q' = Q/g, r' = r/g odd).  It is even in u and g values of w
+    share each u, so the table runs over k = min(u, Q' - u) in [0, Q'/2], doubled
+    where k != Q' - k.  Both sines come from `_sines(Q')` at integer-folded phases.
     """
-    Q = 1 << two_n
-    g = gcd(r, Q)
-    Qp, half = Q // g, Q // (2 * g)
-    lengths = (Q - 1 - np.arange(r)) // r + 1
+    half = Qp >> 1
     sines = _sines(Qp)
-    k_cdfs = {}
-    for M in np.unique(lengths).tolist():
-        v = np.arange(half + 1)
-        v *= M
-        weights = sines[_fold(v, Qp)]  # sin(pi M k / Q') up to sign
-        del v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights /= sines
-        weights[0] = M
-        weights **= 2
-        weights[1:half] *= 2  # k stands for u = k and u = Q' - k
-        k_cdfs[M] = cumulative(weights)
-    return cumulative(lengths / Q), k_cdfs, Qp, 2 * g, pow(r // g, -1, Qp)
+    v = np.arange(half + 1)
+    v *= M
+    weights = sines[_fold(v, Qp)]  # sin(pi M k / Q') up to sign
+    del v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights /= sines
+    weights[0] = M
+    weights **= 2
+    weights[1:half] *= 2  # k stands for u = k and u = Q' - k
+    return cumulative(weights)
 
 
 class _SpectrumCache:
-    """Least-recently-used comb spectra by (2n, r), bounded by their arrays' bytes.
-
-    Pairs (N, m) with the same register width and order share one entry.
-    """
+    """Least-recently-used Fejer tables by (Q', M), bounded by their bytes."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.entries: OrderedDict = OrderedDict()
         self.nbytes = 0
 
-    def __call__(self, two_n: int, r: int):
-        key = (two_n, r)
-        spectrum = self.entries.get(key)
-        if spectrum is not None:
+    def __call__(self, Qp: int, M: int) -> np.ndarray:
+        key = (Qp, M)
+        table = self.entries.get(key)
+        if table is not None:
             self.entries.move_to_end(key)
-            return spectrum
-        spectrum = _build_comb_spectrum(two_n, r)
-        self.entries[key] = spectrum
-        self.nbytes += _spectrum_bytes(spectrum)
+            return table
+        table = self.entries[key] = _fejer_cdf(Qp, M)
+        self.nbytes += table.nbytes
         while self.nbytes > self.budget:
-            _, old = self.entries.popitem(last=False)
-            self.nbytes -= _spectrum_bytes(old)
-        return spectrum
+            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+        return table
 
     def cache_clear(self) -> None:
         self.entries.clear()
         self.nbytes = 0
 
 
-def _spectrum_bytes(spectrum) -> int:
-    x0_cdf, k_cdfs = spectrum[:2]
-    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in k_cdfs.values())
-
-
 _comb_spectrum = _SpectrumCache(SPECTRUM_CACHE_BYTES)
+
+
+def _comb_of(t: int, Q: int, r: int) -> tuple[int, int]:
+    """(x0, M) of the comb x0, x0 + r, ... < Q holding point t in [0, Q) when the
+    combs are laid end to end: the first b = Q mod r have M = Q // r + 1 points."""
+    a, b = divmod(Q, r)
+    x0 = t // (a + 1) if t < b * (a + 1) else b + (t - b * (a + 1)) // a
+    return x0, a + (x0 < b)
 
 
 def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
@@ -393,12 +380,14 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
     The right register is never expanded into amplitudes: it is collapsed to
     a concrete value Z = m^(x0) mod N first, which filters the left register
     down to the comb {x : m^x = Z}, and the QFT peak w is then sampled from
-    the exact comb spectrum: x0, then the folded phase k, then one uniform
-    j in [0, 2g), exact because 2g is a power of two, whose low bit picks
-    u = +-k mod Q' and whose other bits pick the period t in
-    w = u r'^-1 mod Q' + t Q'.  The continued-fraction candidate (d', r')
-    with denominator below N is attached.  A left register Q = 2^(2n) above
-    qstate.MAX_STATE_DIM is a ResourceError.
+    the exact comb spectrum.  x0, of probability M/Q for its comb length M,
+    is the comb holding point floor(v Q) of the combs laid end to end for a
+    uniform v, as a search of the cumulative lengths finds it.  Then the
+    folded phase k, then one uniform j in [0, 2g), exact because 2g is a
+    power of two, whose low bit picks u = +-k mod Q' and whose other bits
+    pick the period t in w = u r'^-1 mod Q' + t Q'.  The continued-fraction
+    candidate (d', r') with denominator below N is attached.  A left register
+    Q = 2^(2n) above qstate.MAX_STATE_DIM is a ResourceError.
     """
     N, m = as_index(N, "modulus"), as_index(m, "base")
     if N < 3:
@@ -410,11 +399,12 @@ def order_find(N: int, m: int, rng: RandomSource) -> PeriodSample:
     two_n = check_qubits(_register_width(N), qstate.MAX_STATE_DIM)
     Q = 1 << two_n
     r = multiplicative_order(m, N)
-    x0_cdf, k_cdfs, Qp, two_g, r_inverse = _comb_spectrum(two_n, r)
-    x0 = rng.draw(x0_cdf)
-    k = rng.draw(k_cdfs[(Q - 1 - x0) // r + 1])
-    j = int(rng.uniform() * two_g)
-    w = (-k if j & 1 else k) * r_inverse % Qp + (j >> 1) * Qp
+    g = gcd(r, Q)
+    Qp = Q // g
+    x0, M = _comb_of(int(rng.uniform() * Q), Q, r)  # exact: Q is a power of two
+    k = rng.draw(_comb_spectrum(Qp, M))
+    j = int(rng.uniform() * (2 * g))
+    w = (-k if j & 1 else k) * pow(r // g, -1, Qp) % Qp + (j >> 1) * Qp
     d, rr = _best_convergent(w, Q, N)
     return PeriodSample(
         modulus=N,

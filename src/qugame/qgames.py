@@ -336,13 +336,14 @@ def card_game_round(
         raise DomainError(f"deal must be three bits, got {r}")
     if r[0] != 0 or r[1] != 1:
         raise DomainError(f"illegal deal {r}: card 0 shows circles, card 1 shows dots")
-    if rng is None:
-        rng = RandomSource()
+    if draw is not None:
+        draw = as_index(draw, "draw index")
+        if not 0 <= draw <= 2:
+            raise DomainError(f"draw index {draw} out of range")
+    if rng is None:  # the query readout is sampled even when the draw is given
+        raise DomainError("pass rng")
     if draw is None:
         draw = rng.integer(0, 2)
-    draw = as_index(draw, "draw index")
-    if not 0 <= draw <= 2:
-        raise DomainError(f"draw index {draw} out of range")
 
     report = GameReport("card", params={"deal": list(r), "draw": draw})
     state = qstate.basis_state([2, 2, 2], [0, 0, 0])
@@ -401,7 +402,9 @@ def pseudo_telepathy_round(
         raise DomainError("promise violated: sum of inputs must be even")
     parity = (sum(x) // 2) % 2
     if force is None:
-        k = int((rng or RandomSource()).uniform() * (1 << (n - 1)))
+        if rng is None:
+            raise DomainError("pass rng or force")
+        k = int(rng.uniform() * (1 << (n - 1)))
         index = 2 * k + (k.bit_count() + parity) % 2  # k's N-1 bits, then the parity bit
     else:
         index = as_index(force, "forced outcome")
@@ -557,7 +560,7 @@ def encode_qutrit_secret(secret: StateVector) -> StateVector:
     return StateVector._owned((3, 3, 3), amps)
 
 
-def secret_share_qutrit(secret: StateVector, pair: str | Sequence[str]) -> GameReport:
+def secret_share_qutrit(secret: StateVector, pair: str) -> GameReport:
     """(2,3)-threshold qutrit sharing with modulo-3 recovery.
 
     ``pair`` names the two cooperating members (e.g. "alice,bob").  The
@@ -566,10 +569,7 @@ def secret_share_qutrit(secret: StateVector, pair: str | Sequence[str]) -> GameR
     to their own, then the recoverer adds the helper's new qutrit back.  The
     recoverer ends holding the secret, disentangled from the rest.
     """
-    if isinstance(pair, str):
-        members = [p.strip().lower() for p in pair.replace("+", ",").split(",") if p.strip()]
-    else:
-        members = [str(p).strip().lower() for p in pair]
+    members = [p.strip().lower() for p in pair.split(",") if p.strip()]
     if len(members) != 2 or any(m not in _MEMBER_INDEX for m in members):
         raise DomainError(f"pair must name two of alice/bob/gerald, got {pair!r}")
     indices = frozenset(_MEMBER_INDEX[m] for m in members)

@@ -177,7 +177,7 @@ class MeasurementRecord:
 # construction
 
 
-def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> StateVector:
+def basis_state(dims: Sequence[int], digits: Sequence[int] | str) -> StateVector:
     """Computational basis state |digits> over the given dimension list."""
     dims = tuple(as_index(d, "dimension") for d in dims)
     total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
@@ -185,14 +185,8 @@ def basis_state(dims: Sequence[int], digits: Sequence[int] | str | int) -> State
         if not (digits.isascii() and digits.isdigit()):
             raise DomainError(f"basis label {digits!r} must be decimal digits")
         digits = [int(c) for c in digits]
-    if isinstance(digits, (int, np.integer)):
-        index = as_index(digits, "basis index")
-        if not 0 <= index < total:
-            raise DomainError(f"basis index {brief(index)} out of range for dims {brief_all(dims)}")
-    else:
-        index = digits_to_index(dims, digits)
     amps = np.zeros(total, dtype=complex)
-    amps[index] = 1.0
+    amps[digits_to_index(dims, digits)] = 1.0
     return StateVector(dims, amps)
 
 
@@ -425,8 +419,8 @@ def measure(
 
     Outcome k is sampled with the Born probability; pass ``force`` to select
     a branch deterministically (the recorded probability is still the true
-    branch weight, and a zero-weight branch is a DomainError).  The residual
-    comes from the same block.
+    branch weight, and a zero-weight branch is a DomainError); neither ``rng``
+    nor ``force`` is a DomainError.  The residual comes from the same block.
     """
     targets, rows, _ = _split(state, targets)  # middle index k is already <k|psi>
     probs = _weights(rows)
@@ -440,9 +434,9 @@ def measure(
             raise DomainError(f"forced outcome {brief(outcome)} out of range")
         if probs[outcome] <= 1e-30:
             raise DomainError(f"forced outcome {outcome} has zero probability")
+    elif rng is None:
+        raise DomainError("pass rng or force")
     else:
-        if rng is None:
-            rng = RandomSource()
         outcome = rng.choice(probs)
 
     probability = float(probs[outcome])

@@ -318,12 +318,32 @@ def test_out_of_domain_arguments_are_domain_errors(call):
         call()
 
 
+# a call that must sample names its stream: with neither rng nor force it is
+# refused rather than drawn from a hidden fixed seed
+PSI = qstate.StateVector([2], [0.6, 0.8])
+UNSEEDED_CALLS = {
+    "measure": lambda: qstate.measure(PSI),
+    "card": lambda: qgames.card_game_round((0, 1, 1)),
+    "card-drawn": lambda: qgames.card_game_round((0, 1, 1), draw=2),
+    "pseudo_telepathy_round": lambda: qgames.pseudo_telepathy_round((1, 1, 0)),
+    "teleport": lambda: qgames.teleport(PSI),
+    "secret_share_qubit": lambda: qgames.secret_share_qubit(PSI),
+    "spin_flip_play": lambda: qgames.spin_flip_play(*[qstate.hadamard()] * 3),
+}
+
+
+@pytest.mark.parametrize("call", UNSEEDED_CALLS.values(), ids=UNSEEDED_CALLS.keys())
+def test_sampling_needs_rng_or_force(call):
+    with pytest.raises(DomainError, match="pass rng"):
+        call()
+
+
 def test_numpy_integers_pass_every_entry_point():
     i = np.int64
     assert density.partial_trace(BELL_RHO, (i(2), i(2)), keep=(i(1),)).dim == 2
-    card = qgames.card_game_round((i(0), i(1), i(0)), draw=i(1))
+    card = qgames.card_game_round((i(0), i(1), i(0)), draw=i(1), rng=RandomSource(0))
     assert card.params == {"deal": [0, 1, 0], "draw": 1}
-    assert qgames.pseudo_telepathy_round((i(1), i(1), i(0)))[1]
+    assert qgames.pseudo_telepathy_round((i(1), i(1), i(0)), rng=RandomSource(0))[1]
     game = cgame.CharacteristicGame(i(2), {(i(0), i(1)): 1.0, i(1): 0.5})
     assert game.n_players == 2 and game.value((0, 1)) == 1.0 and game.value((0,)) == 0.5
     assert RandomSource(i(3)).seed == 3

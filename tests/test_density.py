@@ -51,7 +51,7 @@ class TestMeasureProb:
         states = [random_state((2, 2), gen) for _ in range(3)]
         rho = density.rho_from_ensemble(states, [0.5, 0.3, 0.2])
         total = sum(
-            density.measure_prob(rho, qstate.basis_state([2, 2], k)) for k in range(4)
+            density.measure_prob(rho, qstate.basis_state([2, 2], divmod(k, 2))) for k in range(4)
         )
         assert abs(total - 1.0) < 1e-10
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -10,7 +11,7 @@ import pytest
 
 from qugame import qalgo, qstate
 from qugame.errors import DomainError, ResourceError
-from qugame.rng import RandomSource
+from qugame.rng import RandomSource, cumulative
 
 
 class TestGroverIterations:
@@ -343,15 +344,23 @@ class TestContinuedFractions:
         assert hit >= 3  # the case list must actually exercise the window
 
 
+def combs_of_every_point(Q: int, r: int) -> np.ndarray:
+    """(Q, 2) array: `qalgo._comb_of(t, Q, r)` = (x0, M) for every t in [0, Q)."""
+    pairs = itertools.chain.from_iterable(qalgo._comb_of(t, Q, r) for t in range(Q))
+    return np.fromiter(pairs, dtype=np.int64, count=2 * Q).reshape(Q, 2)
+
+
 class TestOrderFind:
     def test_comb_spacing_matches_order(self):
-        # the left-register comb after collapse steps by the true order
+        # the left-register comb after collapse steps by the true order: comb x0
+        # holds the M points x0, x0 + 30, ... below Q, and the combs tile [0, Q)
         two_n, r = qalgo._register_width(77), qalgo.multiplicative_order(39, 77)
         assert two_n == 14 and r == 30
-        x0_cdf = qalgo._comb_spectrum(two_n, r)[0]
-        x0_probs = np.diff(x0_cdf, prepend=0.0)
-        assert len(x0_probs) == 30
-        assert abs(sum(x0_probs) - 1.0) < 1e-12
+        Q = 1 << two_n
+        combs = combs_of_every_point(Q, r)
+        sizes = np.bincount(combs[:, 0])
+        assert sizes.tolist() == [len(range(x0, Q, r)) for x0 in range(r)]
+        assert (combs[:, 1] == sizes[combs[:, 0]]).all()
 
     def test_register_sizing(self):
         # 2^(2n-2) < N^2 < 2^(2n)
@@ -363,9 +372,8 @@ class TestOrderFind:
         # 3 has order 5 mod 11: the surviving comb steps by 5
         two_n, r = qalgo._register_width(11), qalgo.multiplicative_order(3, 11)
         assert r == 5
-        x0_cdf = qalgo._comb_spectrum(two_n, r)[0]
         Q = 1 << two_n
-        assert len(x0_cdf) == r
+        assert set(combs_of_every_point(Q, r)[:, 0].tolist()) == set(range(r))
         for x0 in range(r):
             z = pow(3, x0, 11)
             comb = [x for x in range(Q) if pow(3, x, 11) == z]
@@ -407,9 +415,8 @@ class TestOrderFind:
         for N, m in ((15, 2), (21, 4), (21, 2), (35, 2)):
             two_n, r = qalgo._register_width(N), qalgo.multiplicative_order(m, N)
             Q = 1 << two_n
-            spectrum = qalgo._comb_spectrum(two_n, r)
-            x0_probs = np.diff(spectrum[0], prepend=0.0)
-            w_dists = peak_probabilities(spectrum, Q, r)
+            x0_probs = np.bincount(combs_of_every_point(Q, r)[:, 0]) / Q
+            w_dists = peak_probabilities(Q, r)
             powers = [pow(m, x, N) for x in range(Q)]
             deferred = {}
             for z in sorted(set(powers)):
@@ -485,18 +492,25 @@ def phase_distributions(N: int, m: int):
     return Qp, 2 * g, k_probs, peak
 
 
-def peak_probabilities(spectrum, Q: int, r: int) -> dict:
-    """P(w) over all Q outputs, per comb length, from a spectrum's k tables.
+def comb_lengths(Q: int, r: int) -> list[int]:
+    """The distinct lengths of the combs x0, x0 + r, ... below Q."""
+    return sorted({len(range(x0, Q, r)) for x0 in range(r)})
+
+
+def peak_probabilities(Q: int, r: int) -> dict:
+    """P(w) over all Q outputs, per comb length M, from the package's (Q', M) tables.
 
     A phase k in (0, Q'/2) stands for the 2g outputs with u = k or Q' - k,
     k = 0 and k = Q'/2 for g outputs each; the phase of w is taken from its
     definition, u = r' w mod Q'.
     """
-    _, k_cdfs, Qp, two_g, _ = spectrum
-    u = (r * 2 // two_g) * np.arange(Q) % Qp
+    g = math.gcd(r, Q)
+    Qp = Q // g
+    u = (r // g) * np.arange(Q) % Qp
     k = np.minimum(u, Qp - u)
-    share = np.where((k == 0) | (k == Qp // 2), two_g // 2, two_g)
-    return {M: np.diff(cdf, prepend=0.0)[k] / share for M, cdf in k_cdfs.items()}
+    share = np.where((k == 0) | (k == Qp // 2), g, 2 * g)
+    return {M: np.diff(qalgo._comb_spectrum(Qp, M), prepend=0.0)[k] / share
+            for M in comb_lengths(Q, r)}
 
 
 def numpy_choice(gen, probs) -> int:
@@ -549,17 +563,6 @@ def spectrum_cache():
     qalgo._sines.cache_clear()
 
 
-def spectrum_bytes(spectrum) -> int:
-    x0_cdf, k_cdfs = spectrum[:2]
-    return x0_cdf.nbytes + sum(cdf.nbytes for cdf in k_cdfs.values())
-
-
-def entry_bytes(Q: int, r: int) -> int:
-    """Bytes of the spectrum of order r on Q: x0 table, one k table per comb length."""
-    lengths = 1 if Q % r == 0 else 2
-    return 8 * r + lengths * 8 * (Q // (2 * math.gcd(r, Q)) + 1)
-
-
 class TestCombSpectrum:
     @pytest.mark.parametrize("seed", range(3))
     def test_samples_match_dense_oracle(self, seed, spectrum_cache):
@@ -582,76 +585,97 @@ class TestCombSpectrum:
     @pytest.mark.parametrize("N, m", [(15, 2), (77, 39), (91, 2), (899, 7), (1023, 2), (1007, 2)])
     def test_tables_are_the_dense_spectrum(self, N, m, spectrum_cache):
         Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
-        spectrum = qalgo._comb_spectrum(two_n, r)
-        x0_cdf, k_cdfs, Qp, two_g, r_inverse = spectrum
-        g = math.gcd(r, Q)
-        assert (Qp, two_g) == (Q // g, 2 * g) and r // g * r_inverse % Qp == 1
-        assert np.abs(np.diff(x0_cdf, prepend=0.0) - x0_probs).max() < 1e-12
-        assert sorted(k_cdfs) == sorted(w_dists)
-        for M, cdf in k_cdfs.items():
-            assert cdf.shape == (Qp // 2 + 1,) and cdf[-1] == 1.0
-            assert not cdf.flags.writeable
-        for M, probs in peak_probabilities(spectrum, Q, r).items():
+        Qp = Q // math.gcd(r, Q)
+        assert comb_lengths(Q, r) == sorted(w_dists)
+        for M, probs in peak_probabilities(Q, r).items():
             assert np.abs(probs - w_dists[M]).max() < 1e-12  # every w
-        assert not x0_cdf.flags.writeable and not qalgo._sines(Qp).flags.writeable
-        assert spectrum_bytes(spectrum) == entry_bytes(Q, r)
+        assert list(spectrum_cache.entries) == [(Qp, M) for M in sorted(w_dists)]
+        for table in spectrum_cache.entries.values():
+            assert table.shape == (Qp // 2 + 1,) and table[-1] == 1.0
+            assert not table.flags.writeable
+        assert spectrum_cache.nbytes == len(w_dists) * 8 * (Qp // 2 + 1)
+        assert not qalgo._sines(Qp).flags.writeable
+
+    # r | Q, g = 2, g = 4, odd r
+    @pytest.mark.parametrize("N, m", [(15, 2), (77, 39), (91, 2), (899, 7)])
+    def test_comb_start_is_the_cumulative_search(self, N, m):
+        # the cumulative table of the comb lengths holds S_i / Q exactly, S_i the
+        # i-th cumulative length, so its search of t / Q finds the comb holding t
+        Q, r = 1 << qalgo._register_width(N), qalgo.multiplicative_order(m, N)
+        lengths = (Q - 1 - np.arange(r)) // r + 1
+        x0_cdf = cumulative(lengths / Q)
+        assert np.array_equal(x0_cdf, np.cumsum(lengths) / Q) and x0_cdf[-1] == 1.0
+        combs = combs_of_every_point(Q, r)
+        assert np.array_equal(combs[:, 0], x0_cdf.searchsorted(np.arange(Q) / Q, "right"))
+        assert np.array_equal(combs[:, 1], lengths[combs[:, 0]])
 
     # r | Q, odd r, g = 2, g = 4
     @pytest.mark.parametrize("N, m", [(15, 2), (21, 4), (21, 2), (35, 2)])
     def test_every_phase_and_j_reach_their_peaks(self, N, m, spectrum_cache):
-        # order_find's own mapping, driven through every (k, j) of each comb length,
-        # puts P(k) / 2g on each output; summed, that is the oracle's P(w) for every w
+        # order_find's own mapping, driven through every (k, j) of each comb length
+        # and to its x0 by the uniform, puts P(k) / 2g on each output; summed, that
+        # is the oracle's P(w) for every w
         Q, two_n, r, x0_probs, w_dists = dense_distributions(N, m)
-        _, k_cdfs, Qp, two_g, _ = qalgo._comb_spectrum(two_n, r)
-        x0_of = {(Q - 1 - x0) // r + 1: x0 for x0 in range(r)}
-        for M, cdf in k_cdfs.items():
-            p_k = np.diff(cdf, prepend=0.0)
+        g = math.gcd(r, Q)
+        Qp, two_g = Q // g, 2 * g
+        lengths = (Q - 1 - np.arange(r)) // r + 1
+        x0_of = {M: x0 for x0, M in enumerate(lengths.tolist())}
+        for M, x0 in x0_of.items():
+            t = int(lengths[:x0].sum())  # the comb's first point
+            p_k = np.diff(qalgo._comb_spectrum(Qp, M), prepend=0.0)
             probs = np.zeros(Q)
             for k in range(Qp // 2 + 1):
                 for j in range(two_g):
-                    rng = ScriptedSource([x0_of[M], k], [(j + 0.5) / two_g])
-                    probs[qalgo.order_find(N, m, rng).observed_w] += p_k[k] / two_g
+                    rng = ScriptedSource([k], [t / Q, (j + 0.5) / two_g])
+                    sample = qalgo.order_find(N, m, rng)
+                    assert sample.collapsed_value == pow(m, x0, N)
+                    probs[sample.observed_w] += p_k[k] / two_g
             assert np.abs(probs - w_dists[M]).max() < 1e-12, M
 
-    def test_same_order_shares_one_entry(self, spectrum_cache):
-        qalgo.order_find(91, 2, RandomSource(0))
-        assert list(spectrum_cache.entries) == [(14, 12)]
-        held, entry = spectrum_cache.nbytes, spectrum_cache.entries[(14, 12)]
-        qalgo.order_find(65, 2, RandomSource(1))
-        assert list(spectrum_cache.entries) == [(14, 12)]
-        assert spectrum_cache.nbytes == held == spectrum_bytes(entry)
-        assert spectrum_cache.entries[(14, 12)] is entry
+    def test_shared_tables_add_no_entry(self, spectrum_cache):
+        # (19, 7): Q = 2^10, r = 3; (35, 2): Q = 2^12, r = 12, g = 4; both are combs
+        # of 341 or 342 points on Q' = 1024
+        rng = RandomSource(0)
+        for _ in range(20):
+            qalgo.order_find(19, 7, rng)
+        entries = dict(spectrum_cache.entries)
+        held = spectrum_cache.nbytes
+        assert sorted(entries) == [(1024, 341), (1024, 342)]
+        assert held == sum(table.nbytes for table in entries.values())
+        for _ in range(20):
+            qalgo.order_find(35, 2, rng)
+        assert sorted(spectrum_cache.entries) == sorted(entries)
+        assert spectrum_cache.nbytes == held
+        assert all(spectrum_cache.entries[key] is table for key, table in entries.items())
 
     def test_bytes_stay_under_budget(self, spectrum_cache):
-        # distinct orders of 2 on the Q = 2^20 register until their entries
-        # take more bytes than the budget holds
-        Q, orders, total = 1 << 20, {}, 0
+        # both comb lengths of each odd order of 2 on the Q = 2^20 register, one
+        # Q' = 2^20 table each, until more were built than the budget holds
+        Q, orders = 1 << 20, {}
         for N in range(513, 1024, 2):
             r = qalgo.multiplicative_order(2, N)
-            if r not in orders:
-                orders[r] = N
-                total += entry_bytes(Q, r)
-                if total > qalgo.SPECTRUM_CACHE_BYTES:
-                    break
-        assert total > qalgo.SPECTRUM_CACHE_BYTES
-        rng = RandomSource(0)
-        for N in orders.values():
-            qalgo.order_find(N, 2, rng)
+            if r % 2:
+                orders.setdefault(r, N)
+        keys = [(Q, M) for r in orders for M in comb_lengths(Q, r)]
+        table_bytes = 8 * (Q // 2 + 1)
+        fits = qalgo.SPECTRUM_CACHE_BYTES // table_bytes
+        assert fits == 47 and len(keys) > fits
+        for key in keys[:fits + 2]:
+            spectrum_cache(*key)
             assert spectrum_cache.nbytes <= qalgo.SPECTRUM_CACHE_BYTES
             assert spectrum_cache.nbytes == sum(
-                spectrum_bytes(e) for e in spectrum_cache.entries.values())
-        keys = list(spectrum_cache.entries)
-        assert len(keys) < len(orders)
+                table.nbytes for table in spectrum_cache.entries.values())
         # the oldest went first
-        assert keys == [(20, r) for r in list(orders)[len(orders) - len(keys):]]
+        assert list(spectrum_cache.entries) == keys[2:fits + 2]
+        assert spectrum_cache.nbytes == fits * table_bytes
 
     def test_hit_refreshes_recency(self, spectrum_cache, monkeypatch):
-        sizes = {r: spectrum_bytes(qalgo._build_comb_spectrum(8, r)) for r in (3, 5, 7)}
-        monkeypatch.setattr(spectrum_cache, "budget", sum(sizes.values()) - 1)
-        for r in (3, 5, 3, 7):
-            qalgo._comb_spectrum(8, r)
-        assert list(spectrum_cache.entries) == [(8, 3), (8, 7)]
-        assert spectrum_cache.nbytes == sizes[3] + sizes[7]
+        table_bytes = qalgo._fejer_cdf(256, 3).nbytes
+        monkeypatch.setattr(spectrum_cache, "budget", 3 * table_bytes - 1)
+        for M in (3, 5, 3, 7):
+            qalgo._comb_spectrum(256, M)
+        assert list(spectrum_cache.entries) == [(256, 3), (256, 7)]
+        assert spectrum_cache.nbytes == 2 * table_bytes
 
     def test_first_build_peak(self, spectrum_cache):
         # odd order 105 has the largest tables, Q' = Q; order 10 has Q' = Q/2

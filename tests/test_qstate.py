@@ -180,15 +180,16 @@ class TestQft:
 class TestSizeGuard:
     # each call asks for GiBs (or 2^(10^9) entries); the guard refuses before allocating
     @pytest.mark.parametrize("call", [
-        lambda: qstate.basis_state([2] * 30, 0),
-        lambda: qstate.basis_state([2] * 64, 0),
+        lambda: qstate.basis_state([2] * 30, [0] * 30),
+        lambda: qstate.basis_state([2] * 64, [0] * 64),
         lambda: qstate.identity(2**17),
         lambda: qstate.controlled_add(300),
         lambda: qstate.bell_basis(30),
         lambda: density.DensityMatrix.maximally_mixed(2**17),
         lambda: qstate.walsh(10**9),
         lambda: qalgo.grover_operators(10**9, 0),
-        lambda: qstate.tensor(qstate.basis_state([2] * 11, 0), qstate.basis_state([2] * 10, 0)),
+        lambda: qstate.tensor(qstate.basis_state([2] * 11, [0] * 11),
+                              qstate.basis_state([2] * 10, [0] * 10)),
         lambda: qstate.tensor(qstate.identity(64), qstate.identity(64)),
     ], ids=["basis_state-30", "basis_state-64", "identity", "controlled_add", "bell_basis",
             "maximally_mixed", "walsh", "grover_operators", "tensor-states", "tensor-unitaries"])
@@ -567,24 +568,23 @@ class TestIntegerInputs:
     @pytest.mark.parametrize("index", [True, -1, 4])
     def test_basis_index_is_an_integer_in_range(self, index):
         with pytest.raises(DomainError):
-            qstate.basis_state([2, 2], index)
+            qstate.basis_state([2, 2], [0, index])
 
     # Python refuses to print an integer of more than 4,300 digits
     @pytest.mark.parametrize("call", [
-        lambda: qstate.basis_state([2], 10**5000),
+        lambda: qstate.basis_state([2, 2], [0, 10**5000]),
         lambda: qstate.basis_state([2], [10**5000]),
-        lambda: qstate.apply(qstate.basis_state([2], 0), qstate.hadamard(), [10**5000]),
-        lambda: qstate.measure(qstate.basis_state([2], 0), force=10**5000),
+        lambda: qstate.apply(qstate.basis_state([2], [0]), qstate.hadamard(), [10**5000]),
+        lambda: qstate.measure(qstate.basis_state([2], [0]), force=10**5000),
         lambda: RandomSource(-10**5000),
-        lambda: qstate.apply(qstate.basis_state([2, 2], 0), qstate.pauli_x(),
+        lambda: qstate.apply(qstate.basis_state([2, 2], [0, 0]), qstate.pauli_x(),
                              [10**5000, 10**5000]),
         lambda: StateVector([1, 10**5000], [1]),
-        lambda: qstate.basis_state([0, 10**5000], 0),
         lambda: qstate.basis_state([10**5000, 0], [10**5000 + 1, 0]),
         lambda: density.partial_trace(density.DensityMatrix.maximally_mixed(2), [10**5000], [0]),
         lambda: density.partial_trace(density.DensityMatrix.maximally_mixed(2), [2], [10**5000]),
     ], ids=["basis-index", "digit", "target", "forced-outcome", "seed", "repeated-targets",
-            "state-dims", "basis-dims", "digit-dimension", "trace-dims", "trace-keep"])
+            "state-dims", "digit-dimension", "trace-dims", "trace-keep"])
     def test_huge_integers_are_printed_short(self, call):
         with pytest.raises(DomainError) as exc:
             call()
@@ -593,7 +593,7 @@ class TestIntegerInputs:
     def test_numpy_integers_pass(self):
         state = qstate.basis_state(np.array([2, 2]), [np.int64(0), np.uint8(1)])
         assert state.dims == (2, 2) and state.amps[1] == 1.0
-        assert qstate.basis_state([2, 2], np.int64(2)).amps[2] == 1.0
+        assert qstate.basis_state([2, 2], [np.int64(1), np.uint8(0)]).amps[2] == 1.0
         flipped = qstate.apply(state, qstate.pauli_x(), [np.int32(0)])
         assert flipped.amps[3] == 1.0
         assert qstate.measure(flipped, force=np.int64(3)).outcome_index == 3

@@ -176,7 +176,7 @@ def _secret_share_qubit():
 
 def _secret_share_qutrit():
     gen = np.random.default_rng([11, 7])
-    for pair in ("alice,bob", "bob,gerald", "gerald,alice", ("bob", "alice")):
+    for pair in ("alice,bob", "bob,gerald", "gerald,alice", "bob,alice"):
         for _ in range(2):
             yield _report(qgames.secret_share_qutrit(random_state((3,), gen), pair))
     secret = qstate.StateVector([3], [0.5, 0.5j, 1 / math.sqrt(2)])
