@@ -6,7 +6,9 @@ extracted with `git archive`, and this checkout's `src/`), alternating which
 side goes first, and every worker times the same rows:
 
 * `apply` of a Haar gate at n = 2, 10, 16, 20 qubits on the leading qubit,
-  the middle pair, the trailing qubit and a reversed non-adjacent pair;
+  the middle pair, the trailing qubit and a reversed non-adjacent pair, and of
+  a 1-qubit gate on qubit 1 of 3 (a block of lead L = 2, a batched matmul) and
+  on qubit 8 of 10 (L = 256, the operator folded over the trailing qubit);
 * `measure` (forced outcome 0) at n = 20 on the same layouts and on a single
   middle qubit; the teleportation step on a 3-qubit register: the Bell-readout
   `apply` on qubits (0, 1) followed by their `measure`; and a sampled
@@ -25,8 +27,8 @@ side goes first, and every worker times the same rows:
 * `RandomSource.choice` over 4, 2^10 and 2^20 weights;
 * `pareto_analysis` of 4x4, 16x16 and 256x256 tables;
 * `card_game_round` (sampled), `pseudo_telepathy_round` (sampled) at N = 4, 10
-  and 16 players, `secret_share_qubit` (sampled), `secret_share_qutrit` and
-  `uqcm_clone`;
+  and 16 players, `secret_share_qubit` (sampled), `secret_share_qutrit`,
+  `teleport` (sampled) and `uqcm_clone`;
 * `density.reduced` of a 20-qubit state onto its 10 middle qubits (5..14);
 * the CLI's `grover --n 20 --target 0` with table output, in process.
 
@@ -77,6 +79,8 @@ def rows():
     for n in (2, 10, 16, 20):
         for name, targets in layouts(n).items():
             yield {"layer": "apply", "n": n, "layout": name, "targets": list(targets)}
+    for n, target in ((3, 1), (10, 8)):  # leads L = 2 and L = 256
+        yield {"layer": "apply", "n": n, "layout": f"qubit {target}", "targets": [target]}
     measured = dict(layouts(20))
     measured["middle"] = (10,)
     for name, targets in measured.items():
@@ -108,6 +112,7 @@ def rows():
         yield {"layer": "pseudo_telepathy_round", "n": n, "mode": "sampled"}
     yield {"layer": "secret_share_qubit", "n": 4, "mode": "sampled"}
     yield {"layer": "secret_share_qutrit", "n": 3, "mode": "bob,gerald"}
+    yield {"layer": "teleport", "n": 3, "mode": "sampled"}
     yield {"layer": "uqcm_clone", "n": 3, "mode": "complex qubit"}
     yield {"layer": "reduced", "n": 20, "mode": "keep 5..14", "keep": list(range(5, 15))}
     yield {"layer": "cli grover", "n": 20, "mode": "table"}
@@ -153,6 +158,10 @@ def call_for(row):
         rng = RandomSource(0)
         secret = qstate.StateVector([2], [0.6, 0.8j])
         return lambda: qgames.secret_share_qubit(secret, rng=rng)
+    if row["layer"] == "teleport":
+        rng = RandomSource(0)
+        psi = qstate.StateVector([2], [0.6, 0.8j])
+        return lambda: qgames.teleport(psi, rng=rng)
     if row["layer"] == "uqcm_clone":
         psi = qstate.StateVector([2], [0.6, 0.8j])
         return lambda: density.uqcm_clone(psi)

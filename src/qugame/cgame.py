@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (DomainError, Frozen, as_index, brief, check_distribution, check_finite,
-                     check_size)
+                     check_size, copy_array)
 
 # comparison slack for simulated payoff tables, read at each call by the analyses below
 PAYOFF_TOL = 1e-9
@@ -29,8 +29,8 @@ class Bimatrix(Frozen):
     def __init__(self, row_moves, col_moves, payoff_row, payoff_col):
         row_moves = tuple(str(s) for s in row_moves)
         col_moves = tuple(str(s) for s in col_moves)
-        a = np.array(payoff_row, dtype=float)  # the defensive copies
-        b = np.array(payoff_col, dtype=float)
+        a = copy_array(payoff_row, float, "payoffs")
+        b = copy_array(payoff_col, float, "payoffs")
         if not row_moves or not col_moves:
             raise DomainError("each player needs at least one move")
         expected = (len(row_moves), len(col_moves))
@@ -73,11 +73,11 @@ class MixedStrategy(Frozen):
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
+        p = copy_array(probs, float, "strategy probabilities")
         if p.ndim != 1:
             raise DomainError("strategy probabilities must be a vector")
         check_distribution(p, "strategy probabilities")
-        self._freeze(probs=np.clip(p, 0.0, None))
+        self._freeze(probs=np.clip(p, 0.0, None, out=p))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -334,7 +334,7 @@ class Imputation(Frozen):
     __slots__ = ("allocations",)
 
     def __init__(self, allocations: Sequence[float]):
-        arr = np.array(allocations, dtype=float)  # the defensive copy
+        arr = copy_array(allocations, float, "allocations")
         if arr.ndim != 1:
             raise DomainError("allocations must be a vector")
         check_finite(arr, "allocations")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import qstate
 from .errors import (DomainError, Frozen, as_index, brief_all, check_distribution, check_finite,
-                     check_size)
+                     check_size, copy_array)
 from .qstate import StateVector
 
 HERMITIAN_TOL = 1e-10
@@ -27,7 +27,7 @@ class DensityMatrix(Frozen):
     __slots__ = ("dim", "entries")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=complex, order="C")  # the defensive copy
+        arr = copy_array(entries, complex, "density matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
             raise DomainError(f"density matrix must be square and non-empty, got shape {arr.shape}")
         if not np.abs(arr - arr.conj().T).max() <= HERMITIAN_TOL:
@@ -220,9 +220,9 @@ class DiscriminationProblem(Frozen):
     __slots__ = ("priors", "costs", "channel")
 
     def __init__(self, priors, costs, channel):
-        priors = np.array(priors, dtype=float)  # the defensive copies
-        costs = np.array(costs, dtype=float)
-        channel = np.array(channel, dtype=float)
+        priors = copy_array(priors, float, "priors")
+        costs = copy_array(costs, float, "costs")
+        channel = copy_array(channel, float, "channel")
         if priors.ndim != 1 or not costs.shape == channel.shape == priors.shape * 2:
             raise DomainError("priors must be a vector of N, the cost and channel matrices N x N")
         check_distribution(priors, "priors")

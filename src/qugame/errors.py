@@ -1,6 +1,6 @@
 """Error types shared across the package, the integer check of its entry points,
-the one size guard that runs before every dense allocation, and how a value
-type is built: the `Frozen` base and the distribution and finiteness checks.
+the one size guard that runs before every dense allocation, and how a value type
+is built: `Frozen`, the defensive copy and the distribution and finiteness checks.
 
 The CLI maps these onto process exit codes: DomainError -> 2,
 ResourceError -> 3.
@@ -66,6 +66,15 @@ def check_qubits(n, cap: int) -> int:
     if n >= cap.bit_length():  # 2^n > cap
         raise ResourceError(f"dimension 2^{brief(n)} exceeds cap {brief(cap)}")
     return n
+
+
+def copy_array(value, dtype, what: str) -> np.ndarray:
+    """value as a fresh C-order array of dtype, a value constructor's defensive copy; a
+    value numpy cannot convert (a bad string, a ragged list) is a DomainError naming what."""
+    try:
+        return np.array(value, dtype=dtype, order="C")
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} cannot be read as an array of {np.dtype(dtype).name}") from None
 
 
 def check_finite(x: np.ndarray, what: str) -> None:

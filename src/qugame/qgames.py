@@ -239,10 +239,12 @@ def ewl_play(
 
 
 def ewl_table(moves: MoveSet, payoffs: Bimatrix) -> Bimatrix:
-    """Classical payoff table induced by playing EWL over a move grid."""
+    """Classical payoff table induced by playing EWL over a grid of at most 512
+    moves (its kernel holds 4 amplitudes per pair, capped at qstate.MAX_STATE_DIM)."""
     for label, u in moves:
         if u.dim != 2:
             raise DomainError(f"EWL move {label} is not a 2x2 unitary")
+    check_size(4 * len(moves.gates) ** 2, qstate.MAX_STATE_DIM, "EWL table amplitudes")
     stack = np.array([u.entries for u in moves.gates])
     _, pay_a, pay_b = _ewl_kernel(stack, stack, payoffs)
     return Bimatrix(moves.labels, moves.labels, pay_a, pay_b)
@@ -316,8 +318,10 @@ def newcomb_play(sb_choice: int, w: float, coherent_shorthand: bool = False) -> 
 
 
 _H = qstate.hadamard()
-# Bob's query H U_k H on card k, U_k = phase_gate(up-face bit), built once per bit
-_CARD_QUERY = tuple((_H, qstate.phase_gate(bit), _H) for bit in (0, 1))
+# Bob's query H U_k H on card k, U_k = phase_gate(up-face bit), as one 8x8 gate per
+# legal deal (0, 1, b): kron(Q_0, Q_1, Q_b) with Q_bit = H U H
+_CARD_BIT = [_H @ qstate.phase_gate(bit) @ _H for bit in (0, 1)]
+_CARD_QUERY = tuple(qstate.tensor(qstate.tensor(*_CARD_BIT), q) for q in _CARD_BIT)
 
 
 def card_game_round(
@@ -327,7 +331,8 @@ def card_game_round(
 
     Cards: 0 = circle/circle, 1 = dot/dot, 2 = circle/dot; ``r`` lists the
     up-faces, so a legal deal has r = (0, 1, b) with only the mixed card's
-    orientation b free.  Bob's query (H U_k H per card) reveals the up-faces;
+    orientation b free.  Bob's query (H U_k H per card, applied as the deal's
+    precomputed 8x8 gate ``_CARD_QUERY[b]``) reveals the up-faces;
     he withdraws when his drawn card shows the minority mark (a sure loser)
     and otherwise plays, winning only if he actually drew the mixed card.
     """
@@ -348,9 +353,7 @@ def card_game_round(
     report = GameReport("card", params={"deal": list(r), "draw": draw})
     state = qstate.basis_state([2, 2, 2], [0, 0, 0])
     report.log("Bob", "prepare query register |000>", state)
-    for k in range(3):
-        for gate in _CARD_QUERY[r[k]]:
-            state = qstate.apply(state, gate, [k])
+    state = qstate.apply(state, _CARD_QUERY[r[2]])
     report.log("Bob", "apply H U_k H per card", state)
     record = qstate.measure(state, rng=rng)
     revealed = qstate.index_to_digits((2, 2, 2), record.outcome_index)

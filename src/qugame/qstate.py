@@ -13,7 +13,8 @@ Conventions used throughout the package:
   addressed subsystems on the middle axis: a zero-copy view for contiguous
   ascending targets, one transposed copy with the targets in front
   otherwise.  ``_split`` and ``_join`` are the only code that picks this
-  layout; ``_contract`` runs one kernel on the block.
+  layout; ``_contract`` runs one kernel on the block: a batched matmul, or for a
+  lead L above 32 with T*R at most 32 one GEMM of kron(m, I_R) over (L, T*R) rows.
 * ``measure`` is the one measurement primitive and reads the computational basis;
   a basis {b_k} is read by applying first the readout ``UnitaryMatrix`` with rows
   <b_k|.  Its record's residual is what a receiver holds after a Bell measurement.
@@ -27,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, Frozen, as_index, brief, brief_all, check_qubits, check_size
+from .errors import (DomainError, Frozen, as_index, brief, brief_all, check_qubits, check_size,
+                     copy_array)
 from .rng import RandomSource
 
 # Size caps (module-level, adjustable, read by errors.check_size/check_qubits
@@ -95,7 +97,7 @@ class StateVector(Frozen):
         if not dims or any(d < 2 for d in dims):
             raise DomainError(f"every subsystem dimension must be >= 2, got {brief_all(dims)}")
         total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
-        arr = np.array(amps, dtype=complex)  # the defensive copy
+        arr = copy_array(amps, complex, "amplitudes")
         if arr.shape != (total,):
             raise DomainError(f"expected {total} amplitudes for dims {dims}, got shape {arr.shape}")
         self._freeze(dims=dims, amps=_unit(arr))
@@ -131,7 +133,7 @@ class UnitaryMatrix(Frozen):
     __slots__ = ("dim", "entries")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=complex)  # the defensive copy
+        arr = copy_array(entries, complex, "matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
             raise DomainError(f"matrix must be square and non-empty, got shape {arr.shape}")
         deviation = np.abs(arr.conj().T @ arr - np.eye(len(arr))).max()
@@ -320,9 +322,9 @@ def _resolve_targets(state: StateVector, targets: Sequence[int] | None) -> tuple
     return targets
 
 
-# Up to this width the operator is folded over the trailing axis, kron(m, I_R),
-# and the block contracted as one GEMM over (L, T*R) rows: a batched matmul
-# there makes L tiny GEMM calls (2^18 for the next-to-last of 20 qubits).
+# A lead L up to this runs one batched matmul over L.  A longer lead with T*R up to
+# this folds m to kron(m, I_R) for one GEMM over (L, T*R) rows, where a batched
+# matmul makes L tiny GEMMs (2^18 for the next-to-last of 20 qubits).
 _FOLD_WIDTH = 32
 
 
@@ -359,12 +361,12 @@ def _join(block: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...] | Non
 def _contract(m: np.ndarray, block: np.ndarray) -> np.ndarray:
     """The (L, K, R) block of m (K x T) acting on the middle axis of an (L, T, R) block.
 
-    One GEMM when L = 1; one GEMM with m folded to kron(m, I_R) when that is
-    at most _FOLD_WIDTH wide (R = 1 folds nothing: psi.reshape(L, T) @ m.T);
-    a batched matmul over L otherwise.
+    A batched matmul over L (one GEMM when L = 1) when L is at most _FOLD_WIDTH
+    or T*R is wider than it; otherwise one GEMM with m folded to kron(m, I_R)
+    (R = 1 folds nothing: psi.reshape(L, T) @ m.T).
     """
     lead, width, tail = block.shape
-    if lead == 1 or width * tail > _FOLD_WIDTH:
+    if lead <= _FOLD_WIDTH or width * tail > _FOLD_WIDTH:
         return np.matmul(m, block)
     if tail > 1:
         m = (m[:, None, :, None] * np.eye(tail)[:, None, :]).reshape(m.shape[0] * tail, -1)

@@ -39,6 +39,7 @@ BAD_INPUTS = [
     (("pd", "--moves", "I,phase"), 2),
     (("pd", "--moves", ","), 2),
     (("pd", "--moves", ""), 2),
+    (("pd", "--moves", ",".join(["H"] * 513)), 3),  # 4 * 513^2 EWL amplitudes > 2^20
     (("card", "--seed", "-1"), 2),
     (("--manifest", '{"subcommand": "card", "seed": -1}'), 2),
     (("teleport", "--state", "nan,1"), 2),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import random_state
 from qugame import density, qgames, qstate
 from qugame.cgame import MixedStrategy
-from qugame.errors import DomainError
+from qugame.errors import DomainError, ResourceError
 from qugame.qstate import StateVector
 from qugame.rng import RandomSource
 
@@ -153,6 +154,19 @@ class TestEWL:
         with pytest.raises(DomainError):
             qgames.ewl_table(qgames.move_set("I,CNOT"), qgames.prisoners_dilemma_payoffs())
 
+    def test_move_count_is_capped_before_the_kernel(self):
+        pd = qgames.prisoners_dilemma_payoffs()
+        assert qgames.ewl_table(qgames.move_set(["H"] * 512), pd).shape == (512, 512)
+        moves = qgames.move_set(["H"] * 513)  # 4 * 513^2 amplitudes, 16 MiB in the kernel
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=r"^EWL table amplitudes 1052676 exceeds cap 2\^20$"):
+                qgames.ewl_table(moves, pd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 10
+
     @pytest.mark.parametrize("bad", [(math.inf, 2, 1), (3, 2, -math.inf), (math.nan, 2, 1)])
     def test_bos_parameters_must_be_finite(self, bad):
         with pytest.raises(DomainError):
@@ -221,6 +235,29 @@ class TestCardGame:
     def test_illegal_deal(self):
         with pytest.raises(DomainError):
             qgames.card_game_round((1, 1, 0), draw=0, rng=RandomSource(0))
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_query_gate_is_the_per_card_product(self, b):
+        """The deal's one 8x8 gate is H U_k H applied card by card, in order."""
+        h = qstate.hadamard().entries
+        product = np.eye(8)
+        for k, bit in enumerate((0, 1, b)):
+            for gate in (h, qstate.phase_gate(bit).entries, h):
+                factors = [np.eye(2)] * 3
+                factors[k] = gate
+                product = np.kron(np.kron(factors[0], factors[1]), factors[2]) @ product
+        assert np.abs(qgames._CARD_QUERY[b].entries - product).max() <= 1e-15
+
+    @pytest.mark.parametrize("draw", [0, 1, 2])
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_round_reveals_the_deal(self, b, draw):
+        report = qgames.card_game_round((0, 1, b), draw=draw, rng=RandomSource(draw))
+        prepared, queried, read = report.transcript[:3]
+        assert prepared["operation"] == "prepare query register |000>"
+        assert queried["operation"] == "apply H U_k H per card"
+        assert read == {"actor": "Bob", "operation": f"read up-faces {(0, 1, b)}"}
+        amps = np.array(queried["state"])  # [re, im] rows: the basis state |01b>
+        assert np.array_equal(np.hypot(*amps.T), np.eye(8)[0b010 + b])
 
 
 class TestPseudoTelepathy:

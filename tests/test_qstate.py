@@ -637,14 +637,17 @@ REVERSED = ((2, 3, 4), (2, 1, 0), 7)
 
 # One (dims, targets) per layout of `qstate._split` and branch of
 # `qstate._contract`, on qubit, qutrit and mixed registers: an (L, T, R) view
-# with L = 1, with R = 1, with L, R > 1 and T*R <= 32 (kron-folded GEMM) or
-# T*R > 32 (batched matmul), the full register, and a transposed copy for
-# non-contiguous ascending and for reversed targets.
+# with L = 1, with R = 1, with L > 1 and L <= 32 or T*R > 32 (batched matmul),
+# with L > 32 and T*R <= 32 (kron-folded GEMM, R = 1 and R > 1), the full
+# register, and a transposed copy for non-contiguous ascending and for
+# reversed targets.
 KERNEL_LAYOUTS = [
     ((2, 2, 2, 2), (0,)), ((2, 2, 2, 2), (3,)), ((2, 2, 2, 2), (1, 2)),
     ((2, 2, 2, 2, 2, 2, 2), (1,)), ((2, 2, 2, 2), (0, 1, 2, 3)),
+    ((2,) * 7, (6,)), ((2,) * 8, (6,)),
     ((2, 2, 2, 2), (0, 2)), ((2, 2, 2, 2), (3, 1)),
     ((3, 3, 3), (0,)), ((3, 3, 3), (2,)), ((3, 3, 3), (1,)), ((3, 3, 3, 3, 3), (1,)),
+    ((3, 3, 3, 3, 3), (4,)),
     ((3, 3, 3), (0, 1, 2)), ((3, 3, 3), (0, 2)), ((3, 3, 3), (2, 1)),
     ((2, 3, 4), (0,)), ((2, 3, 4), (2,)), ((2, 3, 4, 2), (1,)), ((2, 4, 4, 4), (1,)),
     ((2, 3, 4), (0, 1, 2)), ((2, 3, 4), (0, 2)), ((2, 3, 4), (2, 1, 0)),
@@ -674,9 +677,32 @@ def test_kernel_layouts_cover_every_branch(gen):
             assert lead == math.prod(dims[:targets[0]])
         else:
             assert not np.shares_memory(block, state.amps) and lead == 1
-        fold = lead > 1 and width * tail <= qstate._FOLD_WIDTH
-        seen.add((order is None, "L=1" if lead == 1 else "R=1" if tail == 1 else "fold" if fold else "matmul"))
-    assert seen == {(True, "L=1"), (True, "R=1"), (True, "fold"), (True, "matmul"), (False, "L=1")}
+        if lead > qstate._FOLD_WIDTH and width * tail <= qstate._FOLD_WIDTH:
+            branch = "fold, R=1" if tail == 1 else "fold"
+        else:
+            branch = "L=1" if lead == 1 else "matmul"
+        seen.add((order is None, branch))
+    assert seen == {(True, "L=1"), (True, "matmul"), (True, "fold, R=1"), (True, "fold"),
+                    (False, "L=1")}
+
+
+# (T, R) slices with T*R at most `qstate._FOLD_WIDTH` (folded once L > 32, R = 1
+# among them) and above it (always a batched matmul)
+CONTRACT_SLICES = [(2, 1), (3, 1), (3, 3), (4, 8), (2, 16), (2, 32), (8, 8)]
+
+
+@pytest.mark.parametrize("width, tail", CONTRACT_SLICES)
+@pytest.mark.parametrize("lead", [1, 2, 31, 32, 33, 256])
+def test_contract_is_the_kron_operator(lead, width, tail):
+    """`_contract` on every branch: each lead row of the (L, T, R) block times
+    kron(m, I_R), the operator on its (T, R) slice."""
+    gen = np.random.default_rng([lead, width, tail])
+    m = haar_unitary(width, gen).entries
+    block = gen.normal(size=(lead, width, tail)) + 1j * gen.normal(size=(lead, width, tail))
+    out = qstate._contract(m, block)
+    expected = block.reshape(lead, -1) @ np.kron(m, np.eye(tail)).T
+    assert out.shape == block.shape
+    assert np.abs(out.reshape(lead, -1) - expected).max() <= 1e-12
 
 
 class TestDenseReference:

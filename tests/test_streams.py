@@ -185,7 +185,7 @@ def _secret_share_qutrit():
 
 STREAMS = {
     "measure": (_measure,
-        "7f3e83ec263fd860d9c224bb1a2c21df781dce57f8b6af317243e30eeaeb8683"),
+        "2dcaf638480d010748879b6b52277521a0269f6fb56df5f29d26d2a203bb8f6f"),
     "choice": (_choice,
         "b1b1aae438ddedd018975bd12f66f790a5dab8860ad23b899c4388c3d7a403e5"),
     "order_find": (_order_find,
@@ -197,7 +197,7 @@ STREAMS = {
     "spin_flip_play": (_spin_flip_play,
         "f2ad6e30ddb26303dcad49f889e01c4218e005b9180d9a2397687077aee87a2c"),
     "card_game_round": (_card_game_round,
-        "e0f1f2bd22d8682eb05d1146696d76b580e6062b62cad099557630adc4cbc05c"),
+        "ccac177981eb829061340bfc21168cc08cb52fd40751a10a4a7371c71cc9079f"),
     "pseudo_telepathy_round": (_pseudo_telepathy_round,
         "cdb2774143c3b8209368f70b8859a97d0a578b5541526970fbfe763a0f9d9438"),
     "teleport": (_teleport,
@@ -231,7 +231,7 @@ CLI_COMMANDS = {
     "ess --incumbent X --mutant H --eta 0.01":
         "ee413cd6e3858d1015439422e8a74f3cc9761bde4bb52b599d552ce07ff50a45",
     "card --flip 1 --draw 2":
-        "d7f392ca59466a738d2a0971d44dc4bf309163ebb351f47d6d483edc2202c9f1",
+        "ac688db43ed0449f21271401d1ea2eccd64bba4203c9ff7326bf93caa730f55f",
     "telepathy --inputs 1,1,0":
         "62f1781cffabe1622c8ab80f64416bc090d54bf5cfef0976ac56869f28c06d5c",
     "teleport --state 0.6,0.8j":

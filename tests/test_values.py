@@ -1,6 +1,7 @@
 """The contract every value type keeps: whatever float array it is given, a
 constructor either builds a value whose arrays are finite and read-only and
-whose attributes cannot be assigned, or raises DomainError."""
+whose attributes cannot be assigned, or raises DomainError; an input numpy
+cannot convert to an array at all is a DomainError too."""
 
 import math
 
@@ -98,3 +99,22 @@ def test_builds_a_frozen_value_or_refuses(build, x):
     except DomainError:
         return
     assert_frozen(value)
+
+
+# inputs numpy cannot convert: malformed strings, a ragged list, an object and
+# an integer too large for a float
+MALFORMED = {
+    "StateVector": lambda: StateVector([2], "ab"),
+    "UnitaryMatrix": lambda: UnitaryMatrix("ab"),
+    "DensityMatrix": lambda: DensityMatrix("x"),
+    "Bimatrix": lambda: Bimatrix(["a"], ["b"], "x", "y"),
+    "MixedStrategy": lambda: MixedStrategy([[0.5], [0.25, 0.25]]),
+    "Imputation": lambda: Imputation([object()]),
+    "DiscriminationProblem": lambda: DiscriminationProblem([10**400], [[0.0]], [[1.0]]),
+}
+
+
+@pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED)
+def test_unconvertible_input_is_a_domain_error(build):
+    with pytest.raises(DomainError, match=r"cannot be read as an array of (complex128|float64)$"):
+        build()
