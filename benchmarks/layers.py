@@ -1,9 +1,12 @@
 """Layer timings of qstate, qalgo, rng, cgame, qgames, density, verify and the CLI for two package
-versions, interleaved.
+versions, interleaved in one process.
 
-Each round starts one worker process per side (the base revision's `src/`,
-extracted with `git archive`, and this checkout's `src/`), alternating which
-side goes first, and every worker times the same rows:
+Each round starts one worker process that imports three copies of the package
+side by side: the base revision's `src/qugame` (extracted with `git archive`)
+as `qugame_base`, this checkout's as `qugame`, and a second copy of this
+checkout's as `qugame_copy`.  The package imports itself only by relative
+imports, so each copy runs unchanged under its own name.  The worker times the
+same rows for every copy:
 
 * `apply` of a Haar gate at n = 2, 10, 16, 20 qubits on the leading qubit,
   the middle pair, the trailing qubit and a reversed non-adjacent pair, and of
@@ -20,8 +23,8 @@ side goes first, and every worker times the same rows:
   search followed by reading every trajectory state;
 * the whole golden-table sweep, `verify.run_golden_checks()`;
 * `order_find` at Q = 2^14, 2^18 and 2^20: a first build (every order-finding
-  cache the side has cleared before each call: spectrum tables, sine tables,
-  orders) and a repeat on the warm cache; at Q = 2^20 the pair (899, 7) has the odd
+  cache the side has cleared before and after each call: spectrum tables, sine
+  tables, orders) and a repeat on the warm cache; at Q = 2^20 the pair (899, 7) has the odd
   order 105, and two more first builds have g = gcd(r, Q) = 2, (1023, 2) of
   order 10, and g = 4, (1007, 2) of order 468;
 * `RandomSource.choice` over 4, 2^10 and 2^20 weights;
@@ -32,10 +35,22 @@ side goes first, and every worker times the same rows:
 * `density.reduced` of a 20-qubit state onto its 10 middle qubits (5..14);
 * the CLI's `grover --n 20 --target 0` with table output, in process.
 
-A row's time is the median per-call wall time over repeated batches inside a
-worker (a call slower than SLOW_CALL_S is timed once), and its reported figure
-the median over rounds. `peak_kib` is the tracemalloc peak of one call, taken
-after the timing. Workers run with one BLAS thread.
+A row is timed in pairs.  One pair is a palindrome of batches of equal call
+counts, such as base, change, copy, copy, change, base, so that every two
+copies are timed ABBA against each other; the pairs of a round run the three
+copies in each of their six orders.  A call slower than SLOW_CALL_S makes
+one-call batches and one pair per round.  Each pair builds every copy's inputs
+afresh, in the pair's order, and each copy's time in a pair is its two
+batches' per-call mean, timed with the garbage collector off, as `timeit`
+does.  A row reports each side's median over all pairs of all rounds
+(`parent_ms`, `change_ms`), the median of the per-pair ratios
+base / change (`speedup`) with a distribution-free interval of at least 95%
+coverage (`speedup_ci`: the order statistics the sign test gives; Kalibera &
+Jones, "Rigorous benchmarking in reasonable time", ISMM 2013), and the same for
+the A/A ratio copy / change (`aa`, `aa_ci`), which reads the method's own
+error.  A `speedup_ci` that holds 1, or too few pairs for a 95% interval, reads
+"unresolved" in `verdict`.  `peak_kib` is the tracemalloc peak of one call per
+side, taken after the timing.  Workers run with one BLAS thread.
 
     python benchmarks/layers.py --base HEAD~1 --rounds 5 --out BENCH.json
 """
@@ -44,10 +59,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import importlib
 import io
+import itertools
 import json
+import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,9 +79,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-BATCH_SECONDS = 0.05
-BATCHES = 7
+BATCH_SECONDS = 0.02
 SLOW_CALL_S = 1.0
+# the package name each side's copy is imported under
+PACKAGES = {"parent": "qugame_base", "change": "qugame", "copy": "qugame_copy"}
+# pairs run the copies in every order in turn, so each copy follows each other as often
+ORDERS = list(itertools.permutations(PACKAGES))
+PAIRS = len(ORDERS)  # per row and round
 
 
 # (N, m) per register width 2n = 14, 18, 20 (orders 30, 198 and 105)
@@ -118,10 +142,12 @@ def rows():
     yield {"layer": "cli grover", "n": 20, "mode": "table"}
 
 
-def call_for(row):
-    """A zero-argument callable doing one call of the row's layer."""
-    from qugame import cgame, cli, density, qalgo, qgames, qstate, verify  # the side's own src/
-    from qugame.rng import RandomSource
+def call_for(row, package: str):
+    """A zero-argument callable doing one call of the row's layer, in the named package copy."""
+    cgame, cli, density, qalgo, qgames, qstate, verify, rng = (
+        importlib.import_module(f"{package}.{name}")
+        for name in ("cgame", "cli", "density", "qalgo", "qgames", "qstate", "verify", "rng"))
+    RandomSource = rng.RandomSource
 
     n = row["n"]
     if row["layer"] == "verify":
@@ -134,10 +160,14 @@ def call_for(row):
             return lambda: qalgo.order_find(N, m, rng)
         caches = [qalgo._comb_spectrum, qalgo._sines, qalgo.multiplicative_order]
 
-        def first_build():
+        def clear():
             for cache in caches:
                 cache.cache_clear()
+
+        def first_build():  # cleared after the call too, so no side holds tables while another runs
+            clear()
             qalgo.order_find(N, m, rng)
+            clear()
         return first_build
     if row["layer"] == "choice":
         weights = np.random.default_rng(n).random(1 << n)
@@ -219,22 +249,45 @@ def call_for(row):
     return lambda: qstate.apply(state, u, targets)
 
 
-def time_row(fn) -> float:
-    """Median seconds per call over BATCHES batches of about BATCH_SECONDS each."""
-    fn()
+def batch(fn, number: int) -> float:
     start = time.perf_counter()
-    fn()
-    per_call = max(time.perf_counter() - start, 1e-7)
-    if per_call > SLOW_CALL_S:
-        return per_call
-    number = max(1, int(BATCH_SECONDS / per_call))
-    samples = []
-    for _ in range(BATCHES):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        samples.append((time.perf_counter() - start) / number)
-    return statistics.median(samples)
+    for _ in range(number):
+        fn()
+    return time.perf_counter() - start
+
+
+def time_row(row) -> tuple[dict[str, list[float]], dict[str, float]]:
+    """Per-call seconds of each side in each of PAIRS palindromic pairs of batches, and
+    the parent's and the change's peaks.  Every pair builds each side's inputs afresh,
+    in its own order, so that where they sit in memory varies from pair to pair rather
+    than favouring one side for the whole row (the A/A column read up to 2x without)."""
+    sides = list(PACKAGES)
+    times = {side: [] for side in sides}
+    number, pairs, p, fns = 0, PAIRS, 0, {}
+    while p < pairs:
+        order = ORDERS[p % len(ORDERS)]
+        fns.clear()  # the last pair's inputs are freed before this pair's are built
+        for side in order:  # in the pair's order, so that no copy's inputs always come last
+            fns[side] = call_for(row, PACKAGES[side])
+            fns[side]()
+        if not number:
+            per_call = max(batch(fns["change"], 1), 1e-7)
+            number = max(1, int(BATCH_SECONDS / per_call))
+            if per_call > SLOW_CALL_S:
+                pairs = 1
+        spent = dict.fromkeys(sides, 0.0)
+        # collect now and not inside a batch, so no side is charged for garbage another left
+        gc.collect()
+        gc.disable()
+        try:
+            for side in order + order[::-1]:
+                spent[side] += batch(fns[side], number)
+        finally:
+            gc.enable()
+        for side in sides:
+            times[side].append(spent[side] / (2 * number))
+        p += 1
+    return times, {side: peak_kib(fns[side]) for side in ("parent", "change")}
 
 
 def peak_kib(fn) -> float:
@@ -246,26 +299,50 @@ def peak_kib(fn) -> float:
         tracemalloc.stop()
 
 
-def worker(side: str) -> None:
+def worker() -> None:
     out = []
     for row in rows():
-        fn = call_for(row)
-        out.append({"ms": time_row(fn) * 1e3, "peak_kib": peak_kib(fn)})
+        times, peaks = time_row(row)
+        out.append({"s": times, "peak_kib": peaks})
     json.dump(out, sys.stdout)
 
 
-def run_side(side: str, src: Path) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+def run_worker(path: str) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, __file__, "--worker", side], env=env,
+    done = subprocess.run([sys.executable, __file__, "--worker"], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
-def summary(runs: list[list[dict]], i: int) -> tuple[float, float]:
-    """Median time and largest peak of row i over a side's rounds."""
-    return (round(statistics.median(r[i]["ms"] for r in runs), 5),
-            round(max(r[i]["peak_kib"] for r in runs), 1))
+def median_interval(ratios: list[float]):
+    """The median of the ratios and an interval of at least 95% coverage for it: order
+    statistics k and P + 1 - k of the P ratios, k the largest with P(Binomial(P, 1/2) < k)
+    at most 2.5%.  None when P is too small for one (P < 6)."""
+    r, p = sorted(ratios), len(ratios)
+    k, tail = 0, math.comb(p, 0) / 2**p
+    while tail <= 0.025:
+        k += 1
+        tail += math.comb(p, k) / 2**p
+    ci = [round(r[k - 1], 3), round(r[p - k], 3)] if k else None
+    return round(statistics.median(r), 3), ci
+
+
+def summary(runs: list[list[dict]], i: int) -> dict:
+    """Row i's figures over every pair of every round."""
+    times = {side: [t for run in runs for t in run[i]["s"][side]] for side in PACKAGES}
+    speedup, speedup_ci = median_interval([a / b for a, b in zip(times["parent"], times["change"])])
+    aa, aa_ci = median_interval([a / b for a, b in zip(times["copy"], times["change"])])
+    if speedup_ci is None or speedup_ci[0] <= 1.0 <= speedup_ci[1]:
+        verdict = "unresolved"
+    else:
+        verdict = "faster" if speedup_ci[0] > 1.0 else "slower"
+    figures = {}
+    for side in ("parent", "change"):
+        figures[f"{side}_ms"] = round(statistics.median(times[side]) * 1e3, 5)
+        figures[f"{side}_peak_kib"] = round(max(run[i]["peak_kib"][side] for run in runs), 1)
+    return {**figures, "speedup": speedup, "speedup_ci": speedup_ci, "verdict": verdict,
+            "aa": aa, "aa_ci": aa_ci, "pairs": len(times["change"])}
 
 
 def cpu_model() -> str:
@@ -284,43 +361,45 @@ def main() -> int:
     parser.add_argument("--base", default="HEAD~1", help="git revision of the parent side")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out", help="JSON file to write (required)")
-    parser.add_argument("--worker", choices=("parent", "change"), help=argparse.SUPPRESS)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        worker(args.worker)
+        worker()
         return 0
     if args.out is None:
         parser.error("--out is required")
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src"],
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src/qugame"],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
-        runs = {"parent": [], "change": []}
-        for k in range(args.rounds):
-            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                runs[side].append(run_side(side, sides[side]))
+        packages = Path(tmp) / "packages"
+        packages.mkdir()
+        (Path(tmp) / "src" / "qugame").rename(packages / PACKAGES["parent"])
+        shutil.copytree(ROOT / "src" / "qugame", packages / PACKAGES["copy"],
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = os.pathsep.join([str(ROOT / "src"), str(packages)])
+        runs = [run_worker(path) for _ in range(args.rounds)]
     table = []
     for i, row in enumerate(rows()):
-        for side in ("parent", "change"):
-            row[f"{side}_ms"], row[f"{side}_peak_kib"] = summary(runs[side], i)
-        row["speedup"] = round(row["parent_ms"] / row["change_ms"], 2)
+        row.update(summary(runs, i))
         table.append(row)
         where = row.get("layout", row.get("mode", ""))
         if "pair" in row:
             where += " {},{}".format(*row["pair"])
         print(f"{row['layer']:>13} n={row['n']:<2} {where:<11} "
               f"{row['parent_ms']:10.4f} -> {row['change_ms']:10.4f} ms  x{row['speedup']} "
+              f"{row['speedup_ci']} {row['verdict']:<10} A/A {row['aa']} {row['aa_ci']}  "
               f"peak {row['parent_peak_kib']:.0f} -> {row['change_peak_kib']:.0f} KiB")
     base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                           capture_output=True, text=True).stdout.strip()
     report = {
         "what": "qstate, qalgo, rng, cgame, qgames, density, verify and cli layer timings, "
-                "parent vs change, interleaved worker processes",
+                "parent vs change, interleaved in one worker process per round",
         "parent": f"src/ of {base}",
         "change": "src/ of the checkout's working tree",
         "rounds": args.rounds,
-        "unit": "ms per call, median over rounds of each worker's median batch",
+        "unit": "ms per call, median over the pairs of every round; speedup and aa are "
+                "medians of per-pair ratios with their 95% intervals",
         "host": {"cpu": cpu_model(), "machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count(), "blas_threads": 1},
         "rows": table,

@@ -25,7 +25,7 @@ import operator
 import sys
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -52,9 +52,8 @@ class GroverTrajectory(Sequence):
 
     Item j is the register after j rotations: amplitude `on` on the target
     and `off` on every other item; ``pairs`` is a read-only (k + 1, 2)
-    float64 array.  Indexing (integers, negative integers) builds a fresh
-    2^n-amplitude StateVector each time, nothing is cached; a slice is
-    another lazy trajectory over a view of the pairs.
+    float64 array.  An integer index (negative too) builds a fresh
+    2^n-amplitude StateVector each time, nothing is cached.
     """
 
     dims: tuple[int, ...]
@@ -71,8 +70,6 @@ class GroverTrajectory(Sequence):
         return len(self.pairs)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return replace(self, pairs=self.pairs[index])
         on, off = self.pairs[operator.index(index)].tolist()
         amps = np.full(1 << check_qubits(len(self.dims), qstate.MAX_STATE_DIM), off, dtype=complex)
         amps[self.target] = on
@@ -183,30 +180,19 @@ def grover_search(n: int, a: int, k: int | None = None) -> GroverRun:
 # Bernstein-Vazirani
 
 
-def _parity_phases(n: int, a: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n) & a) & 1)  # (-1)^(x.a)
-
-
-def bernstein_vazirani(n: int, a: int, oracle=None) -> int:
+def bernstein_vazirani(n: int, a: int) -> int:
     """Recover the hidden string a with a single oracle application.
 
     The oracle phases each basis state by (-1)^(x.a); the result is exactly
     the Walsh transform of |a>, so one more Walsh transform yields |a>
-    deterministically.  A custom ``oracle`` (amps -> amps) may be injected;
-    it is invoked exactly once.
+    deterministically.
     """
     n, a = check_qubits(n, qstate.MAX_STATE_DIM), as_index(a, "hidden string")
     N = 1 << n
     if not 0 <= a < N:
         raise DomainError(f"hidden string {brief(a)} out of range for {n} qubits")
-    if oracle is None:
-        phases = _parity_phases(n, a)
-
-        def oracle(amps):
-            return amps * phases
-
-    state = np.full(N, 1.0 / math.sqrt(N), dtype=complex)
-    state = oracle(state)
+    phases = 1.0 - 2.0 * (np.bitwise_count(np.arange(N) & a) & 1)  # (-1)^(x.a)
+    state = np.full(N, 1.0 / math.sqrt(N), dtype=complex) * phases
     sv = StateVector((2,) * n, state)
     h = qstate.hadamard()
     for q in range(n):

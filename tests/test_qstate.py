@@ -775,3 +775,136 @@ class TestDenseReference:
         assert abs(record.probability - weight) <= 1e-10
         assert record.residual.dims == tuple(d for i, d in enumerate(dims) if i not in targets)
         assert np.abs(record.residual.amps - residual / math.sqrt(weight)).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the norm-drift bound: `apply` runs a norm pass only when the bound its result
+# carries passes NORM_TOL
+
+
+def true_deviation(amps) -> float:
+    """|norm - 1| with the sum of squares added exactly (math.fsum)."""
+    flat = np.asarray(amps).view(np.float64)
+    return abs(math.sqrt(math.fsum(flat * flat)) - 1.0)
+
+
+def norm_rounding(dim: int) -> float:
+    """How far the norm pass's computed norm of dim amplitudes (a length-2*dim dot and
+    a square root) and `true_deviation`'s can each be from the exact norm, together."""
+    return (2 * dim + 4) * 2.0**-53
+
+
+def scaled_gate(dim: int, eta: float, gen) -> UnitaryMatrix:
+    """A Haar unitary with its columns scaled by 1 + eta*s, s uniform in [-1, 1]: each
+    singular value within eta of 1, certified by the public constructor."""
+    return UnitaryMatrix(haar_unitary(dim, gen).entries * (1.0 + eta * gen.uniform(-1, 1, dim)))
+
+
+class TestDriftBound:
+    def test_renormalize_branch(self):
+        """A gate certified at about 5e-9 trips the bound on every apply, and each
+        norm pass renormalizes: the norm stays within NORM_TOL and the bound resets,
+        where the product alone would have drifted 20 * 2.5e-9 from 1."""
+        gate = UnitaryMatrix(math.sqrt(1.0 + 5e-9) * qstate.hadamard().entries)
+        assert qstate.NORM_TOL < gate.drift <= 1.1e-8
+        state = qstate.basis_state([2, 2], "00")
+        for k in range(20):
+            state = qstate.apply(state, gate, [k % 2])
+            assert true_deviation(state.amps) <= qstate.NORM_TOL
+            assert state.drift <= 4 * 2.0**-53
+
+    def test_bound_accumulates_until_it_trips(self):
+        """A gate at 1e-12 adds about 4e-12 a call: the bound grows with every apply
+        until it would pass NORM_TOL, and the norm pass then resets it to the
+        deviation it measured, without renormalizing."""
+        gate = UnitaryMatrix(math.sqrt(1.0 + 2e-12) * qstate.hadamard().entries)
+        state = qstate.basis_state([2], "0")
+        drifts = []
+        for _ in range(40):
+            state = qstate.apply(state, gate)
+            drifts.append(state.drift)
+            assert true_deviation(state.amps) <= state.drift + norm_rounding(2)
+        trips = [k for k in range(1, 40) if drifts[k] < drifts[k - 1]]
+        assert len(trips) == 1 and 20 <= trips[0] <= 30
+        assert drifts[trips[0] - 1] <= qstate.NORM_TOL < drifts[trips[0] - 1] + gate.drift
+        assert drifts[trips[0]] >= 1e-11  # the measured deviation, not a renormalized norm
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from([(2,) * 8, (3,) * 5, (2, 3, 2, 3, 2, 3)]),
+           st.lists(st.tuples(st.sampled_from(["leading", "middle", "trailing", "next-to-last",
+                                               "reversed"]),
+                              st.sampled_from([0.0, 1e-13, 1e-12, 4e-12, 2e-11, 2e-9])),
+                    min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    def test_bound_dominates_the_deviation(self, dims, steps, seed):
+        """Random circuits of slightly non-unitary gates on qubits, qutrits and a mixed
+        register; trailing and next-to-last targets run the folded GEMM (lead > 32),
+        the others the batched matmul, on a view or a transposed copy."""
+        n = len(dims)
+        layouts = {"leading": (0,), "middle": (n // 2 - 1, n // 2), "trailing": (n - 1,),
+                   "next-to-last": (n - 2,), "reversed": (n - 1, 1)}
+        gen = np.random.default_rng(seed)
+        state = random_state(dims, gen)
+        for layout, eta in steps:
+            targets = layouts[layout]
+            gate = scaled_gate(math.prod(dims[t] for t in targets), eta, gen)
+            state = qstate.apply(state, gate, targets)
+            assert state.drift <= qstate.NORM_TOL
+            assert true_deviation(state.amps) <= state.drift + norm_rounding(state.dim)
+
+
+def gate_deviation(u: UnitaryMatrix) -> float:
+    """||U+U - 1||_F in long double: at least ||U+U - 1||_2, which bounds how far each
+    singular value of U is from 1."""
+    a = u.entries.astype(np.clongdouble)
+    g = a.conj().T @ a - np.eye(u.dim)
+    return float(np.sqrt((np.abs(g) ** 2).sum()))
+
+
+def built_gates():
+    """Every gate the package builds through `UnitaryMatrix._owned`, and products of them."""
+    from qugame import qgames
+
+    yield from ((name, qstate.standard_gate(name)) for name in qstate._GATES)
+    for r in (0.1, 1 / 3, 0.7, -1.25, 1e6 + 0.3):
+        yield f"phase_gate({r})", qstate.phase_gate(r)
+    for d in (2, 3, 7):
+        yield f"identity({d})", qstate.identity(d)
+    for d in range(2, 6):
+        yield f"controlled_add({d})", qstate.controlled_add(d)
+    for n in range(1, 9):
+        yield f"walsh({n})", qstate.walsh(n)
+        yield f"qft({n})", qstate.qft(n)
+        for a in (0, (1 << n) - 1):
+            oracle, diffusion = qalgo.grover_operators(n, a)
+            yield f"grover oracle({n}, {a})", oracle
+            yield f"grover diffusion({n}, {a})", diffusion
+    yield "qft(5) qft(5)^-1", qstate.qft(5) @ qstate.qft(5).dagger()
+    yield "cnot (H x 1)", qstate.cnot() @ qstate.tensor(qstate.hadamard(), qstate.identity())
+    yield from ((f"move {label}", g) for label, g in qgames.move_set("I,X,Y,Z,H"))
+    yield "ewl_entangler", qgames.ewl_entangler()
+    yield "ewl_entangler^dagger", qgames.ewl_entangler().dagger()
+    yield from ((f"card query {b}", g) for b, g in enumerate(qgames._CARD_QUERY))
+    yield from ((f"teleport correction {k}", g) for k, g in enumerate(qgames._CORRECTION_GATES))
+
+
+@pytest.mark.parametrize("gate", [pytest.param(gate, id=name) for name, gate in built_gates()])
+def test_built_gates_stay_under_their_drift(gate):
+    assert gate_deviation(gate) <= gate.drift
+
+
+@pytest.mark.parametrize("targets", [(0,), (13, 2)], ids=["leading", "reversed"])
+def test_apply_peak_memory(targets):
+    """At n = 16, `apply` holds at most two state-sized buffers at once, on a view
+    (the result) or on a transposed copy (the copy, then the result and its join)."""
+    gen = np.random.default_rng(16)
+    state = random_state((2,) * 16, gen)
+    u = haar_unitary(2 ** len(targets), gen)
+    qstate.apply(state, u, targets)
+    tracemalloc.start()
+    try:
+        qstate.apply(state, u, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * state.amps.nbytes
