@@ -15,10 +15,13 @@ same rows for every copy:
 * `measure` (forced outcome 0) at n = 20 on the same layouts and on a single
   middle qubit; the teleportation step on a 3-qubit register: the Bell-readout
   `apply` on qubits (0, 1) followed by their `measure`; and a sampled
-  `measure` of a whole 2-qubit register;
-* `tensor` of a 1-qubit and a 2-qubit state, and `GameReport.log` of a
-  27-amplitude state;
-* the public `StateVector` constructor at n = 2 and n = 20;
+  `measure` of a whole 2-qubit register; and a forced `measure` of qubit 1 of 3,
+  which leaves a 2-qubit residual;
+* `tensor` of a 1-qubit and a 2-qubit state, and `GameReport.log` of a 2- and
+  a 27-amplitude state;
+* the public `StateVector` constructor at n = 2 and n = 20, and `basis_state`
+  at n = 2;
+* `density.to_bloch` of a pure qubit's density matrix;
 * `grover_search` at n = 14, 16, 18, 20 and 30, and at n = 14 and 16 the
   search followed by reading every trajectory state;
 * the whole golden-table sweep, `verify.run_golden_checks()`;
@@ -111,10 +114,14 @@ def rows():
         yield {"layer": "measure", "n": 20, "layout": name, "targets": list(targets)}
     yield {"layer": "measure", "n": 3, "layout": "bell", "targets": [0, 1]}
     yield {"layer": "measure", "n": 2, "layout": "full, sampled", "targets": None}
+    yield {"layer": "measure", "n": 3, "layout": "qubit 1", "targets": [1]}
     yield {"layer": "tensor", "n": 3, "mode": "1 x 2 qubits"}
-    yield {"layer": "GameReport.log", "n": 27, "mode": "amplitudes"}
+    for n in (2, 27):
+        yield {"layer": "GameReport.log", "n": n, "mode": "amplitudes"}
     for n in (2, 20):
         yield {"layer": "StateVector", "n": n}
+    yield {"layer": "basis_state", "n": 2, "mode": "|11>"}
+    yield {"layer": "to_bloch", "n": 1, "mode": "pure qubit"}
     for n in (14, 16):
         for mode in ("search", "search+read"):
             yield {"layer": "grover_search", "n": n, "mode": mode}
@@ -195,6 +202,11 @@ def call_for(row, package: str):
     if row["layer"] == "uqcm_clone":
         psi = qstate.StateVector([2], [0.6, 0.8j])
         return lambda: density.uqcm_clone(psi)
+    if row["layer"] == "to_bloch":
+        rho = density.DensityMatrix.from_state(qstate.StateVector([2], [0.6, 0.8j]))
+        return lambda: density.to_bloch(rho)
+    if row["layer"] == "basis_state":
+        return lambda: qstate.basis_state((2,) * n, [1] * n)
     if row["layer"] == "secret_share_qutrit":
         secret = qstate.StateVector([3], [0.5, 0.5j, 0.5**0.5])
         return lambda: qgames.secret_share_qutrit(secret, "bob,gerald")
@@ -225,7 +237,8 @@ def call_for(row, package: str):
         if row["layer"] == "tensor":
             return lambda: qstate.tensor(one, two)
         report = qgames.GameReport("layers", {})
-        return lambda: (report.log("player", "move", three), report.transcript.clear())
+        logged = {2: one, 27: three}[n]
+        return lambda: (report.log("player", "move", logged), report.transcript.clear())
     gen = np.random.default_rng(n)
     amps = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)

@@ -302,9 +302,15 @@ class CharacteristicGame(Frozen):
         if n_players < 1:
             raise DomainError("need at least one player")
         check_size(n_players, MAX_PLAYERS, "player count")
+        if not isinstance(v, Mapping):
+            raise DomainError(f"coalition values must be a mapping, got {type(v).__name__}")
         values = np.zeros(1 << n_players)
         for subset, value in v.items():
-            values[self._mask(subset, n_players)] = float(value)
+            mask = self._mask(subset, n_players)
+            try:
+                values[mask] = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError("coalition values cannot be read as an array of float64") from None
         check_finite(values, "coalition values")
         if values[0] != 0.0:
             raise DomainError("v(empty set) must be 0")

@@ -121,11 +121,13 @@ _PAULIS = tuple(sigma().entries for sigma in (qstate.pauli_x, qstate.pauli_y, qs
 
 
 def to_bloch(rho: DensityMatrix) -> BlochVector:
-    """Bloch components r_i = trace(rho sigma_i) of a qubit state."""
+    """Bloch components r_i = trace(sigma_i rho) of a qubit state, read from rho's
+    entries with the additions the products make; each diagonal entry of sigma_i rho
+    adds a zero product as well, so a zero component is +0.0."""
     if rho.dim != 2:
         raise DomainError("Bloch representation requires a 2-dimensional state")
-    r = [float((sigma @ rho.entries).trace().real) for sigma in _PAULIS]
-    return BlochVector(*r)
+    (a, b), (c, d) = rho.entries.tolist()
+    return BlochVector(b.real + c.real + 0.0, c.imag - b.imag + 0.0, a.real - d.real + 0.0)
 
 
 def from_bloch(r: BlochVector) -> DensityMatrix:

@@ -22,6 +22,29 @@ from .rng import RandomSource
 PSEUDO_TELEPATHY_CAP = 54  # one 53-bit uniform picks among 2^(N-1) outputs evenly
 
 
+# up to this many amplitudes, rounding each part costs less than one numpy pass
+_ROUND_BY_PART = 4
+
+
+def _rounded(amps: np.ndarray) -> list[list[float]]:
+    """One [re, im] row per amplitude, each part exactly round(x, 10), in one numpy pass.
+
+    rint(x * 1e10) / 1e10 is round()'s integer over 1e10, correctly rounded, unless
+    rounding the product carried x * 1e10 across a half.  An amplitude is at most
+    1 + 1e-6 in size, so that rounding is below 2^-19, and the parts whose scaled
+    fraction is within 1e-4 of one half are left to round() itself.
+    """
+    flat = amps.view(np.float64)
+    scaled = flat * 1e10
+    whole = np.rint(scaled)
+    rounded = whole / 1e10
+    off = np.abs(scaled - whole)
+    if not off.max() < 0.4999:
+        for i in np.flatnonzero(off >= 0.4999).tolist():
+            rounded[i] = round(flat[i].item(), 10)
+    return rounded.reshape(-1, 2).tolist()
+
+
 @dataclass
 class GameReport:
     """Structured record of one protocol run (JSON-ready)."""
@@ -36,8 +59,11 @@ class GameReport:
     def log(self, actor: str, operation: str, state: StateVector | None = None):
         entry = {"actor": actor, "operation": operation}
         if state is not None:
-            parts = iter(state.amps.view(np.float64).tolist())  # re, im, re, im, ...
-            entry["state"] = [[round(re, 10), round(im, 10)] for re, im in zip(parts, parts)]
+            amps = state.amps
+            if amps.size > _ROUND_BY_PART:
+                entry["state"] = _rounded(amps)
+            else:
+                entry["state"] = [[round(z.real, 10), round(z.imag, 10)] for z in amps.tolist()]
         self.transcript.append(entry)
 
     def to_json_dict(self) -> dict:
@@ -572,6 +598,8 @@ def secret_share_qutrit(secret: StateVector, pair: str) -> GameReport:
     to their own, then the recoverer adds the helper's new qutrit back.  The
     recoverer ends holding the secret, disentangled from the rest.
     """
+    if not isinstance(pair, str):
+        raise DomainError(f"pair must be a string such as 'alice,bob', got {type(pair).__name__}")
     members = [p.strip().lower() for p in pair.split(",") if p.strip()]
     if len(members) != 2 or any(m not in _MEMBER_INDEX for m in members):
         raise DomainError(f"pair must name two of alice/bob/gerald, got {pair!r}")

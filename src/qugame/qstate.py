@@ -24,12 +24,14 @@ Conventions used throughout the package:
   certified at deviation delta = max|U+U - 1| has drift dim*delta (plus the rounding
   of U+U), which ``apply`` adds to the state's bound together with the rounding of its
   length-T kernel (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-  2002, sections 3.5-3.6).  ``apply`` runs a norm pass only when the bound passes
-  NORM_TOL; every other constructor of a state runs one.
+  2002, sections 3.5-3.6).  ``apply`` and the residual of ``measure`` run a norm
+  pass only when their bound passes NORM_TOL, and ``basis_state`` none; every
+  other constructor of a state runs one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,6 +93,28 @@ def _grow(a: float, b: float, rounding: float) -> float:
     return a + b + a * b + rounding * (1.0 + a) * (1.0 + b)
 
 
+# the least weight `_residual_drift` trusts: from it up, the squares' underflow (at most
+# 2^-1075 each, 2^21 of them) costs the weight less than u
+_TINY_WEIGHT = 2.0**-960
+
+
+def _residual_drift(size: int, weight: float) -> float:
+    """Bound on |norm - 1| of `size` amplitudes divided by the square root of their
+    computed squared norm `weight`, and on what a norm pass would read; infinity
+    below _TINY_WEIGHT, so that the pass runs.
+
+    The weight, a sum of 2 size squares, is within g = gamma_{2 size} + u of the
+    exact one (u for underflow), the square root adds u and the division 2u (a
+    reciprocal, then a product per entry): the norm is within about g/2 + 3u of 1,
+    and a norm pass reads at most about gamma/2 + 2u more; 2 gamma + 8u covers both
+    (Higham 2002, sections 3.1-3.5).
+    """
+    if not weight >= _TINY_WEIGHT:  # NaN too
+        return math.inf
+    k = 2 * size
+    return 2 * k * _U / (1 - k * _U) + 8 * _U
+
+
 def digits_to_index(dims: Sequence[int], digits: Sequence[int]) -> int:
     """Mixed-radix index of a digit string, leftmost digit most significant."""
     if len(digits) != len(dims):
@@ -118,6 +142,14 @@ def basis_label(dims: Sequence[int], index: int) -> str:
     return "|" + "".join(map(str, index_to_digits(dims, index))) + ">"
 
 
+def _register(dims: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """dims as a tuple of integers >= 2, and the amplitude count, within MAX_STATE_DIM."""
+    dims = tuple(as_index(d, "dimension") for d in dims)
+    if not dims or any(d < 2 for d in dims):
+        raise DomainError(f"every subsystem dimension must be >= 2, got {brief_all(dims)}")
+    return dims, check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
+
+
 class StateVector(Frozen):
     """Normalized complex amplitude vector over a list of subsystem dimensions.
 
@@ -127,10 +159,7 @@ class StateVector(Frozen):
     __slots__ = ("dims", "amps", "drift")
 
     def __init__(self, dims: Sequence[int], amps):
-        dims = tuple(as_index(d, "dimension") for d in dims)
-        if not dims or any(d < 2 for d in dims):
-            raise DomainError(f"every subsystem dimension must be >= 2, got {brief_all(dims)}")
-        total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
+        dims, total = _register(dims)
         arr = copy_array(amps, complex, "amplitudes")
         if arr.shape != (total,):
             raise DomainError(f"expected {total} amplitudes for dims {dims}, got shape {arr.shape}")
@@ -193,11 +222,12 @@ class UnitaryMatrix(Frozen):
     def _owned(cls, entries, drift: float | None = None) -> "UnitaryMatrix":
         """Trusted constructor for a unitary the package has just built: entries is not
         certified and is copied only into C-order complex, so an array must be fresh.
-        drift defaults to the builders' bound _BUILT_DRIFT * dim^2, or infinity when an
-        entry is not finite, so that `apply` checks what such a gate makes."""
+        drift defaults to the builders' bound _BUILT_DRIFT * dim^2, or infinity when the
+        entries' sum is not finite (an entry is not, or the sum overflows), so that
+        `apply` checks what such a gate makes."""
         arr = np.ascontiguousarray(entries, dtype=complex)
         if drift is None:
-            drift = _BUILT_DRIFT * arr.size if np.isfinite(arr).all() else math.inf
+            drift = _BUILT_DRIFT * arr.size if cmath.isfinite(arr.sum()) else math.inf
         return object.__new__(cls)._freeze(dim=len(arr), entries=arr, drift=drift)
 
     def dagger(self) -> "UnitaryMatrix":
@@ -235,15 +265,16 @@ class MeasurementRecord:
 
 def basis_state(dims: Sequence[int], digits: Sequence[int] | str) -> StateVector:
     """Computational basis state |digits> over the given dimension list."""
-    dims = tuple(as_index(d, "dimension") for d in dims)
-    total = check_size(math.prod(dims), MAX_STATE_DIM, "state dimension")
+    dims, total = _register(dims)
     if isinstance(digits, str):
         if not (digits.isascii() and digits.isdigit()):
             raise DomainError(f"basis label {digits!r} must be decimal digits")
         digits = [int(c) for c in digits]
+    elif not hasattr(digits, "__len__"):
+        raise DomainError(f"basis digits must be a sequence or a label, got {type(digits).__name__}")
     amps = np.zeros(total, dtype=complex)
     amps[digits_to_index(dims, digits)] = 1.0
-    return StateVector(dims, amps)
+    return StateVector._owned(dims, amps, 0.0)  # one amplitude 1: the norm is exact
 
 
 def tensor(a, b):
@@ -271,27 +302,34 @@ def identity(dim: int = 2) -> UnitaryMatrix:
     return UnitaryMatrix._owned(np.eye(dim, dtype=complex))
 
 
+# the parameterless gates, built once: each call returns the same frozen value
+_PAULI_X = UnitaryMatrix._owned([[0, 1], [1, 0]])
+_PAULI_Y = UnitaryMatrix._owned([[0, -1j], [1j, 0]])
+_PAULI_Z = UnitaryMatrix._owned([[1, 0], [0, -1]])
+_HADAMARD = UnitaryMatrix._owned([[_SQ2, _SQ2], [_SQ2, -_SQ2]])
+_CNOT = UnitaryMatrix._owned(np.eye(4)[[0, 1, 3, 2]])
+_QUARTER_PHASE = UnitaryMatrix._owned([[1, 0], [0, 1j]])
+
+
 def pauli_x() -> UnitaryMatrix:
-    return UnitaryMatrix._owned([[0, 1], [1, 0]])
+    return _PAULI_X
 
 
 def pauli_y() -> UnitaryMatrix:
-    return UnitaryMatrix._owned([[0, -1j], [1j, 0]])
+    return _PAULI_Y
 
 
 def pauli_z() -> UnitaryMatrix:
-    return UnitaryMatrix._owned([[1, 0], [0, -1]])
+    return _PAULI_Z
 
 
 def hadamard() -> UnitaryMatrix:
-    return UnitaryMatrix._owned([[_SQ2, _SQ2], [_SQ2, -_SQ2]])
+    return _HADAMARD
 
 
 def cnot() -> UnitaryMatrix:
     """Controlled NOT on two qubits; left (most significant) qubit controls."""
-    m = np.eye(4, dtype=complex)
-    m[[2, 3]] = m[[3, 2]]
-    return UnitaryMatrix._owned(m)
+    return _CNOT
 
 
 def phase_gate(r: float) -> UnitaryMatrix:
@@ -303,7 +341,7 @@ def phase_gate(r: float) -> UnitaryMatrix:
 
 def quarter_phase() -> UnitaryMatrix:
     """diag(1, i); applying it twice to |1> gives -|1>."""
-    return UnitaryMatrix._owned([[1, 0], [0, 1j]])
+    return _QUARTER_PHASE
 
 
 def controlled_add(dim: int = 3) -> UnitaryMatrix:
@@ -509,7 +547,8 @@ def measure(
     if len(targets) < len(state.dims):  # the block's (L, R) pair is the rest in register order
         rest_dims = tuple(d for i, d in enumerate(state.dims) if i not in targets)
         amps = rows[:, outcome, :] / math.sqrt(probability)
-        residual = StateVector._owned(rest_dims, amps.reshape(-1))
+        residual = StateVector._owned(rest_dims, amps.reshape(-1),
+                                      _residual_drift(amps.size, probability))
     return MeasurementRecord(outcome, probability, residual)
 
 

@@ -106,6 +106,20 @@ class TestBloch:
         with pytest.raises(DomainError):
             BlochVector(1, 1, 1)
 
+    def test_components_are_the_trace_products(self):
+        """to_bloch reads trace(sigma_i rho) bit for bit, the sign of a zero too, on
+        entries drawn from zeros of either sign, subnormals and normals."""
+        gen = np.random.default_rng(3)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.25, -0.25, 1 / 12]
+        paulis = [g().entries for g in (qstate.pauli_x, qstate.pauli_y, qstate.pauli_z)]
+        for _ in range(4000):
+            parts = gen.choice(special, 8) if gen.random() < 0.5 else gen.uniform(-0.25, 0.25, 8)
+            entries = np.empty((2, 2), dtype=complex)
+            entries.real, entries.imag = parts[:4].reshape(2, 2), parts[4:].reshape(2, 2)
+            got = density.to_bloch(DensityMatrix._owned(entries)).as_array()
+            expected = np.array([(sigma @ entries).trace().real for sigma in paulis])
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
 
 class TestPartialTrace:
     def test_product_state(self, gen):

@@ -448,3 +448,35 @@ class TestReportSerialization:
         report = qgames.spin_flip_play(X, I2, I2, rng=RandomSource(0))
         states = [e["state"] for e in report.transcript if "state" in e]
         assert states and all(len(pair) == 2 for entry in states for pair in entry)
+
+    def test_transcript_rounding_is_round_to_10_places(self):
+        """A state's parts are logged as round(x, 10) bit for bit, one numpy pass or not:
+        exact ties (k + 0.5) / 1e10 and j / 2^11, near-ties, +-0.0, subnormals, +-1
+        and uniform draws."""
+        gen = np.random.default_rng(27)
+        k = gen.integers(-10**10, 10**10, 20_000)
+        parts = np.concatenate([
+            (k + 0.5) / 1e10, np.nextafter((k + 0.5) / 1e10, 2.0),
+            np.nextafter((k + 0.5) / 1e10, -2.0), k / 1e10,
+            np.arange(-2048, 2049) / 2048.0,
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,
+             5e-11, -5e-11, 1.5e-10, -2.5e-10],
+            gen.uniform(-1.0, 1.0, 20_000),
+        ])
+        parts = np.concatenate([parts, [0.0] * (len(parts) % 2)])
+        expected = np.array([round(x, 10) for x in parts.tolist()])
+        for size in (2 * qgames._ROUND_BY_PART + 2, parts.size):  # the smallest pass too
+            rows = [row for start in range(0, parts.size, size)
+                    for row in qgames._rounded(parts[start:start + size].view(complex))]
+            got = np.array(rows).reshape(-1)
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (3, 3, 3)])
+    def test_logged_state_is_each_part_rounded(self, dims, gen):
+        state = random_state(dims, gen)
+        report = qgames.GameReport("test", {})
+        report.log("player", "move", state)
+        logged = np.array(report.transcript[0]["state"]).reshape(-1)
+        expected = np.array([round(x, 10) for x in state.amps.view(np.float64).tolist()])
+        assert logged.view(np.int64).tolist() == expected.view(np.int64).tolist()
+

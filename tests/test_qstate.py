@@ -117,6 +117,15 @@ class TestStandardGates:
         with pytest.raises(DomainError):
             qstate.standard_gate("toffoli")
 
+    @pytest.mark.parametrize("build", [qstate.pauli_x, qstate.pauli_y, qstate.pauli_z,
+                                       qstate.hadamard, qstate.cnot, qstate.quarter_phase])
+    def test_parameterless_gates_are_shared_and_read_only(self, build):
+        gate = build()
+        assert build() is gate
+        assert not gate.entries.flags.writeable
+        with pytest.raises(ValueError):
+            gate.entries[0, 0] = 2.0
+
     def test_short_names_case_insensitive(self):
         for short, long in (("i", "identity"), ("1", "identity"), ("X", "pauli_x"),
                             ("y", "pauli_y"), ("Z", "pauli_z"), ("h", "hadamard")):
@@ -851,6 +860,55 @@ class TestDriftBound:
             state = qstate.apply(state, gate, targets)
             assert state.drift <= qstate.NORM_TOL
             assert true_deviation(state.amps) <= state.drift + norm_rounding(state.dim)
+
+
+class PickOutcome:
+    """Stands in for a RandomSource: `measure` reads the given outcome, whatever its weight."""
+
+    def __init__(self, outcome: int):
+        self.outcome = outcome
+
+    def choice(self, weights) -> int:
+        return self.outcome
+
+
+class TestResidualDrift:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.sampled_from([(2,) * 8, (2, 2, 2), (3,) * 5, (3, 3, 3), (2, 3, 2, 3, 2, 3)]),
+           st.sampled_from(["leading", "middle", "trailing", "reversed"]),
+           st.sampled_from(["sampled", "forced", "tiny"]),
+           st.integers(0, 2**32 - 1))
+    def test_bound_dominates_the_deviation(self, dims, layout, mode, seed):
+        """The residual's drift bounds its |norm - 1| (math.fsum) on qubit, qutrit and
+        mixed registers, on a view or a transposed copy, for sampled and forced
+        outcomes.  A branch of weight below _TINY_WEIGHT gets no bound: the norm pass
+        runs and records the deviation it measured."""
+        n = len(dims)
+        targets = {"leading": (0,), "middle": (n // 2 - 1, n // 2), "trailing": (n - 1,),
+                   "reversed": (n - 1, 0)}[layout]
+        gen = np.random.default_rng(seed)
+        state = random_state(dims, gen)
+        if mode == "tiny":  # outcome 1 keeps its amplitudes' directions at weight ~1e-300
+            _, block, order = qstate._split(state, targets)
+            block = block.copy()
+            block[:, 1, :] *= 1e-150 / np.linalg.norm(block[:, 1, :])
+            amps = qstate._join(block, dims, order)
+            state = StateVector(dims, amps / np.linalg.norm(amps))
+            record = qstate.measure(state, targets, rng=PickOutcome(1))
+        elif mode == "forced":
+            outcome = int(gen.integers(math.prod(dims[t] for t in targets)))
+            record = qstate.measure(state, targets, force=outcome)
+        else:
+            record = qstate.measure(state, targets, rng=RandomSource(seed))
+        residual = record.residual
+        bound = qstate._residual_drift(residual.dim, 1.0)  # the same at every weight it trusts
+        if mode == "tiny":
+            assert record.probability < qstate._TINY_WEIGHT
+            assert residual.drift != bound  # the norm pass ran and recorded what it read
+            assert true_deviation(residual.amps) <= residual.drift + norm_rounding(residual.dim)
+        else:
+            assert residual.drift == bound <= qstate.NORM_TOL  # so no norm pass ran
+            assert true_deviation(residual.amps) <= residual.drift
 
 
 def gate_deviation(u: UnitaryMatrix) -> float:

@@ -14,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 from qugame.cgame import Bimatrix, CharacteristicGame, Imputation, MixedStrategy
 from qugame.density import DensityMatrix, DiscriminationProblem
 from qugame.errors import DomainError
-from qugame.qstate import StateVector, UnitaryMatrix
+from qugame.qgames import secret_share_qutrit
+from qugame.qstate import StateVector, UnitaryMatrix, basis_state
 
 # entries that make valid values common, next to arbitrary floats
 ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 0.25]) | st.floats(allow_nan=False)
@@ -111,6 +112,7 @@ MALFORMED = {
     "MixedStrategy": lambda: MixedStrategy([[0.5], [0.25, 0.25]]),
     "Imputation": lambda: Imputation([object()]),
     "DiscriminationProblem": lambda: DiscriminationProblem([10**400], [[0.0]], [[1.0]]),
+    "CharacteristicGame": lambda: CharacteristicGame(2, {1: "x"}),
 }
 
 
@@ -118,3 +120,19 @@ MALFORMED = {
 def test_unconvertible_input_is_a_domain_error(build):
     with pytest.raises(DomainError, match=r"cannot be read as an array of (complex128|float64)$"):
         build()
+
+
+# arguments of the wrong kind: each is a DomainError that names the parameter
+WRONG_KIND = {
+    "CharacteristicGame": (lambda: CharacteristicGame(2, "x"), "coalition values"),
+    "basis_state": (lambda: basis_state([2, 2], 3), "basis digits"),
+    "secret_share_qutrit": (lambda: secret_share_qutrit(basis_state([3], "0"), ("bob", "alice")),
+                            "pair"),
+}
+
+
+@pytest.mark.parametrize("call, name", WRONG_KIND.values(), ids=WRONG_KIND)
+def test_wrong_kind_is_a_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        call()
+
